@@ -1,9 +1,11 @@
 """Shared configuration for the benchmark harness.
 
 Each benchmark module regenerates one table or figure of the paper's
-evaluation (see DESIGN.md for the experiment index).  Benchmarks print the
-rows/series they produce so that ``pytest benchmarks/ --benchmark-only -s``
-doubles as the experiment report; EXPERIMENTS.md records a reference run.
+evaluation, or asserts one subsystem's overhead budget (the subsystems are
+described in docs/ARCHITECTURE.md).  Benchmarks print the rows/series they
+produce so that ``pytest benchmarks/ --benchmark-only -s`` doubles as the
+experiment report; the repeatable publish/update benchmark with recorded
+baselines is ``python3 -m bench`` (see bench/README.md).
 """
 
 import pytest

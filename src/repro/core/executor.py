@@ -137,9 +137,7 @@ class MarsExecutor:
         # A sharded backend routes by modeled cost once statistics exist;
         # collect them now that every table is loaded (the access weights
         # keep pricing native-XML navigation above relational scans).
-        refresh = getattr(backend, "refresh_statistics", None)
-        if refresh is not None:
-            refresh(access_weights=configuration.build_statistics().access_weights)
+        self.collect_statistics()
 
     def _view_source_storage(self) -> MixedStorage:
         """Storage visible to view definitions: proprietary docs + relational data."""
@@ -234,13 +232,7 @@ class MarsExecutor:
         it also re-feeds the router's cost model in the same pass.
         """
         weights = self.configuration.build_statistics().access_weights
-        refresh = getattr(self.backend, "refresh_statistics", None)
-        if refresh is not None:
-            return refresh(access_weights=weights)
-        catalog = self.backend.collect_statistics()
-        for relation, weight in weights.items():
-            catalog.set_weight(relation, weight)
-        return catalog
+        return self.backend.refresh_statistics(access_weights=weights)
 
     def close(self) -> None:
         """Release the backend's resources (e.g. the SQLite connection).

@@ -140,7 +140,6 @@ class ReplicatedBackend(StorageBackend):
         self._writes = 0
         self._fenced = 0
         self._repairs = 0
-        self._catalog = None
         self._closed = False
         #: Optional structured event log; the publishing service installs
         #: its own via :meth:`set_event_log` (clones inherit it).
@@ -149,6 +148,11 @@ class ReplicatedBackend(StorageBackend):
     def set_event_log(self, events: Optional[EventLog]) -> None:
         """Install the log fencing and failover events are recorded to."""
         self.events = events
+        for replica in self._replicas:
+            replica.set_event_log(events)
+
+    def replicated_stores(self) -> Tuple[Tuple[str, StorageBackend], ...]:
+        return (("template", self),)
 
     @staticmethod
     def _create_replica(spec: ChildSpec) -> StorageBackend:
@@ -292,22 +296,11 @@ class ReplicatedBackend(StorageBackend):
         """
         catalog = None
         for replica in self._live():
-            refresh = getattr(replica, "refresh_statistics", None)
-            if refresh is not None:
-                measured = refresh(access_weights=access_weights)
-            else:
-                measured = replica.collect_statistics()
-                for relation, weight in (access_weights or {}).items():
-                    measured.set_weight(relation, weight)
+            measured = replica.refresh_statistics(access_weights=access_weights)
             if catalog is None:
                 catalog = measured
-        self._catalog = catalog
+        self._statistics_catalog = catalog
         return catalog
-
-    @property
-    def statistics_catalog(self):
-        """The catalog of the last :meth:`refresh_statistics` (or ``None``)."""
-        return self._catalog
 
     def explain(self, query: Query) -> str:
         """Describe the read decision, then the serving replica's own plan.
@@ -501,15 +494,12 @@ class ReplicatedBackend(StorageBackend):
 
     @property
     def has_mixed_snapshot_children(self) -> bool:
-        """See ``ShardedBackend.has_mixed_snapshot_children``."""
+        """Judged over the live replicas only."""
         live = [replica for replica in self._replicas if not replica.closed]
         kinds = {replica.clone_is_snapshot for replica in live}
         if len(kinds) > 1:
             return True
-        return any(
-            getattr(replica, "has_mixed_snapshot_children", False)
-            for replica in live
-        )
+        return any(replica.has_mixed_snapshot_children for replica in live)
 
     def close(self) -> None:
         """Close every live replica; double close raises."""
@@ -552,7 +542,7 @@ class ReplicatedBackend(StorageBackend):
         clone._writes = 0
         clone._fenced = 0
         clone._repairs = 0
-        clone._catalog = self._catalog
+        clone._statistics_catalog = self._statistics_catalog
         clone._closed = False
         clone.events = self.events
         return clone

@@ -129,9 +129,7 @@ class ConnectionPool:
         # template mixing both kinds of children could do neither — its
         # snapshot clones would go stale without replay, while its shared
         # clones would double-apply with it — so it is rejected up front.
-        if mutation_log is not None and getattr(
-            template, "has_mixed_snapshot_children", False
-        ):
+        if mutation_log is not None and template.has_mixed_snapshot_children:
             raise StorageError(
                 "cannot attach a mutation log: the template backend mixes "
                 "snapshot-cloning and shared-storage children (e.g. a "

@@ -9,13 +9,21 @@ servable system.  A :class:`PublishingService` owns
   cache lookup instead of a chase;
 * one :class:`~repro.core.executor.MarsExecutor` that builds the
   proprietary instance data into a *template* backend exactly once;
-* one :class:`~repro.serve.pool.ConnectionPool` of backend clones, so many
-  threads can execute plans concurrently without sharing a SQLite
-  connection across threads.
+* one tuple of *storage units*, as the template's
+  :meth:`~repro.storage.backends.StorageBackend.storage_units` declares
+  them (the template itself, or one unit per shard): each pairs its store
+  with a :class:`~repro.replica.MutationLog` (durable under ``log_dir``)
+  and a :class:`~repro.serve.pool.ConnectionPool` of clones, so many
+  threads execute plans without sharing a SQLite connection.
 
-``publish(query)`` does cache-aware reformulation, checks a connection out
-of the pool, runs the plan (optionally the whole union of minimal
-reformulations as a single ``UNION`` round trip) and returns the rows.
+Which kind of backend holds the data is the backend's business: recovery,
+checkpoint, repair, health, stats and teardown all walk the unit tuple.
+Only the request paths differ.  ``publish(query)`` does cache-aware
+reformulation, checks one connection out — or routes the plan and checks
+out only the units the router names — runs the plan (optionally the whole
+union of minimal reformulations as a single ``UNION`` round trip) and
+returns the rows; ``update(changeset)`` applies and logs on the template,
+or routes the change set and applies and logs unit by unit.
 """
 
 from __future__ import annotations
@@ -26,7 +34,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from ..core.configuration import MarsConfiguration
 from ..core.executor import MarsExecutor
@@ -74,11 +82,10 @@ from ..replica import (
     RepairLoop,
     RepairReport,
     ReplicaRepairer,
-    ReplicatedBackend,
     ReplicaStats,
     restore_snapshot,
 )
-from ..shard import RouterStats, ShardedBackend
+from ..shard import RouterStats
 from ..storage.backends import StorageBackend
 from ..xbind.query import XBindQuery
 from .cache import CacheStats, PlanCache
@@ -90,6 +97,21 @@ Row = Tuple[object, ...]
 STRATEGY_BEST = "best"
 #: Execute the union of every minimal reformulation in one round trip.
 STRATEGY_UNION = "union"
+
+
+def _setting(value, default):
+    """A constructor argument, or — left ``None`` — the configuration's value."""
+    return default if value is None else value
+
+
+class _Unit(NamedTuple):
+    """One independently pooled-and-logged store of the deployment."""
+
+    #: ``service`` / ``shard-i``: names the pool and the durable log directory.
+    label: str
+    store: StorageBackend
+    log: MutationLog
+    pool: ConnectionPool
 
 
 class _PublishGate:
@@ -363,16 +385,8 @@ class PublishingService:
         self.started_at = datetime.now(timezone.utc).isoformat()
         # Per-query latency objectives: a seconds budget (here or on the
         # configuration) turns error-budget tracking on.
-        slo_target = (
-            slo_target_p99
-            if slo_target_p99 is not None
-            else configuration.slo_target_p99
-        )
-        slo_window = (
-            slo_window_seconds
-            if slo_window_seconds is not None
-            else configuration.slo_window_seconds
-        )
+        slo_target = _setting(slo_target_p99, configuration.slo_target_p99)
+        slo_window = _setting(slo_window_seconds, configuration.slo_window_seconds)
         self.slo: Optional[SLOTracker] = (
             SLOTracker(slo_target, window_seconds=slo_window)
             if slo_target is not None
@@ -409,12 +423,9 @@ class PublishingService:
             system = MarsSystem(configuration)
         if system.plan_cache is None:
             if plan_cache is None:
-                size = (
-                    cache_size
-                    if cache_size is not None
-                    else configuration.plan_cache_size
+                plan_cache = PlanCache(
+                    maxsize=_setting(cache_size, configuration.plan_cache_size)
                 )
-                plan_cache = PlanCache(maxsize=size)
             system.plan_cache = plan_cache
         self.system = system
         self.plan_cache: PlanCache = system.plan_cache
@@ -425,7 +436,7 @@ class PublishingService:
         # without re-entering the C&B engine.  A store the caller already
         # attached to the system is adopted; either way its load outcomes
         # are recorded on this service's event log.
-        plan_path = plan_dir if plan_dir is not None else configuration.plan_dir
+        plan_path = _setting(plan_dir, configuration.plan_dir)
         if system.plan_store is None and plan_path is not None:
             system.plan_store = PlanStore(plan_path)
         self.plan_store: Optional[PlanStore] = system.plan_store
@@ -434,87 +445,45 @@ class PublishingService:
         # Build the instance data once, into the template backend the pools
         # will clone from.
         self.executor = MarsExecutor(configuration, backend=backend)
-        # The write path: one mutation log per pool (per shard on a
-        # sharded deployment), replayed onto pooled snapshot clones at
-        # checkout/checkin instead of rebuilding the service after writes.
-        # With a log directory configured the logs are durable: they spool
-        # to append-only segment files, and updates acknowledged by a
-        # previous incarnation of this service are recovered into the
-        # freshly built template *before* statistics are measured or any
-        # clone is taken.
-        self.mutation_log: Optional[MutationLog] = None
-        self.shard_logs: Tuple[MutationLog, ...] = ()
-        self._log_dir = log_dir if log_dir is not None else configuration.log_dir
-        self._log_fsync = (
-            log_fsync if log_fsync is not None else configuration.log_fsync
-        )
-        self._log_segment_bytes = (
-            log_segment_bytes
-            if log_segment_bytes is not None
-            else configuration.log_segment_bytes
+        # The write path: one mutation log per storage unit, replayed onto
+        # pooled snapshot clones at checkout/checkin instead of rebuilding
+        # the service after writes.  With a log directory configured the
+        # logs spool to append-only segment files, and updates a previous
+        # incarnation acknowledged are recovered into the fresh template
+        # *before* statistics are measured or any clone is taken.
+        self._log_dir = _setting(log_dir, configuration.log_dir)
+        self._log_fsync = _setting(log_fsync, configuration.log_fsync)
+        self._log_segment_bytes = _setting(
+            log_segment_bytes, configuration.log_segment_bytes
         )
         self._durable = self._log_dir is not None
         self._log_recovered_entries = 0
-        if self._durable:
-            try:
-                self._open_durable_logs()
-            except Exception:
-                self._close_logs()
-                self._close_template()
-                raise
-        # Plan against measured statistics, not declarations: the built
-        # backend is profiled once (the executor has already fed a sharded
-        # router its cost model) and the system ranks reformulations with
-        # the same numbers.  Skipped when the caller owns plan ranking
-        # (refresh_statistics=False, or a system with an injected
-        # estimator).
-        if refresh_statistics and system.cost_model is not None:
-            try:
-                # A sharded backend was profiled moments ago, during the
-                # executor build; reuse that catalog instead of re-running
-                # the whole ANALYZE/COUNT(DISTINCT) sweep on every child —
-                # unless log recovery just replayed rows the profile never
-                # saw, in which case the sweep must run again.
+        self._pool_size = _setting(pool_size, configuration.pool_size)
+        self._max_waiters = max_waiters
+        logs: Optional[List[MutationLog]] = None
+        try:
+            if self._durable:
+                logs = self._open_durable_logs()
+            # Plan against measured statistics, not declarations: the
+            # system ranks reformulations with the catalog the executor
+            # measured when its build completed (the one a sharded router
+            # prices modes with) — unless log recovery just replayed rows
+            # that sweep never saw, in which case it must run again.
+            # Skipped when the caller owns plan ranking
+            # (refresh_statistics=False, or an injected estimator).
+            if refresh_statistics and system.cost_model is not None:
                 catalog = None
                 if not self._log_recovered_entries:
-                    catalog = getattr(
-                        self.executor.backend, "statistics_catalog", None
-                    )
+                    catalog = self.executor.backend.statistics_catalog
                 if catalog is None:
                     catalog = self.executor.collect_statistics()
                 system.attach_statistics(catalog)
-            except Exception:
-                self._close_logs()
-                self._close_template()
-                raise
-        size = pool_size if pool_size is not None else configuration.pool_size
-        # Sharded deployments get one pool *per shard*: a partition-key
-        # bound query then occupies a connection on exactly one shard,
-        # instead of pinning a full set of per-shard clones per request.
-        self.pool: Optional[ConnectionPool] = None
-        self.shard_pools: Tuple[ConnectionPool, ...] = ()
-        self._pool_size = size
-        self._max_waiters = max_waiters
-        template = self.executor.backend
-        try:
-            if isinstance(template, ShardedBackend):
-                self.shard_pools, self.shard_logs = self._build_shard_pools(
-                    template, logs=self.shard_logs or None
-                )
-            else:
-                if self.mutation_log is None:
-                    self.mutation_log = MutationLog()
-                self.pool = ConnectionPool(
-                    template,
-                    size=size,
-                    max_waiters=max_waiters,
-                    mutation_log=self.mutation_log,
-                    events=self.events,
-                )
+            self._adopt_units(self._build_units(logs))
         except Exception:
             # Don't leak the template connection (or the durable log
             # handles) when pooling fails (bad size, unclonable backend).
-            self._close_logs()
+            for log in logs or ():
+                log.close()
             self._close_template()
             raise
         # The C&B engine mutates per-call state deep inside the chase; it is
@@ -542,7 +511,6 @@ class PublishingService:
         self._drift_rows: Dict[str, float] = {}
         self._stats_rows: Dict[str, float] = {}
         self._reset_drift_baseline()
-        self._wire_event_log(self.executor.backend)
         self._init_metrics()
         self._closed = False
         # The failure detector: with an interval set, a daemon thread runs
@@ -563,27 +531,16 @@ class PublishingService:
         self.admin: Optional[AdminServer] = None
         self._init_health()
         try:
-            audit_path = (
-                audit_dir if audit_dir is not None else configuration.audit_dir
-            )
+            audit_path = _setting(audit_dir, configuration.audit_dir)
             if audit_path is not None:
                 self.audit = AuditLog(
                     audit_path,
-                    max_bytes=(
-                        audit_max_bytes
-                        if audit_max_bytes is not None
-                        else configuration.audit_max_bytes
-                    ),
-                    fsync=(
-                        audit_fsync
-                        if audit_fsync is not None
-                        else configuration.audit_fsync
-                    ),
+                    max_bytes=_setting(audit_max_bytes, configuration.audit_max_bytes),
+                    fsync=_setting(audit_fsync, configuration.audit_fsync),
                 )
-            port = (
-                admin_port if admin_port is not None else configuration.admin_port
-            )
+            port = _setting(admin_port, configuration.admin_port)
             if port is not None:
+                profiled = self.profile_buffer is not None
                 self.admin = AdminServer(
                     port,
                     host=admin_host,
@@ -593,16 +550,8 @@ class PublishingService:
                     ready=lambda: not self._closed,
                     event_tail=self._event_tail,
                     trace_recent=self._trace_recent,
-                    profiles_recent=(
-                        self._profiles_recent
-                        if self.profile_buffer is not None
-                        else None
-                    ),
-                    profiles_worst=(
-                        self._profiles_worst
-                        if self.profile_buffer is not None
-                        else None
-                    ),
+                    profiles_recent=self._profiles_recent if profiled else None,
+                    profiles_worst=self._profiles_worst if profiled else None,
                 )
                 self.admin.start()
         except Exception:
@@ -612,14 +561,15 @@ class PublishingService:
     # ------------------------------------------------------------------
     # Durable mutation logs
     # ------------------------------------------------------------------
-    def _open_durable_logs(self) -> None:
+    def _open_durable_logs(self) -> List[MutationLog]:
         """Open (and recover from) the segment logs under ``log_dir``.
 
-        Layout: a single-pool deployment logs under ``<log_dir>/service``,
-        a sharded one under ``<log_dir>/shard-<i>``.  A directory written
-        by a different layout (other shard count, other topology) is
-        rejected up front — replaying its entries through today's routing
-        would scatter rows to the wrong fragments.
+        Layout: one directory per storage unit, named by its label —
+        ``<log_dir>/service`` when the template is its own unit,
+        ``<log_dir>/shard-<i>`` on a sharded deployment.  A directory
+        written by a different layout (other shard count, other topology)
+        is rejected up front — replaying its entries through today's
+        routing would scatter rows to the wrong fragments.
         """
         template = self.executor.backend
         if not template.clone_is_snapshot:
@@ -631,47 +581,37 @@ class PublishingService:
             )
         base = Path(self._log_dir)
         base.mkdir(parents=True, exist_ok=True)
-        if isinstance(template, ShardedBackend):
-            expected = [f"shard-{i}" for i in range(template.shard_count)]
-        else:
-            expected = ["service"]
+        units = template.storage_units()
+        expected = sorted(label for label, _store in units)
         existing = sorted(
             entry.name for entry in base.iterdir() if entry.is_dir()
         )
-        if existing and existing != sorted(expected):
+        if existing and existing != expected:
             raise StorageError(
                 f"log directory {base} was written by a different deployment "
                 f"layout: found {existing}, this deployment needs "
-                f"{sorted(expected)}"
+                f"{expected}"
             )
-        opened: List[DurableMutationLog] = []
+        opened: List[MutationLog] = []
         try:
-            for name in expected:
+            for label, store in units:
                 log = DurableMutationLog(
-                    base / name,
+                    base / label,
                     fsync=self._log_fsync,
                     segment_max_bytes=self._log_segment_bytes,
                 )
                 opened.append(log)
+                self._recover_log(log, store, label)
         except Exception:
             for log in opened:
                 log.close()
             raise
-        if isinstance(template, ShardedBackend):
-            self.shard_logs = tuple(opened)
-            for index, (log, child) in enumerate(
-                zip(opened, template.children)
-            ):
-                self._recover_log(log, child, label=f"shard-{index}")
-            # Per-shard logs advance independently (an update only touches
-            # the shards it routes to), so the service-level write LSN
-            # restarts at the furthest shard head: monotonic, though not
-            # necessarily dense across the restart.
-            self._write_lsn = max((log.lsn for log in opened), default=0)
-        else:
-            self.mutation_log = opened[0]
-            self._recover_log(opened[0], template, label="service")
-            self._write_lsn = opened[0].lsn
+        # Unit logs advance independently (an update only touches the
+        # units it routes to), so the service-level write LSN restarts at
+        # the furthest head: monotonic, though not necessarily dense
+        # across the restart.
+        self._write_lsn = max(log.lsn for log in opened)
+        return opened
 
     def _recover_log(
         self, log: DurableMutationLog, backend: StorageBackend, label: str
@@ -699,31 +639,7 @@ class PublishingService:
 
     def _durable_logs(self) -> Tuple[DurableMutationLog, ...]:
         """The service's durable logs (empty on in-memory deployments)."""
-        logs: List[DurableMutationLog] = []
-        for log in (self.mutation_log, *self.shard_logs):
-            if isinstance(log, DurableMutationLog):
-                logs.append(log)
-        return tuple(logs)
-
-    def _close_logs(self) -> None:
-        for log in (self.mutation_log, *self.shard_logs):
-            if log is not None:
-                log.close()
-
-    def _wire_event_log(self, backend: object) -> None:
-        """Point every replicated layer at the service's event log.
-
-        Fencing and failover happen deep inside backends (including the
-        pooled clones, which inherit the log through ``clone()``), so the
-        log is installed recursively over the template's children.
-        """
-        setter = getattr(backend, "set_event_log", None)
-        if setter is not None:
-            setter(self.events)
-        for child in getattr(backend, "children", ()) or ():
-            self._wire_event_log(child)
-        for replica in getattr(backend, "replicas", ()) or ():
-            self._wire_event_log(replica)
+        return tuple(unit.log for unit in self._units) if self._durable else ()
 
     def _init_metrics(self) -> None:
         """Register the service's metric families (idempotent per registry)."""
@@ -782,98 +698,88 @@ class PublishingService:
         )
         # Export-time gauges bridging the *Stats snapshots (cache, pool,
         # router, replica) into the registry without a second counter on
-        # any hot path.
-        self._g_cache_entries = registry.gauge(
-            "mars_plan_cache_entries", "plans currently cached"
-        )
-        self._g_cache_hit_ratio = registry.gauge(
-            "mars_plan_cache_hit_ratio", "lifetime plan-cache hit rate"
-        )
-        self._g_plan_store_artifacts = registry.gauge(
-            "mars_plan_store_plans", "plan artifacts on disk"
-        )
-        self._g_plan_store_hits = registry.gauge(
-            "mars_plan_store_hits_total", "plan-store loads that hit"
-        )
-        self._g_plan_store_misses = registry.gauge(
-            "mars_plan_store_misses_total", "plan-store loads that missed"
-        )
-        self._g_plan_store_writes = registry.gauge(
-            "mars_plan_store_writes_total", "plan artifacts written"
-        )
-        self._g_plan_store_corrupt = registry.gauge(
-            "mars_plan_store_corrupt_total", "plan artifacts quarantined"
-        )
-        self._g_plan_store_invalidations = registry.gauge(
-            "mars_plan_store_invalidations_total",
-            "stale plan artifacts deleted",
-        )
-        self._g_pool_size = registry.gauge(
-            "mars_pool_size_connections", "pooled connections (aggregate)"
-        )
-        self._g_pool_in_use = registry.gauge(
-            "mars_pool_in_use_connections", "connections checked out right now"
-        )
-        self._g_pool_checkouts = registry.gauge(
-            "mars_pool_checkouts_total", "lifetime pool checkouts"
-        )
-        self._g_pool_catchups = registry.gauge(
-            "mars_pool_catchups_total", "checkouts/checkins that replayed a log tail"
-        )
-        self._g_router_queries = registry.gauge(
-            "mars_router_queries_total", "queries the shard router decided"
-        )
-        self._g_router_cost_overrides = registry.gauge(
-            "mars_router_cost_overrides_total",
-            "cost-based routing decisions that overturned the rule default",
-        )
-        self._g_live_replicas = registry.gauge(
-            "mars_live_replicas", "replicas still serving on the template"
-        )
-        self._g_replica_failovers = registry.gauge(
-            "mars_replica_failovers_total",
-            "read failovers across template and pooled clones",
-        )
-        self._g_replica_fenced = registry.gauge(
-            "mars_replica_fenced_total",
-            "replicas fenced across template and pooled clones",
-        )
-        self._g_write_lsn = registry.gauge(
-            "mars_write_lsn", "highest acknowledged mutation-log LSN"
-        )
-        self._g_log_segments = registry.gauge(
-            "mars_log_segments",
-            "durable mutation-log segment files on disk (all logs)",
-        )
-        self._g_log_bytes = registry.gauge(
-            "mars_log_size_bytes", "durable mutation-log bytes on disk"
-        )
-        self._g_events_dropped = registry.gauge(
-            "mars_events_dropped_total",
-            "events the event log dropped because recording them failed",
-        )
-        self._g_health = registry.gauge(
-            "mars_health_status",
-            "aggregate health: 1 healthy, 0.5 degraded, 0 unhealthy",
-        )
-        self._g_uptime = registry.gauge(
-            "mars_uptime_seconds", "seconds since the service came up"
-        )
-        self._g_profile_buffer = registry.gauge(
-            "mars_profile_buffer_entries", "query profiles currently buffered"
-        )
-        self._g_profile_worst_q = registry.gauge(
-            "mars_profile_worst_q_error_ratio",
-            "largest per-operator q-error across buffered profiles",
-        )
-        self._g_audit_records = registry.gauge(
-            "mars_audit_records_total", "audit entries written this incarnation"
-        )
-        self._g_audit_bytes = registry.gauge(
-            "mars_audit_size_bytes", "active audit file bytes on disk"
-        )
-        # Per-query SLO series (labelled); counters move on the publish
-        # path, the standing gauges are refreshed at export time.
+        # any hot path: each gauge is declared once, next to how it reads
+        # one stats() snapshot (``None`` leaves the series unset).
+        buffer = self.profile_buffer
+        gauges = [
+            (registry.gauge("mars_plan_cache_entries", "plans currently cached"),
+             lambda stats: stats.cache.current_size),
+            (registry.gauge("mars_plan_cache_hit_ratio",
+                            "lifetime plan-cache hit rate"),
+             lambda stats: stats.cache.hit_rate),
+            (registry.gauge("mars_plan_store_plans", "plan artifacts on disk"),
+             lambda stats: stats.plan_store and stats.plan_store.artifacts),
+            (registry.gauge("mars_plan_store_hits_total", "plan-store loads that hit"),
+             lambda stats: stats.plan_store and stats.plan_store.hits),
+            (registry.gauge("mars_plan_store_misses_total",
+                            "plan-store loads that missed"),
+             lambda stats: stats.plan_store and stats.plan_store.misses),
+            (registry.gauge("mars_plan_store_writes_total", "plan artifacts written"),
+             lambda stats: stats.plan_store and stats.plan_store.writes),
+            (registry.gauge("mars_plan_store_corrupt_total",
+                            "plan artifacts quarantined"),
+             lambda stats: stats.plan_store and stats.plan_store.corrupt),
+            (registry.gauge("mars_plan_store_invalidations_total",
+                            "stale plan artifacts deleted"),
+             lambda stats: stats.plan_store and stats.plan_store.invalidations),
+            (registry.gauge("mars_pool_size_connections",
+                            "pooled connections (aggregate)"),
+             lambda stats: stats.pool.size),
+            (registry.gauge("mars_pool_in_use_connections",
+                            "connections checked out right now"),
+             lambda stats: stats.pool.in_use),
+            (registry.gauge("mars_pool_checkouts_total", "lifetime pool checkouts"),
+             lambda stats: stats.pool.checkouts),
+            (registry.gauge("mars_pool_catchups_total",
+                            "checkouts/checkins that replayed a log tail"),
+             lambda stats: stats.pool.catchups),
+            (registry.gauge("mars_router_queries_total",
+                            "queries the shard router decided"),
+             lambda stats: stats.router and stats.router.queries),
+            (registry.gauge(
+                "mars_router_cost_overrides_total",
+                "cost-based routing decisions that overturned the rule default"),
+             lambda stats: stats.router and stats.router.cost_overrides),
+            (registry.gauge("mars_live_replicas",
+                            "replicas still serving on the template"),
+             lambda stats: stats.replicas and stats.replicas.live_replicas),
+            (registry.gauge("mars_replica_failovers_total",
+                            "read failovers across template and pooled clones"),
+             lambda stats: stats.replica_failovers),
+            (registry.gauge("mars_replica_fenced_total",
+                            "replicas fenced across template and pooled clones"),
+             lambda stats: stats.replica_fenced),
+            (registry.gauge("mars_write_lsn", "highest acknowledged mutation-log LSN"),
+             lambda stats: stats.last_write_lsn),
+            (registry.gauge("mars_log_segments",
+                            "durable mutation-log segment files on disk (all logs)"),
+             lambda stats: stats.log_segments),
+            (registry.gauge("mars_log_size_bytes",
+                            "durable mutation-log bytes on disk"),
+             lambda stats: stats.log_size_bytes),
+            (registry.gauge(
+                "mars_events_dropped_total",
+                "events the event log dropped because recording them failed"),
+             lambda stats: stats.events_dropped),
+            (registry.gauge("mars_health_status",
+                            "aggregate health: 1 healthy, 0.5 degraded, 0 unhealthy"),
+             lambda stats: self.health().value),
+            (registry.gauge("mars_uptime_seconds", "seconds since the service came up"),
+             lambda stats: stats.uptime_seconds),
+            (registry.gauge("mars_profile_buffer_entries",
+                            "query profiles currently buffered"),
+             lambda stats: None if buffer is None else len(buffer)),
+            (registry.gauge("mars_profile_worst_q_error_ratio",
+                            "largest per-operator q-error across buffered profiles"),
+             lambda stats: None if buffer is None else buffer.worst_q_error()),
+            (registry.gauge("mars_audit_records_total",
+                            "audit entries written this incarnation"),
+             lambda stats: stats.audit and stats.audit.records),
+            (registry.gauge("mars_audit_size_bytes", "active audit file bytes on disk"),
+             lambda stats: stats.audit and stats.audit.active_bytes),
+        ]
+        # Per-query SLO series (labelled): the counters move on the publish
+        # path, the standing gauges read one SLOReport each at export time.
         self._m_slo_requests = registry.counter(
             "mars_slo_requests_total",
             "publishes measured against the latency objective",
@@ -884,21 +790,21 @@ class PublishingService:
             "publishes that missed the latency objective",
             labels=("query",),
         )
-        self._g_slo_target = registry.gauge(
-            "mars_slo_target_seconds",
-            "the per-query latency objective",
-            labels=("query",),
-        )
-        self._g_slo_p99 = registry.gauge(
-            "mars_slo_window_p99_seconds",
-            "observed p99 over the rolling SLO window",
-            labels=("query",),
-        )
-        self._g_slo_burn = registry.gauge(
-            "mars_slo_error_budget_burn_ratio",
-            "window violation rate over the allowed rate (>1 is breaching)",
-            labels=("query",),
-        )
+        slo_gauges = [
+            (registry.gauge("mars_slo_target_seconds",
+                            "the per-query latency objective",
+                            labels=("query",)),
+             lambda entry: entry.target_p99),
+            (registry.gauge("mars_slo_window_p99_seconds",
+                            "observed p99 over the rolling SLO window",
+                            labels=("query",)),
+             lambda entry: entry.window_p99),
+            (registry.gauge(
+                "mars_slo_error_budget_burn_ratio",
+                "window violation rate over the allowed rate (>1 is breaching)",
+                labels=("query",)),
+             lambda entry: entry.budget_burn),
+        ]
 
         def collect() -> None:
             if self._closed:
@@ -907,44 +813,13 @@ class PublishingService:
                 stats = self.stats()
             except Exception:
                 return
-            self._g_cache_entries.set(stats.cache.current_size)
-            self._g_cache_hit_ratio.set(stats.cache.hit_rate)
-            self._g_pool_size.set(stats.pool.size)
-            self._g_pool_in_use.set(stats.pool.in_use)
-            self._g_pool_checkouts.set(stats.pool.checkouts)
-            self._g_pool_catchups.set(stats.pool.catchups)
-            if stats.router is not None:
-                self._g_router_queries.set(stats.router.queries)
-                self._g_router_cost_overrides.set(stats.router.cost_overrides)
-            if stats.replicas is not None:
-                self._g_live_replicas.set(stats.replicas.live_replicas)
-            self._g_replica_failovers.set(stats.replica_failovers)
-            self._g_replica_fenced.set(stats.replica_fenced)
-            self._g_write_lsn.set(stats.last_write_lsn)
-            self._g_log_segments.set(stats.log_segments)
-            self._g_log_bytes.set(stats.log_size_bytes)
-            self._g_events_dropped.set(stats.events_dropped)
-            self._g_uptime.set(stats.uptime_seconds)
-            self._g_health.set(self.health().value)
-            if self.profile_buffer is not None:
-                self._g_profile_buffer.set(len(self.profile_buffer))
-                self._g_profile_worst_q.set(self.profile_buffer.worst_q_error())
+            for gauge, read in gauges:
+                value = read(stats)
+                if value is not None:
+                    gauge.set(value)
             for entry in stats.slo:
-                self._g_slo_target.labels(query=entry.key).set(entry.target_p99)
-                self._g_slo_p99.labels(query=entry.key).set(entry.window_p99)
-                self._g_slo_burn.labels(query=entry.key).set(entry.budget_burn)
-            if stats.audit is not None:
-                self._g_audit_records.set(stats.audit.records)
-                self._g_audit_bytes.set(stats.audit.active_bytes)
-            if stats.plan_store is not None:
-                self._g_plan_store_artifacts.set(stats.plan_store.artifacts)
-                self._g_plan_store_hits.set(stats.plan_store.hits)
-                self._g_plan_store_misses.set(stats.plan_store.misses)
-                self._g_plan_store_writes.set(stats.plan_store.writes)
-                self._g_plan_store_corrupt.set(stats.plan_store.corrupt)
-                self._g_plan_store_invalidations.set(
-                    stats.plan_store.invalidations
-                )
+                for gauge, read in slo_gauges:
+                    gauge.labels(query=entry.key).set(read(entry))
 
         registry.add_collector(collect)
 
@@ -961,24 +836,12 @@ class PublishingService:
         checks = self.health_checks
         checks.register("service", self._check_service)
         checks.register("pool", self._check_pool)
-        if self._replicated_stores():
+        if self.executor.backend.replicated_stores():
             checks.register("replicas", self._check_replicas)
         if self._durable:
             checks.register("durable_log", self._check_durable_log)
         if self._repair_loop is not None:
             checks.register("repair_loop", self._check_repair_loop)
-
-    def _replicated_stores(self) -> List[Tuple[str, ReplicatedBackend]]:
-        """Every replicated store the service owns, labelled."""
-        template = self.executor.backend
-        stores: List[Tuple[str, ReplicatedBackend]] = []
-        if isinstance(template, ReplicatedBackend):
-            stores.append(("template", template))
-        elif isinstance(template, ShardedBackend):
-            for index, child in enumerate(template.children):
-                if isinstance(child, ReplicatedBackend):
-                    stores.append((f"shard-{index}", child))
-        return stores
 
     def _check_service(self) -> CheckResult:
         if self._closed:
@@ -986,21 +849,16 @@ class PublishingService:
         return CheckResult("service", HEALTHY)
 
     def _check_pool(self) -> CheckResult:
-        pools = ([self.pool] if self.pool is not None else []) + list(
-            self.shard_pools
-        )
-        per = [pool.stats() for pool in pools]
-        waiting = sum(stats.waiting for stats in per)
-        rejections = sum(stats.rejections for stats in per)
-        stale = sum(stats.stale_rebuilds for stats in per)
+        pool, _per_unit = self._pool_stats()
+        waiting, rejections, stale = pool.waiting, pool.rejections, pool.stale_rebuilds
         with self._counter_lock:
             new_rejections = rejections - self._health_pool_rejections
             new_stale = stale - self._health_pool_stale_rebuilds
             self._health_pool_rejections = rejections
             self._health_pool_stale_rebuilds = stale
         details = {
-            "size": sum(stats.size for stats in per),
-            "in_use": sum(stats.in_use for stats in per),
+            "size": pool.size,
+            "in_use": pool.in_use,
             "waiting": waiting,
             "rejections": rejections,
             "stale_rebuilds": stale,
@@ -1023,7 +881,7 @@ class PublishingService:
         status = HEALTHY
         reasons: List[str] = []
         details: Dict[str, object] = {}
-        for label, store in self._replicated_stores():
+        for label, store in self.executor.backend.replicated_stores():
             stats = store.stats()
             details[label] = {
                 "replica_count": stats.replica_count,
@@ -1134,41 +992,77 @@ class PublishingService:
             "worst_q_error": buffer.worst_q_error(),
         }
 
-    def _build_shard_pools(
-        self, template: ShardedBackend, logs: Optional[Sequence[MutationLog]] = None
-    ) -> Tuple[Tuple[ConnectionPool, ...], Tuple[MutationLog, ...]]:
-        """One pool and one mutation log per shard of *template*.
+    def _build_units(
+        self, logs: Optional[Sequence[MutationLog]] = None
+    ) -> Tuple[_Unit, ...]:
+        """One pool and one mutation log per storage unit of the template.
 
-        *logs* supplies pre-existing logs (the recovered durable ones);
-        ``None`` creates fresh in-memory logs — the rebalance path, which
-        rebuilds pools for a brand-new shard layout.
+        *logs* supplies pre-existing logs in unit order (the recovered
+        durable ones); ``None`` creates fresh in-memory logs — also the
+        rebalance path, which rebuilds the units for a new shard layout.
         """
-        if logs is not None and len(logs) != len(template.children):
-            raise StorageError(
-                f"{len(logs)} mutation log(s) for {len(template.children)} "
-                "shard(s)"
-            )
-        pools: List[ConnectionPool] = []
-        used: List[MutationLog] = []
+        template = self.executor.backend
+        # Fencing and failover happen deep inside backends; install the
+        # event log first, so the pooled clones inherit it through clone().
+        template.set_event_log(self.events)
+        units: List[_Unit] = []
         try:
-            for index, child in enumerate(template.children):
+            for index, (label, store) in enumerate(template.storage_units()):
                 log = logs[index] if logs is not None else MutationLog()
-                pools.append(
-                    ConnectionPool(
-                        child,
-                        size=self._pool_size,
-                        max_waiters=self._max_waiters,
-                        label=f"shard-{index}",
-                        mutation_log=log,
-                        events=self.events,
-                    )
+                pool = ConnectionPool(
+                    store,
+                    size=self._pool_size,
+                    max_waiters=self._max_waiters,
+                    label=label,
+                    mutation_log=log,
+                    events=self.events,
                 )
-                used.append(log)
+                units.append(_Unit(label, store, log, pool))
         except Exception:
-            for pool in pools:
-                pool.close(force=True)
+            for unit in units:
+                unit.pool.close(force=True)
             raise
-        return tuple(pools), tuple(used)
+        return tuple(units)
+
+    def _adopt_units(self, units: Tuple[_Unit, ...]) -> None:
+        """Install *units*; the one place the public views are assigned.
+
+        ``pool`` / ``mutation_log`` are set when the template is its own
+        unit, ``shard_pools`` / ``shard_logs`` (in unit order) otherwise;
+        only the request paths fork on that.
+        """
+        own = len(units) == 1 and units[0].store is self.executor.backend
+        self._units = units
+        self.pool: Optional[ConnectionPool] = units[0].pool if own else None
+        self.mutation_log: Optional[MutationLog] = units[0].log if own else None
+        self.shard_pools: Tuple[ConnectionPool, ...] = (
+            () if own else tuple(unit.pool for unit in units)
+        )
+        self.shard_logs: Tuple[MutationLog, ...] = (
+            () if own else tuple(unit.log for unit in units)
+        )
+        #: What an audit entry's ``route`` says when no route span exists.
+        self._unrouted_modes = ["single"] if own else ["sharded"]
+
+    def _pool_stats(self) -> Tuple[PoolStats, Tuple[PoolStats, ...]]:
+        """The aggregate over the units' pools (see :class:`ServiceStats`
+        on ``peak_in_use``), and the per-unit snapshots it sums."""
+        per_unit = tuple(unit.pool.stats() for unit in self._units)
+        aggregate = PoolStats(
+            size=sum(stats.size for stats in per_unit),
+            created=sum(stats.created for stats in per_unit),
+            in_use=sum(stats.in_use for stats in per_unit),
+            checkouts=sum(stats.checkouts for stats in per_unit),
+            peak_in_use=sum(stats.peak_in_use for stats in per_unit),
+            wait_count=sum(stats.wait_count for stats in per_unit),
+            waiting=sum(stats.waiting for stats in per_unit),
+            rejections=sum(stats.rejections for stats in per_unit),
+            catchups=sum(stats.catchups for stats in per_unit),
+            entries_replayed=sum(stats.entries_replayed for stats in per_unit),
+            stale_rebuilds=sum(stats.stale_rebuilds for stats in per_unit),
+            label=f"{self.executor.backend.backend_name}({len(per_unit)})",
+        )
+        return aggregate, per_unit
 
     def _close_template(self) -> None:
         self.executor.close()
@@ -1290,9 +1184,7 @@ class PublishingService:
                 f"no reformulation of {reformulation.query.name} against the "
                 "proprietary schema exists"
             )
-        strategy = strategy or self.strategy
-        if strategy not in (STRATEGY_BEST, STRATEGY_UNION):
-            raise ValueError(f"unknown execution strategy {strategy!r}")
+        strategy = self._check_strategy(strategy, distinct=True)
         if strategy == STRATEGY_UNION and len(reformulation.minimal) > 1:
             return UnionQuery(
                 f"{reformulation.query.name}_union", reformulation.minimal
@@ -1306,19 +1198,20 @@ class PublishingService:
         return backend.execute(plan, distinct=distinct)
 
     def _run_plan(self, plan, distinct: bool) -> List[Row]:
-        """Execute one plan on pooled storage (single pool or per-shard pools).
+        """Execute one plan on pooled storage (one unit, or routed units).
 
-        On a sharded deployment the plan is routed first and connections
-        are checked out *only for the shards the router names*, always in
-        ascending shard order (uniform acquisition order means concurrent
-        multi-shard publishes cannot deadlock against each other).
+        When the template is split into units the plan is routed first and
+        connections are checked out *only for the units the router names*,
+        always in ascending order (uniform acquisition order means
+        concurrent multi-unit publishes cannot deadlock against each
+        other).
         """
         if self.pool is not None:
             # The LSN barrier: the checked-out clone must have replayed at
             # least every update this service has acknowledged, so a
             # client that just wrote reads its own write.
             with self.pool.connection(
-                timeout=self.checkout_timeout, min_lsn=self._write_lsn
+                timeout=self.checkout_timeout, min_lsn=self.mutation_log.lsn
             ) as backend:
                 with current_span().child(
                     "execute", engine=backend.backend_name
@@ -1457,10 +1350,36 @@ class PublishingService:
                 "reformulate": reform_seconds,
                 "execute": exec_seconds,
             }
+        self._account_publish(
+            query, reformulation, plan, effective, len(rows), seconds,
+            exec_seconds, phases, barrier_lsn, tracked, query_profile,
+        )
+        return rows, tracked, query_profile
+
+    def _account_publish(
+        self,
+        query: XBindQuery,
+        reformulation: MarsReformulation,
+        plan,
+        strategy: str,
+        rows: int,
+        seconds: float,
+        exec_seconds: float,
+        phases: Dict[str, float],
+        lsn: int,
+        tracked,
+        profile: Optional[QueryProfile] = None,
+    ) -> None:
+        """The bookkeeping every served query goes through, once.
+
+        Counters, latency histogram, SLO, cost feedback, slow-query log,
+        trace buffer and — last, raising on failure so the request stays
+        unacknowledged — the durable audit entry.
+        """
         with self._counter_lock:
             self._queries_served += 1
         self._m_publishes.inc()
-        self._m_published_rows.inc(len(rows))
+        self._m_published_rows.inc(rows)
         self._m_publish_latency.observe(seconds)
         if self.slo is not None:
             violated = self.slo.observe(query.name, seconds)
@@ -1468,26 +1387,38 @@ class PublishingService:
             if violated:
                 self._m_slo_violations.labels(query=query.name).inc()
         self._record_feedback(
-            query, reformulation, plan, len(rows), exec_seconds,
-            profile=query_profile,
+            query, reformulation, plan, rows, exec_seconds, profile=profile
         )
-        self._note_slow(query, seconds, len(rows), phases)
+        self._note_slow(query, seconds, rows, phases)
         if tracked.enabled:
-            tracked.root.annotate(rows=len(rows))
+            tracked.root.annotate(rows=rows)
             self.last_trace = tracked
             self.trace_buffer.record(tracked)
-        if self.audit is not None:
-            self._audit_publish(
-                query=query,
-                reformulation=reformulation,
-                strategy=effective,
-                rows=len(rows),
-                seconds=seconds,
-                phases=phases,
-                lsn=barrier_lsn,
-                tracked=tracked,
-            )
-        return rows, tracked, query_profile
+        if self.audit is None:
+            return
+        entry: Dict[str, object] = {
+            "ts": time.time(),
+            "kind": "publish",
+            "query": query.name,
+            # The structural fingerprint as its stable digest: the raw
+            # tuple's repr drifts across refactors, the digest is the
+            # durable form shared with plan-artifact identities (and it
+            # is memoized on the query object).
+            "fingerprint": query.fingerprint_digest(),
+            "strategy": strategy,
+            "route": self._route_modes(tracked),
+            "lsn": lsn,
+            "rows": rows,
+            "seconds": seconds,
+            "phases": phases,
+        }
+        estimate = reformulation.cost_estimate
+        if estimate is not None:
+            entry["estimate"] = {
+                "rows": getattr(estimate, "cardinality", 0.0),
+                "cost": getattr(estimate, "total", 0.0),
+            }
+        self.audit.record(entry)
 
     def _record_feedback(
         self,
@@ -1529,51 +1460,13 @@ class PublishingService:
 
     def _route_modes(self, tracked) -> List[str]:
         """The routing modes this publish took, for the audit entry."""
-        if self.pool is not None:
-            return ["single"]
         if tracked.enabled:
             for span in list(tracked.root.children):
                 if span.name == "route":
                     modes = span.attributes.get("modes")
                     if modes:
                         return [str(mode) for mode in modes]
-        return ["sharded"]
-
-    def _audit_publish(
-        self,
-        query,
-        reformulation,
-        strategy: str,
-        rows: int,
-        seconds: float,
-        phases: Dict[str, float],
-        lsn: int,
-        tracked,
-    ) -> None:
-        """Append one publish to the durable audit log (raises on failure)."""
-        entry: Dict[str, object] = {
-            "ts": time.time(),
-            "kind": "publish",
-            "query": query.name,
-            # The structural fingerprint as its stable digest: the raw
-            # tuple's repr drifts across refactors, the digest is the
-            # durable form shared with plan-artifact identities (and it
-            # is memoized on the query object).
-            "fingerprint": query.fingerprint_digest(),
-            "strategy": strategy,
-            "route": self._route_modes(tracked),
-            "lsn": lsn,
-            "rows": rows,
-            "seconds": seconds,
-            "phases": phases,
-        }
-        estimate = reformulation.cost_estimate
-        if estimate is not None:
-            entry["estimate"] = {
-                "rows": getattr(estimate, "cardinality", 0.0),
-                "cost": getattr(estimate, "total", 0.0),
-            }
-        self.audit.record(entry)
+        return self._unrouted_modes
 
     def _note_slow(
         self,
@@ -1615,31 +1508,54 @@ class PublishingService:
     ) -> List[List[Row]]:
         """Serve a batch of queries on this thread, reusing one connection.
 
-        The same rules as :meth:`publish` apply to the whole batch.  On a
-        sharded deployment each plan routes (and checks out connections)
-        independently, so a batch of pruned queries never pins every shard
-        at once.
+        The same rules as :meth:`publish` apply to the whole batch, and
+        every query in it is accounted like a publish (counters, latency,
+        SLO, cost feedback, audit entry) before the batch is acknowledged;
+        batches are not traced.  When the template is split into units
+        each plan routes (and checks out connections) independently, so a
+        batch of pruned queries never pins every unit at once.
         """
         if self._closed:
             raise StorageError("PublishingService is closed")
         effective = self._check_strategy(strategy, distinct)
+        barrier_lsn = self._write_lsn
+        planned = []  # (query, reformulation, plan, reformulate seconds)
         results: List[List[Row]] = []
-        with self._gate.read():
-            plans = [
-                self.plan_for(self.reformulate(query), strategy=effective)
-                for query in queries
-            ]
-            if self.pool is not None:
-                with self.pool.connection(
-                    timeout=self.checkout_timeout, min_lsn=self._write_lsn
-                ) as backend:
-                    for plan in plans:
-                        results.append(self._execute_on(backend, plan, distinct))
-            else:
-                for plan in plans:
-                    results.append(self._run_plan(plan, distinct))
-        with self._counter_lock:
-            self._queries_served += len(queries)
+        execute_seconds: List[float] = []
+
+        def serve(execute) -> None:
+            for _query, _reformulation, plan, _seconds in planned:
+                clock = timer()
+                results.append(execute(plan))
+                execute_seconds.append(clock.stop())
+
+        try:
+            with self._gate.read():
+                for query in queries:
+                    clock = timer()
+                    reformulation = self.reformulate(query)
+                    plan = self.plan_for(reformulation, strategy=effective)
+                    planned.append((query, reformulation, plan, clock.stop()))
+                if self.pool is not None:
+                    with self.pool.connection(
+                        timeout=self.checkout_timeout,
+                        min_lsn=self.mutation_log.lsn,
+                    ) as backend:
+                        serve(lambda plan: self._execute_on(backend, plan, distinct))
+                else:
+                    serve(lambda plan: self._run_plan(plan, distinct))
+        except Exception:
+            self._m_publish_errors.inc()
+            raise
+        for (query, reformulation, plan, reform_seconds), rows, seconds in zip(
+            planned, results, execute_seconds
+        ):
+            self._account_publish(
+                query, reformulation, plan, effective, len(rows),
+                reform_seconds + seconds, seconds,
+                {"reformulate": reform_seconds, "execute": seconds},
+                barrier_lsn, NULL_TRACE,
+            )
         return results
 
     # ------------------------------------------------------------------
@@ -1648,9 +1564,9 @@ class PublishingService:
     def update(self, changeset: ChangeSet) -> int:
         """Apply *changeset* to the live deployment; returns its LSN.
 
-        The change set is applied to the template backend (routed per
-        shard on a sharded deployment, fanned to every replica on a
-        replicated one) and appended to the mutation log(s); pooled
+        The change set is applied to the template backend (routed unit
+        by unit when the template is split into units, fanned to every
+        replica on a replicated one) and appended to the mutation log(s); pooled
         snapshot clones replay the tail on their next checkout, and
         :meth:`publish` enforces a read-your-writes LSN barrier, so a
         subsequent publish observes this update without any rebuild.
@@ -1681,20 +1597,20 @@ class PublishingService:
                             lsn = self.mutation_log.append(changeset)
                         refresh = self._finish_update(changeset, lsn)
             else:
-                # Per-shard logs: a change set spanning shards would otherwise
-                # be observable half-applied (a publish syncs each shard's
-                # pool independently), so cross-shard visibility is made
+                # Per-unit logs: a change set spanning units would otherwise
+                # be observable half-applied (a publish syncs each unit's
+                # pool independently), so cross-unit visibility is made
                 # atomic by taking the gate exclusively — publishes drain,
-                # every shard applies and appends, publishes resume.
+                # every unit applies and appends, publishes resume.
                 with self._gate.write():
                     with self._write_lock:
-                        template = self.executor.backend
-                        routed = template.route_changeset(changeset)
+                        routed = self.executor.backend.route_changeset(changeset)
                         for shard, sub in sorted(routed.items()):
+                            unit = self._units[shard]
                             with root.child("apply", shard=shard):
-                                template.children[shard].apply(sub)
+                                unit.store.apply(sub)
                             with root.child("log.append", shard=shard):
-                                self.shard_logs[shard].append(sub)
+                                unit.log.append(sub)
                         lsn = self._write_lsn + 1
                         refresh = self._finish_update(changeset, lsn)
             root.annotate(lsn=lsn)
@@ -1815,11 +1731,6 @@ class PublishingService:
         if self._closed:
             raise StorageError("PublishingService is closed")
         template = self.executor.backend
-        if not isinstance(template, ShardedBackend):
-            raise StorageError(
-                "rebalance requires a sharded deployment "
-                f"(template backend is {type(template).__name__})"
-            )
         if self._durable:
             # The on-disk logs are bound to the shard layout they were
             # written under: a restart rebuilds that layout from the
@@ -1834,6 +1745,7 @@ class PublishingService:
         clock = timer()
         with self._rebalance_lock:
             tee = MutationLog()
+            # Refuses (StorageError) any template that is not sharded.
             rebalancer = Rebalancer(
                 template, shards=shards, children=children, events=self.events
             )
@@ -1848,12 +1760,10 @@ class PublishingService:
                         rebalancer.replay(tee)
                         old_children = rebalancer.cutover()
                         self._rebalance_log = None
-                    old_pools = self.shard_pools
-                    self.shard_pools, self.shard_logs = self._build_shard_pools(
-                        template
-                    )
-                    for pool in old_pools:
-                        pool.close()
+                    old_units = self._units
+                    self._adopt_units(self._build_units())
+                    for unit in old_units:
+                        unit.pool.close()
             except Exception:
                 rebalancer.abort()
                 raise
@@ -1863,14 +1773,13 @@ class PublishingService:
             for child in old_children:
                 if not child.closed:
                     child.close()
-            self._wire_event_log(template)
             self._refresh_statistics(reason="rebalance")
             with self._counter_lock:
                 self._rebalances += 1
         self._m_rebalances.inc()
         self._m_rebalance_latency.observe(clock.elapsed)
         return RebalanceReport(
-            old_shard_count=len(old_pools),
+            old_shard_count=len(old_units),
             new_shard_count=template.shard_count,
             tables_copied=rebalancer.tables_copied,
             rows_copied=rebalancer.rows_copied,
@@ -1900,29 +1809,21 @@ class PublishingService:
             raise StorageError(
                 "checkpoint requires a durable log (configure log_dir)"
             )
-        template = self.executor.backend
-        targets: List[Tuple[DurableMutationLog, StorageBackend]] = []
-        if self.mutation_log is not None:
-            targets.append((self.mutation_log, template))
-        else:
-            for child, log in zip(template.children, self.shard_logs):
-                targets.append((log, child))
-        lsns: List[int] = []
-        segments_dropped = 0
+        units = self._units
         with self._write_lock:
-            for log, store in targets:
-                lsns.append(log.write_checkpoint(store))
+            lsns = [unit.log.write_checkpoint(unit.store) for unit in units]
         # Compaction outside the write lock: deleting segment files does
         # not touch the stores.  Pooled clones below the new floor are
         # rebuilt from the template on their next checkout (the pool's
         # stale-rebuild path) rather than erroring.
-        for log, _store in targets:
-            segments_dropped += log.compact(log.checkpoint_lsn)
+        segments_dropped = sum(
+            unit.log.compact(unit.log.checkpoint_lsn) for unit in units
+        )
         checkpoint_lsn = max(lsns, default=0)
         self.events.record(
             LOG_CHECKPOINT,
             lsn=checkpoint_lsn,
-            logs=len(targets),
+            logs=len(units),
             entries_compacted=segments_dropped,
         )
         return checkpoint_lsn
@@ -1930,7 +1831,7 @@ class PublishingService:
     def repair_replicas(self) -> Tuple[RepairReport, ...]:
         """Re-provision dead replicas back to K live copies, online.
 
-        Walks every replicated store the service owns (the template, or
+        Walks every replicated store the template declares (itself, or
         each sharded child that is replicated), and for each one with
         fenced/killed replicas runs the snapshot + log-replay + adopt
         protocol of :class:`~repro.replica.repair.ReplicaRepairer` —
@@ -1941,28 +1842,17 @@ class PublishingService:
         """
         if self._closed:
             raise StorageError("PublishingService is closed")
-        template = self.executor.backend
-        targets: List[Tuple[ReplicatedBackend, Optional[MutationLog]]] = []
-        if isinstance(template, ReplicatedBackend):
-            targets.append((template, self.mutation_log))
-        elif isinstance(template, ShardedBackend):
-            for index, child in enumerate(template.children):
-                if isinstance(child, ReplicatedBackend):
-                    log = (
-                        self.shard_logs[index]
-                        if index < len(self.shard_logs)
-                        else None
-                    )
-                    targets.append((child, log))
         reports: List[RepairReport] = []
         # Serialized against rebalance: both swap live storage around.
         with self._rebalance_lock:
-            for store, log in targets:
+            # Writes to a store are teed into the log of the unit it is.
+            logs = {id(unit.store): unit.log for unit in self._units}
+            for _label, store in self.executor.backend.replicated_stores():
                 repairer = ReplicaRepairer(store, events=self.events)
                 if not repairer.dead_replicas():
                     continue
                 report = repairer.repair_all(
-                    log=log, pause=lambda: self._write_lock
+                    log=logs.get(id(store)), pause=lambda: self._write_lock
                 )
                 reports.append(report)
                 if report.repaired:
@@ -1987,98 +1877,47 @@ class PublishingService:
             refreshes = self._statistics_refreshes
             rebalances = self._rebalances
             repairs = self._replica_repairs
-        write_lsn = self._write_lsn
         template = self.executor.backend
-        replicas = (
-            template.stats() if isinstance(template, ReplicatedBackend) else None
-        )
-        failovers = self.events.count(REPLICA_FAILOVER)
-        fenced = self.events.count(REPLICA_FENCED)
-        dropped = self.events.dropped
-        log_segments = 0
-        log_bytes = 0
-        for log in self._durable_logs():
-            log_stats = log.stats()
-            log_segments += log_stats.segments
-            log_bytes += log_stats.size_bytes
+        pool, per_unit = self._pool_stats()
+        # Replica counters are the template's own, when it is replicated.
+        replicated = dict(template.replicated_stores()).get("template")
+        durable = [log.stats() for log in self._durable_logs()]
         # The package version is read lazily (repro.serve is imported
         # while the repro package is still initialising, so a module-load
         # read would see a half-built package).
         import repro
 
-        version = getattr(repro, "__version__", "unknown")
-        uptime = self._started_clock.elapsed
-        slo_entries = (
-            tuple(self.slo.report()) if self.slo is not None else ()
-        )
-        audit_stats = self.audit.stats() if self.audit is not None else None
-        store_stats = (
-            self.plan_store.stats() if self.plan_store is not None else None
-        )
-        if self.pool is not None:
-            return ServiceStats(
-                queries_served=served,
-                reformulations_computed=computed,
-                cache=self.plan_cache.stats(),
-                pool=self.pool.stats(),
-                updates_applied=updates,
-                last_write_lsn=write_lsn,
-                statistics_refreshes=refreshes,
-                rebalances=rebalances,
-                replicas=replicas,
-                replica_failovers=failovers,
-                replica_fenced=fenced,
-                replica_repairs=repairs,
-                events_dropped=dropped,
-                log_segments=log_segments,
-                log_size_bytes=log_bytes,
-                started_at=self.started_at,
-                uptime_seconds=uptime,
-                version=version,
-                slo=slo_entries,
-                audit=audit_stats,
-                plans_loaded=loaded,
-                plan_store=store_stats,
-            )
-        per_shard = tuple(pool.stats() for pool in self.shard_pools)
-        aggregate = PoolStats(
-            size=sum(stats.size for stats in per_shard),
-            created=sum(stats.created for stats in per_shard),
-            in_use=sum(stats.in_use for stats in per_shard),
-            checkouts=sum(stats.checkouts for stats in per_shard),
-            peak_in_use=sum(stats.peak_in_use for stats in per_shard),
-            wait_count=sum(stats.wait_count for stats in per_shard),
-            waiting=sum(stats.waiting for stats in per_shard),
-            rejections=sum(stats.rejections for stats in per_shard),
-            catchups=sum(stats.catchups for stats in per_shard),
-            entries_replayed=sum(stats.entries_replayed for stats in per_shard),
-            stale_rebuilds=sum(stats.stale_rebuilds for stats in per_shard),
-            label=f"sharded({len(per_shard)})",
-        )
         return ServiceStats(
             queries_served=served,
             reformulations_computed=computed,
             cache=self.plan_cache.stats(),
-            pool=aggregate,
-            shard_pools=per_shard,
-            router=self.executor.backend.router.stats(),
+            pool=pool,
+            # The per-shard breakdown pairs off with shard_pools, so it is
+            # empty when the template is its own unit.
+            shard_pools=tuple(
+                stats for stats, _pool in zip(per_unit, self.shard_pools)
+            ),
+            router=template.router_stats(),
             updates_applied=updates,
-            last_write_lsn=write_lsn,
+            last_write_lsn=self._write_lsn,
             statistics_refreshes=refreshes,
             rebalances=rebalances,
-            replica_failovers=failovers,
-            replica_fenced=fenced,
+            replicas=replicated.stats() if replicated is template else None,
+            replica_failovers=self.events.count(REPLICA_FAILOVER),
+            replica_fenced=self.events.count(REPLICA_FENCED),
             replica_repairs=repairs,
-            events_dropped=dropped,
-            log_segments=log_segments,
-            log_size_bytes=log_bytes,
+            events_dropped=self.events.dropped,
+            log_segments=sum(stats.segments for stats in durable),
+            log_size_bytes=sum(stats.size_bytes for stats in durable),
             started_at=self.started_at,
-            uptime_seconds=uptime,
-            version=version,
-            slo=slo_entries,
-            audit=audit_stats,
+            uptime_seconds=self._started_clock.elapsed,
+            version=getattr(repro, "__version__", "unknown"),
+            slo=tuple(self.slo.report()) if self.slo is not None else (),
+            audit=self.audit.stats() if self.audit is not None else None,
             plans_loaded=loaded,
-            plan_store=store_stats,
+            plan_store=(
+                self.plan_store.stats() if self.plan_store is not None else None
+            ),
         )
 
     def metrics(self, fmt: str = "prometheus") -> str:
@@ -2141,11 +1980,10 @@ class PublishingService:
                     for name, cost in reformulation.candidate_costs
                 )
                 lines.append(f"  candidates: {ranked}")
-            explain = getattr(self.executor.backend, "explain", None)
-            if explain is not None:
-                lines.extend(
-                    "  " + line for line in explain(plan).splitlines()
-                )
+            lines.extend(
+                "  " + line
+                for line in self.executor.backend.explain(plan).splitlines()
+            )
         if trace:
             _rows, tracked, _profile = self._publish_traced(
                 query, distinct, effective, True
@@ -2167,13 +2005,12 @@ class PublishingService:
         """
         if self._closed:
             return
-        pools = ([self.pool] if self.pool is not None else []) + list(self.shard_pools)
         if not force:
             # Check all pools up front so a loud failure leaves nothing
             # half-closed (best effort: a racing in-flight publish can
             # still trip the per-pool check below).
-            for pool in pools:
-                if pool.stats().in_use:
+            for unit in self._units:
+                if unit.pool.stats().in_use:
                     raise StorageError(
                         "cannot close PublishingService: publishes still in "
                         "flight (wait for them, or close(force=True))"
@@ -2191,8 +2028,8 @@ class PublishingService:
         # publish slips past the sweep above and a pool refuses to close,
         # the service stays open and close() can simply be retried
         # (pool.close is idempotent once it succeeds).
-        for pool in pools:
-            pool.close(force=force)
+        for unit in self._units:
+            unit.pool.close(force=force)
         self._closed = True
         # Seal the audit log after the last acknowledgeable request (the
         # pools are closed, nothing can publish), then the durable logs
@@ -2200,7 +2037,8 @@ class PublishingService:
         # and before the template disappears.
         if self.audit is not None:
             self.audit.close()
-        self._close_logs()
+        for unit in self._units:
+            unit.log.close()
         self._close_template()
 
     def __enter__(self) -> "PublishingService":

@@ -174,7 +174,6 @@ class ShardedBackend(StorageBackend):
         self._stats_lock = threading.Lock()
         self._executions = [0] * self.shard_count
         self._gather_fetches = [0] * self.shard_count
-        self._catalog = None
         #: Bumped by every :meth:`adopt_layout` (online rebalance cutover);
         #: consumers holding per-layout state (per-shard pools, cached
         #: statistics) key on it to notice a swap.
@@ -465,18 +464,35 @@ class ShardedBackend(StorageBackend):
         """
         from ..cost.model import CostModel
 
-        catalog = self.collect_statistics()
-        if access_weights:
-            for relation, weight in access_weights.items():
-                catalog.set_weight(relation, weight)
-        self._catalog = catalog
+        catalog = super().refresh_statistics(access_weights)
         self.router.set_cost_model(CostModel(catalog))
         return catalog
 
-    @property
-    def statistics_catalog(self):
-        """The catalog of the last :meth:`refresh_statistics` (or ``None``)."""
-        return self._catalog
+    def router_stats(self) -> RouterStats:
+        return self.router.stats()
+
+    # ------------------------------------------------------------------
+    # Deployment topology
+    # ------------------------------------------------------------------
+    def storage_units(self) -> Tuple[Tuple[str, StorageBackend], ...]:
+        """One unit per shard: each gets its own pool and mutation log, so
+        a partition-key-bound query occupies a connection on one shard
+        instead of pinning a full set of per-shard clones."""
+        return tuple(
+            (f"shard-{index}", child)
+            for index, child in enumerate(self._children)
+        )
+
+    def replicated_stores(self) -> Tuple[Tuple[str, StorageBackend], ...]:
+        return tuple(
+            (f"shard-{index}", store)
+            for index, child in enumerate(self._children)
+            for _label, store in child.replicated_stores()
+        )
+
+    def set_event_log(self, events) -> None:
+        for child in self._children:
+            child.set_event_log(events)
 
     # ------------------------------------------------------------------
     # Execution
@@ -813,7 +829,7 @@ class ShardedBackend(StorageBackend):
             self._gather_fetches = [0] * self.shard_count
         # Fragment statistics describe the old layout; drop them until the
         # caller refreshes (refresh_statistics re-feeds the router too).
-        self._catalog = None
+        self._statistics_catalog = None
         self.layout_version += 1
         old_sg.shutdown()
         return old_children
@@ -847,20 +863,11 @@ class ShardedBackend(StorageBackend):
 
     @property
     def has_mixed_snapshot_children(self) -> bool:
-        """Whether children disagree on clone snapshot semantics.
-
-        Mixed layouts (a file-backed SQLite child among snapshot
-        children) can neither skip log replay (the snapshot clones would
-        go stale) nor replay it (the shared-storage clones would apply
-        writes twice), so pools refuse to attach a mutation log to them.
-        """
+        """Children disagree (a file-backed SQLite child among snapshot ones)."""
         kinds = {child.clone_is_snapshot for child in self._children}
         if len(kinds) > 1:
             return True
-        return any(
-            getattr(child, "has_mixed_snapshot_children", False)
-            for child in self._children
-        )
+        return any(child.has_mixed_snapshot_children for child in self._children)
 
     def close(self) -> None:
         """Close every child and stop the fan-out pool; double close raises."""
@@ -895,7 +902,7 @@ class ShardedBackend(StorageBackend):
         # Clones inherit the template's cost model: pooled handles must
         # route the way the template routes (fresh outcome counters).
         clone.router.set_cost_model(self.router.cost_model)
-        clone._catalog = self._catalog
+        clone._statistics_catalog = self._statistics_catalog
         clone._max_workers = self._max_workers
         clone._sg = ScatterGatherExecutor(clone._max_workers)
         clone._stats_lock = threading.Lock()

@@ -25,7 +25,7 @@ from __future__ import annotations
 import abc
 import collections
 import os
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Type, Union
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 from ...errors import EvaluationError, StorageError
 from ...logical.queries import ConjunctiveQuery, UnionQuery
@@ -55,6 +55,7 @@ class StorageBackend(abc.ABC):
 
     #: Registry name of the backend class (``"memory"``, ``"sqlite"``, ...).
     backend_name: str = "abstract"
+    _statistics_catalog: Optional["StatisticsCatalog"] = None
 
     # -- schema and data loading ---------------------------------------
     @abc.abstractmethod
@@ -160,6 +161,78 @@ class StorageBackend(abc.ABC):
         for name in self.table_names:
             catalog.add(profile_rows(name, self.rows(name)))
         return catalog
+
+    def refresh_statistics(
+        self, access_weights: Optional[Mapping[str, float]] = None
+    ) -> "StatisticsCatalog":
+        """Measure a catalog *now*, layer *access_weights* on top, keep it.
+
+        Composites refresh their parts as well (the sharded backend
+        re-feeds its router's cost model, the replicated backend refreshes
+        every live replica).
+        """
+        catalog = self.collect_statistics()
+        for relation, weight in (access_weights or {}).items():
+            catalog.set_weight(relation, weight)
+        self._statistics_catalog = catalog
+        return catalog
+
+    @property
+    def statistics_catalog(self) -> Optional["StatisticsCatalog"]:
+        """The catalog of the last :meth:`refresh_statistics` (or ``None``).
+
+        The executor refreshes once when its build completes; the
+        publishing service plans against that catalog instead of sweeping
+        every table a second time.
+        """
+        return self._statistics_catalog
+
+    # -- deployment topology -------------------------------------------
+    def storage_units(self) -> Tuple[Tuple[str, "StorageBackend"], ...]:
+        """The independently pooled-and-logged stores this backend is.
+
+        The publishing service gives every ``(label, store)`` unit its own
+        connection pool and mutation log (durable under
+        ``<log_dir>/<label>``).  A plain engine is one unit — itself; the
+        sharded backend answers one per shard.  A backend answering
+        anything but itself must also route (``route_plan`` /
+        ``execute_routed`` / ``route_changeset``, keyed by unit position):
+        the service then checks out and writes unit by unit.
+        """
+        return (("service", self),)
+
+    def replicated_stores(self) -> Tuple[Tuple[str, "StorageBackend"], ...]:
+        """The replicated stores inside this backend, labelled by place.
+
+        The publishing service watches each ``(label, store)`` from its
+        ``replicas`` health probe and heals it in ``repair_replicas()``.
+        None by default; the replicated backend answers itself as
+        ``"template"``, the sharded backend its replicated children as
+        ``"shard-i"``.
+        """
+        return ()
+
+    def router_stats(self) -> Optional["RouterStats"]:
+        """Routing-outcome counters, for backends that route (else ``None``)."""
+        return None
+
+    def set_event_log(self, events: Optional["EventLog"]) -> None:
+        """Install the log that state transitions are recorded to.
+
+        A no-op for engines that record nothing; composites hand the log
+        down to their parts.
+        """
+
+    @property
+    def has_mixed_snapshot_children(self) -> bool:
+        """Whether parts disagree on :attr:`clone_is_snapshot` semantics.
+
+        Such a layout can neither skip log replay (its snapshot clones
+        would go stale) nor replay it (its shared-storage clones would
+        apply writes twice), so pools refuse to attach a mutation log to
+        it.  Always ``False`` for a backend without parts.
+        """
+        return False
 
     # -- execution -----------------------------------------------------
     @abc.abstractmethod

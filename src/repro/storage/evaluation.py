@@ -88,8 +88,8 @@ def evaluate_query(
             # running cardinality by its distinct-value count.
             selectivity = 1.0
             for position in key_positions:
-                distinct = len({row[position] for row in rows})
-                selectivity /= max(1, distinct)
+                distinct_values = len({row[position] for row in rows})
+                selectivity /= max(1, distinct_values)
             estimate *= len(rows) * selectivity
             node = profile.child(
                 JOIN_STEP if key_positions else SCAN,

@@ -20,6 +20,9 @@ import threading
 
 import pytest
 
+from repro.logical.atoms import RelationalAtom
+from repro.logical.queries import ConjunctiveQuery
+from repro.logical.terms import Variable
 from repro.obs.feedback import Q_ERROR_CAP, q_error
 from repro.profile import (
     JOIN_STEP,
@@ -34,6 +37,7 @@ from repro.profile import (
     current_profile,
 )
 from repro.serve import PublishingService
+from repro.storage.backends import create_backend
 from repro.workloads import medical
 
 BACKENDS = ("memory", "sqlite", "sharded", "replicated")
@@ -153,6 +157,33 @@ class TestProfileTreeInvariants:
             assert report[0].worst_operator_q_error == pytest.approx(
                 worst.q_error or 1.0
             )
+
+
+class TestProfilingDoesNotChangeAnswers:
+    @pytest.mark.parametrize("backend_name", BACKENDS)
+    def test_bag_semantics_survive_an_active_profile(
+        self, backend_name, monkeypatch
+    ):
+        """Regression: the memory evaluator's profiling block rebound its
+        own ``distinct`` flag, so a profiled bag query lost duplicates."""
+        monkeypatch.setenv("MARS_SHARDS", "3")
+        monkeypatch.setenv("MARS_REPLICAS", "2")
+        a, b, c = Variable("a"), Variable("b"), Variable("c")
+        query = ConjunctiveQuery(
+            "bag",
+            (a, c),
+            (RelationalAtom("r", (a, b)), RelationalAtom("s", (b, c))),
+        )
+        with create_backend(backend_name) as backend:
+            backend.create_table("r", 2, ("a", "b"))
+            backend.create_table("s", 2, ("b", "c"))
+            backend.insert_many("r", [(1, 2), (1, 3)])
+            backend.insert_many("s", [(2, 9), (3, 9)])
+            plain = backend.execute(query, distinct=False)
+            with ProfileNode("execute", "bag"):
+                profiled = backend.execute(query, distinct=False)
+        assert sorted(plain) == [(1, 9), (1, 9)]
+        assert sorted(profiled) == sorted(plain)
 
 
 class TestExplainAnalyzeForcedWhenSamplingDisabled:

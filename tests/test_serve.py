@@ -7,14 +7,17 @@ rows serial execution produces (no cross-talk, no wrong-thread
 distinct query — everything else is served from the plan cache.
 """
 
+import os
+import re
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.core import MarsConfiguration, MarsExecutor, MarsSystem
 from repro.errors import ReformulationError, StorageError
 from repro.logical.atoms import RelationalAtom
-from repro.logical.queries import ConjunctiveQuery
+from repro.logical.queries import ConjunctiveQuery, UnionQuery
 from repro.logical.terms import Constant, Variable
 from repro.serve import (
     ConnectionPool,
@@ -22,7 +25,13 @@ from repro.serve import (
     PoolExhaustedError,
     PublishingService,
 )
-from repro.storage.backends import MemoryBackend, SQLiteBackend
+from repro.replica import ChangeSet, ReplicatedBackend
+from repro.storage.backends import (
+    MemoryBackend,
+    SQLiteBackend,
+    StorageBackend,
+    register_backend,
+)
 from repro.workloads import medical
 from repro.xbind.query import XBindQuery
 from repro.xbind.atoms import PathAtom
@@ -722,3 +731,340 @@ class TestShardedService:
             assert not errors, f"workers raised: {errors!r}"
             stats = service.stats()
             assert stats.queries_served == len(queries) * (1 + THREADS * ROUNDS)
+
+
+# ----------------------------------------------------------------------
+# What a backend declares is all the service knows about storage topology
+# ----------------------------------------------------------------------
+class ToyLeaf(StorageBackend):
+    """A from-scratch engine: only the abstract methods plus ``clone``."""
+
+    def __init__(self, inner=None):
+        self.inner = inner if inner is not None else MemoryBackend()
+
+    def create_table(self, name, arity, attributes=None):
+        self.inner.create_table(name, arity, attributes)
+
+    def has_table(self, name):
+        return self.inner.has_table(name)
+
+    def clear_table(self, name):
+        self.inner.clear_table(name)
+
+    def insert_many(self, name, rows):
+        self.inner.insert_many(name, rows)
+
+    @property
+    def table_names(self):
+        return self.inner.table_names
+
+    def rows(self, name):
+        return self.inner.rows(name)
+
+    def cardinalities(self):
+        return self.inner.cardinalities()
+
+    def execute(self, query, distinct=True):
+        return self.inner.execute(query, distinct=distinct)
+
+    def explain(self, query):
+        return "toy: " + self.inner.explain(query)
+
+    @property
+    def closed(self):
+        return self.inner.closed
+
+    def close(self):
+        self.inner.close()
+
+    clone_is_snapshot = True
+
+    def clone(self):
+        return ToyLeaf(self.inner.clone())
+
+
+class _ToyRoute:
+    """What the service reads off a route: the decisions and the units."""
+
+    class _Decision:
+        mode = "single"
+
+    def __init__(self, plan, wing):
+        self.decisions = [(plan, self._Decision())]
+        self.needed_shards = (wing,)
+
+
+class ToyMirror(ToyLeaf):
+    """Two full copies ("wings") that are pooled and logged separately.
+
+    Neither sharded nor replicated: reads alternate between the wings,
+    writes go to both.  Wing 1 is a :class:`ReplicatedBackend`, so the
+    deployment also has a replicated store to watch and repair.
+    """
+
+    def __init__(self):
+        self.wings = (ToyLeaf(), ReplicatedBackend(replicas=2, child="memory"))
+        self.inner = self.wings[0]
+        self.reads = 0
+        self._closed = False
+
+    def storage_units(self):
+        return tuple((f"wing-{i}", wing) for i, wing in enumerate(self.wings))
+
+    def replicated_stores(self):
+        return (("wing-1", self.wings[1]),)
+
+    def set_event_log(self, events):
+        for wing in self.wings:
+            wing.set_event_log(events)
+
+    def create_table(self, name, arity, attributes=None):
+        for wing in self.wings:
+            wing.create_table(name, arity, attributes)
+
+    def clear_table(self, name):
+        for wing in self.wings:
+            wing.clear_table(name)
+
+    def insert_many(self, name, rows):
+        rows = [tuple(row) for row in rows]
+        for wing in self.wings:
+            wing.insert_many(name, rows)
+
+    def route_plan(self, plan):
+        self.reads += 1
+        return _ToyRoute(plan, self.reads % 2)
+
+    def execute_routed(self, route, plan, distinct=True, children=None):
+        (wing,) = route.needed_shards
+        engine = (children or dict(enumerate(self.wings)))[wing]
+        if isinstance(plan, UnionQuery):
+            return engine.execute_union(plan, distinct=True)
+        return engine.execute(plan, distinct=distinct)
+
+    def route_changeset(self, changeset):
+        return {0: changeset, 1: changeset}
+
+    @property
+    def closed(self):
+        return self._closed
+
+    def close(self):
+        self._closed = True
+        for wing in self.wings:
+            if not wing.closed:
+                wing.close()
+
+
+register_backend("toy-leaf", ToyLeaf)
+register_backend("toy-mirror", ToyMirror)
+
+#: ana takes tamiflu (priced 75), so the client query gains ("gout", "75").
+NEW_DIAGNOSIS = ChangeSet.build(inserts={"patientDiag": [("ana", "gout")]})
+
+
+class TestBackendContract:
+    """A registered third-party backend needs no service-side edit."""
+
+    def drive(self, backend, log_dir):
+        configuration = medical.build_configuration()
+        query = medical.client_query()
+        service = PublishingService(
+            configuration,
+            backend=backend,
+            pool_size=2,
+            log_dir=str(log_dir),
+            log_fsync="off",
+        )
+        try:
+            before = multiset(service.publish(query))
+            assert before == multiset(service.executor.execute_original(query))
+            assert service.update(NEW_DIAGNOSIS) == 1
+            # Read-your-writes on every unit the router may pick.
+            for _ in range(2):
+                rows = service.publish(query)
+                assert len(rows) == len(before) + 1
+                assert ("gout", "75") in {tuple(row) for row in rows}
+            assert len(service.publish_many([query, query])) == 2
+            stats = service.stats()
+            assert stats.queries_served == 5 and stats.updates_applied == 1
+            assert "pool" in stats.snapshot()
+            assert service.health().status == "healthy"
+            assert service.checkpoint() == 1
+            return service, stats
+        except Exception:
+            service.close(force=True)
+            raise
+
+    def test_toy_leaf_is_one_unit(self, tmp_path):
+        service, stats = self.drive("toy-leaf", tmp_path / "log")
+        with service:
+            assert service.pool is not None and service.shard_pools == ()
+            assert stats.pool.label == "toy-leaf(1)" and stats.shard_pools == ()
+            assert stats.router is None and stats.replicas is None
+            assert sorted(os.listdir(tmp_path / "log")) == ["service"]
+            assert service.repair_replicas() == ()
+            assert "toy: " in service.explain(medical.client_query())
+        assert service.executor.backend.closed
+
+    def test_toy_composite_is_pooled_logged_and_healed_per_unit(self, tmp_path):
+        service, stats = self.drive("toy-mirror", tmp_path / "log")
+        with service:
+            template = service.executor.backend
+            assert service.pool is None
+            assert [pool.label for pool in service.shard_pools] == ["wing-0", "wing-1"]
+            assert stats.pool.label == "toy-mirror(2)"
+            assert [pool.label for pool in stats.shard_pools] == ["wing-0", "wing-1"]
+            assert stats.pool.checkouts == sum(p.checkouts for p in stats.shard_pools)
+            assert all(pool.checkouts for pool in stats.shard_pools)
+            assert sorted(os.listdir(tmp_path / "log")) == ["wing-0", "wing-1"]
+            # The replicated wing is watched and healed through the log of
+            # the unit it is.
+            (check,) = [c for c in service.health().checks if c.name == "replicas"]
+            assert check.details["wing-1"]["live_replicas"] == 2
+            template.wings[1].replicas[0].close()
+            assert service.health().status == "degraded"
+            (report,) = service.repair_replicas()
+            assert report.repaired == (0,)
+            assert service.health().status == "healthy"
+            assert service.stats().replica_repairs == 1
+            expected = multiset(template.wings[0].rows("patientDiag"))
+            for replica in template.wings[1].replicas:
+                assert multiset(replica.rows("patientDiag")) == expected
+        assert template.closed
+        # A restart recovers both wings from their own directories.
+        with PublishingService(
+            medical.build_configuration(),
+            backend="toy-mirror",
+            pool_size=1,
+            log_dir=str(tmp_path / "log"),
+            log_fsync="off",
+        ) as restarted:
+            assert restarted.stats().last_write_lsn == 1
+            for _ in range(2):
+                rows = restarted.publish(medical.client_query())
+                assert ("gout", "75") in {tuple(row) for row in rows}
+
+
+def deployment(name):
+    """(configuration, backend spec) for one topology of the matrix."""
+    configuration = medical.build_configuration()
+    if name.startswith("sharded"):
+        configuration.shard_count = 2
+        if name == "sharded-over-replicated":
+            configuration.shard_children = ("replicated", "replicated")
+        return configuration, "sharded"
+    configuration.replica_count = 2
+    return configuration, name
+
+
+class TestUnitLifecycle:
+    """One lifecycle, walked over every topology the package ships."""
+
+    @pytest.mark.parametrize(
+        "name",
+        ["memory", "sqlite", "sharded", "replicated", "sharded-over-replicated"],
+    )
+    def test_units_logs_health_and_repair_agree(self, name, tmp_path, monkeypatch):
+        monkeypatch.setenv("MARS_REPLICAS", "2")
+        configuration, backend = deployment(name)
+        sharded = name.startswith("sharded")
+        labels = ["shard-0", "shard-1"] if sharded else ["service"]
+        log_dir = tmp_path / "log"
+        with PublishingService(
+            configuration, backend=backend, pool_size=1,
+            log_dir=str(log_dir), log_fsync="off",
+        ) as service:
+            units = service.executor.backend.storage_units()
+            assert [label for label, _store in units] == labels
+            pools = service.shard_pools if sharded else (service.pool,)
+            logs = service.shard_logs if sharded else (service.mutation_log,)
+            assert [pool.label for pool in pools] == labels
+            assert [pool.template for pool in pools] == [s for _l, s in units]
+            assert [pool.mutation_log for pool in pools] == list(logs)
+            assert sorted(os.listdir(log_dir)) == labels
+            assert (service.pool is None) == sharded
+            service.update(NEW_DIAGNOSIS)
+            assert service.checkpoint() == 1
+            # health() and repair_replicas() walk the same stores.
+            watched = {
+                label: store
+                for label, store in service.executor.backend.replicated_stores()
+            }
+            expected = {
+                "replicated": ["template"],
+                "sharded-over-replicated": ["shard-0", "shard-1"],
+            }.get(name, [])
+            assert sorted(watched) == expected
+            probes = [c for c in service.health().checks if c.name == "replicas"]
+            assert [sorted(c.details) for c in probes] == ([expected] if expected else [])
+            for store in watched.values():
+                store.replicas[1].close()
+            reports = service.repair_replicas()
+            assert [r.repaired for r in reports] == [(1,)] * len(expected)
+            assert service.health().status == "healthy"
+            for store in watched.values():
+                assert store.stats().live_replicas == 2
+        # The layout guard: the same directory under another topology.
+        other = deployment("memory" if sharded else "sharded")
+        with pytest.raises(StorageError, match="different deployment layout"):
+            PublishingService(
+                other[0], backend=other[1], log_dir=str(log_dir), log_fsync="off"
+            )
+
+
+class TestPublishManyIsAccounted:
+    def test_batch_moves_the_operational_counters_and_the_audit_log(self, tmp_path):
+        queries = [medical.client_query(), medical.drug_usage_query()]
+        with PublishingService(
+            medical.build_configuration(), pool_size=1,
+            audit_dir=str(tmp_path / "audit"),
+        ) as service:
+            service.publish(queries[0])
+            results = service.publish_many(queries)
+            stats = service.stats()
+            publishes = service.registry.get("mars_publishes_total")
+            rows = service.registry.get("mars_published_rows_total")
+            latency = service.registry.get("mars_publish_latency_seconds")
+            assert stats.queries_served == 3 == publishes.labels().value
+            assert rows.labels().value == len(results[0]) * 2 + len(results[1])
+            assert latency.labels().count == 3
+            audit = service.audit
+        entries = [e for e in audit.entries() if e["kind"] == "publish"]
+        assert [e["query"] for e in entries] == [
+            queries[0].name, queries[0].name, queries[1].name
+        ]
+        assert [e["rows"] for e in entries[1:]] == [len(r) for r in results]
+
+
+class TestNoBackendTypeSwitches:
+    """The service never asks a backend what kind it is (it asks what it
+    declares): a reintroduced type switch or capability probe fails here."""
+
+    SERVE = Path(__file__).resolve().parent.parent / "src" / "repro" / "serve"
+    TYPE_SWITCH = re.compile(
+        r"isinstance\([^)]*(ShardedBackend|ReplicatedBackend|DurableMutationLog)"
+    )
+    #: getattr() with a default on anything that holds a backend.
+    CAPABILITY_PROBE = re.compile(
+        r"getattr\(\s*[\w.]*(backend|template|store|child|replica)\w*\s*,"
+    )
+
+    def test_source_scan(self):
+        offenders = []
+        paths = sorted(self.SERVE.rglob("*.py"))
+        assert paths, f"nothing to scan under {self.SERVE}"
+        for path in paths:
+            for number, line in enumerate(path.read_text().splitlines(), start=1):
+                if self.TYPE_SWITCH.search(line) or self.CAPABILITY_PROBE.search(line):
+                    offenders.append(f"{path.name}:{number}: {line.strip()}")
+        assert not offenders, "\n".join(offenders)
+
+    def test_the_scan_catches_what_it_is_for(self):
+        assert self.TYPE_SWITCH.search("if isinstance(template, ShardedBackend):")
+        assert self.TYPE_SWITCH.search("isinstance(x, (A, ReplicatedBackend))")
+        assert self.CAPABILITY_PROBE.search('getattr(backend, "set_event_log", None)')
+        assert self.CAPABILITY_PROBE.search(
+            'getattr(self.executor.backend, "explain", None)'
+        )
+        assert not self.CAPABILITY_PROBE.search('getattr(plan, "name", "")')

@@ -8,7 +8,7 @@ workload and walks the structured-profile surface:
 * ``explain(query, analyze=True)`` — the *reality*: one forced profiled
   publish, returned as a :class:`~repro.profile.QueryProfile` operator
   tree (replica reads, shard fragments with real cardinalities, merges,
-  hash-join steps with their uniformity estimates) rendered and
+  hash-join steps with the planner's running estimates) rendered and
   exported as JSON;
 * always-on sampled profiling (``profile_sample=1/N``) filling the
   bounded profile buffer behind ``/profiles/recent`` and

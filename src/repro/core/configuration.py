@@ -27,12 +27,12 @@ from ..compile.tix import tix_for_documents
 from ..compile.view_compiler import IdentityView, RelationalView, XMLView
 from ..compile.xbind_compiler import GrexCompiler
 from ..compile.xic import XIC, compile_xics
+from ..cost.statistics import StatisticsCatalog, profile_rows
 from ..engine.shortcut import ClosureSpec
 from ..errors import SchemaError
 from ..logical.dependencies import DED
 from ..logical.schema import RelationalSchema
 from ..storage.backends import default_backend_name
-from ..storage.statistics import TableStatistics
 from ..xmlmodel.model import XMLDocument
 
 DEFAULT_XML_ACCESS_WEIGHT = 5.0
@@ -63,7 +63,9 @@ class MarsConfiguration:
         self.identity_views: List[IdentityView] = []
         self.xics: List[XIC] = []
         self.extra_dependencies: List[DED] = []
-        self.statistics = TableStatistics()
+        # Administrator overrides (set_cardinality / set_weight); they win
+        # over everything build_statistics() derives from the declarations.
+        self.statistics = StatisticsCatalog()
         self.xml_access_weight = DEFAULT_XML_ACCESS_WEIGHT
         self.include_disjunctive_tix = False
         # Name of the storage backend executing reformulations ("memory",
@@ -355,25 +357,36 @@ class MarsConfiguration:
         target.update(self.relational_schema.relation_names)
         return target
 
-    def build_statistics(self) -> TableStatistics:
-        """Cardinality statistics with native-XML access weighted as more expensive."""
-        stats = TableStatistics(
-            cardinalities=dict(self.statistics.cardinalities),
-            access_weights=dict(self.statistics.access_weights),
+    def build_statistics(self) -> StatisticsCatalog:
+        """The declared statistics catalog :class:`MarsSystem` plans with.
+
+        Administrator overrides in :attr:`statistics` win; stored documents
+        cost ``xml_access_weight`` per node; relations declared *with data*
+        get exact row and per-column distinct counts from the declared rows
+        — unless an override changed the row count, in which case the
+        declared rows are no longer trusted to describe the table.
+        """
+        overrides = self.statistics
+        catalog = StatisticsCatalog(
+            tables=overrides.tables,
+            access_weights=overrides.access_weights,
+            default_row_count=overrides.default_row_count,
+            default_weight=overrides.default_weight,
         )
         schemas = self.grex_schemas()
         for name, instance in self.proprietary_documents.items():
-            schema = schemas[name]
             node_count = instance.node_count() if instance is not None else None
-            for relation in schema.relation_names():
-                stats.access_weights.setdefault(relation, self.xml_access_weight)
-                if node_count is not None and relation not in stats.cardinalities:
-                    stats.cardinalities[relation] = float(node_count)
+            for relation in schemas[name].relation_names():
+                catalog.access_weights.setdefault(relation, self.xml_access_weight)
+                if node_count is not None and relation not in catalog:
+                    catalog.set_cardinality(relation, node_count)
         for name, rows in self.relational_data.items():
-            stats.cardinalities.setdefault(name, float(len(rows)))
+            if name not in catalog or catalog.row_count(name) == len(rows):
+                catalog.add(profile_rows(name, rows))
         # Materialized views without instance data get a modest default size:
         # they are maintained copies of published data, so they are expected
         # to be far cheaper to scan than navigating the native XML documents.
         for view in self.relational_views:
-            stats.cardinalities.setdefault(view.name, 200.0)
-        return stats
+            if view.name not in catalog:
+                catalog.set_cardinality(view.name, 200.0)
+        return catalog

@@ -212,13 +212,6 @@ class MarsExecutor:
             reformulated_seconds=reformulated_seconds,
         )
 
-    def statistics(self):
-        """Refresh table statistics from the actual instance data."""
-        stats = self.configuration.build_statistics()
-        for name, count in self.backend.cardinalities().items():
-            stats.cardinalities[name] = float(count)
-        return stats
-
     def collect_statistics(self):
         """Measure a statistics catalog from the built backend, *now*.
 

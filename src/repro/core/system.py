@@ -68,16 +68,16 @@ class MarsSystem:
         # store hits do not count: the restart-warm acceptance check — and
         # anyone measuring what the store actually saves — keys on this.
         self.engine_invocations = 0
-        # Two estimators play different roles.  The *engine* estimator must
-        # be cheap AND monotone: the backchase estimates the cost of every
-        # candidate subquery and prunes supersets of expensive ones, which
-        # is only sound when adding atoms never lowers the estimate.  The
-        # *cost model* is the statistics-fed, join-order-aware model of
-        # repro.cost: not monotone, so it never steers the pruning — it
-        # re-ranks the finished minimal reformulations (and prices routing
-        # decisions elsewhere).  An injected estimator replaces both: it
-        # survives recompilation and suppresses the cost-model re-ranking,
-        # so a caller's estimator fully owns plan choice.
+        # One cost model (repro.cost) answers two questions.  The *engine*
+        # estimator asks for its cheap, monotone lower bound: the backchase
+        # prices every candidate subquery and prunes supersets of expensive
+        # ones, which is only sound when adding atoms never lowers the
+        # figure.  The *cost model* proper is statistics-fed and
+        # join-order-aware: not monotone, so it never steers the pruning —
+        # it re-ranks the finished minimal reformulations (and prices
+        # routing decisions elsewhere).  An injected estimator replaces
+        # both: it survives recompilation and suppresses the cost-model
+        # re-ranking, so a caller's estimator fully owns plan choice.
         self._estimator_injected = estimator is not None
         self._statistics_attached = False
         if self._estimator_injected:
@@ -85,9 +85,7 @@ class MarsSystem:
             self.cost_model: Optional[CostModel] = None
             self.estimator = estimator
         else:
-            self._rebuild_from_catalog(
-                StatisticsCatalog.from_configuration(configuration)
-            )
+            self._rebuild_from_catalog(configuration.build_statistics())
         # Compiled artifacts are derived once per configuration version and
         # reused across queries; _recompile() refreshes them (and flushes
         # stale cached plans) when the configuration is edited afterwards.
@@ -96,13 +94,13 @@ class MarsSystem:
     def _rebuild_from_catalog(self, catalog: StatisticsCatalog) -> None:
         """Derive the ranking model and the engine estimator from *catalog*.
 
-        The single place both estimators are built, so every path
-        (construction, recompilation, attach) plans with a consistent
-        pair.  Never called on a system with an injected estimator.
+        The single place both are built, so every path (construction,
+        recompilation, attach) ranks and prunes from the same statistics.
+        Never called on a system with an injected estimator.
         """
         self.catalog = catalog
         self.cost_model = CostModel(catalog)
-        self.estimator = SimpleCostEstimator(catalog.to_table_statistics())
+        self.estimator = SimpleCostEstimator(catalog)
 
     def _compile_artifacts(self) -> None:
         """Derive (or re-derive) every compiled artifact of the configuration."""
@@ -141,9 +139,7 @@ class MarsSystem:
             # Re-derive declared statistics; an attached (collected) catalog
             # describes live instance data that a schema edit did not change,
             # so it is kept until the owner re-attaches a fresh one.
-            self._rebuild_from_catalog(
-                StatisticsCatalog.from_configuration(self.configuration)
-            )
+            self._rebuild_from_catalog(self.configuration.build_statistics())
         self._compile_artifacts()
         current = self._compiled_version
         evict = getattr(self.plan_cache, "evict_where", None)

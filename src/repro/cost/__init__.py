@@ -7,13 +7,16 @@ that claim statistics-driven instead of heuristic.  Two halves:
 * :mod:`repro.cost.statistics` — :class:`StatisticsCatalog` /
   :class:`TableStatistics`: per-relation row counts, per-column distinct
   counts, per-shard fragment sizes and access weights.  Catalogs are
-  declared (``StatisticsCatalog.from_configuration``) or collected from a
+  declared (``MarsConfiguration.build_statistics()``) or collected from a
   live backend (``StorageBackend.collect_statistics()`` — the SQLite
   backend via ``ANALYZE`` + ``sqlite_stat1``, the sharded backend by
   merging its children).
 * :mod:`repro.cost.model` — :class:`CostModel` / :class:`CostEstimate`:
-  System-R-style cardinality estimation and plan costs, plus prices for
-  the sharded execution modes (single / scatter / gather).
+  the only place a catalog turns into a number — System-R-style
+  cardinality estimation and plan costs for ranking, the monotone
+  ``lower_bound`` the backchase prunes with, the per-step ``pipeline``
+  backends explain and profile with, plus prices for the sharded
+  execution modes (single / scatter / gather).
 
 Entry points: :meth:`repro.core.system.MarsSystem.attach_statistics` ranks
 reformulations with a collected catalog,
@@ -22,18 +25,12 @@ shard router, and ``repro.serve.PublishingService`` does both at startup.
 See ``docs/COST_MODEL.md`` for the formulas and a worked example.
 """
 
-from .model import (
-    CostEstimate,
-    CostModel,
-    CostModelEstimator,
-    CostParameters,
-)
+from .model import CostEstimate, CostModel, CostParameters
 from .statistics import StatisticsCatalog, TableStatistics, profile_rows
 
 __all__ = [
     "CostEstimate",
     "CostModel",
-    "CostModelEstimator",
     "CostParameters",
     "StatisticsCatalog",
     "TableStatistics",

@@ -20,12 +20,18 @@ them: ``single`` (one shard's fragment plus a dispatch overhead),
 (fragments are shipped to the coordinator at a per-row transfer cost and
 joined once).
 
-The estimates returned here are *not* monotone (adding a selective atom can
-reduce intermediate sizes by more than its scan cost), so the backchase
-keeps its monotone scan-cost estimator for pruning; the
-:class:`CostModel` ranks the finished minimal reformulations in
+One model answers the two questions MARS asks of its plug-in estimator
+(paper Figure 2).  :meth:`CostModel.estimate` is *not* monotone (adding a
+selective atom can reduce intermediate sizes by more than its scan cost):
+it ranks the finished minimal reformulations in
 :meth:`repro.core.system.MarsSystem.reformulate` and prices routing
 decisions, where non-monotonicity is harmless.
+:meth:`CostModel.lower_bound` keeps only the terms that can never shrink
+— every scan, one unit per join — so it *is* monotone, never exceeds
+``estimate().total``, and is what the backchase prunes with.
+:meth:`CostModel.pipeline` is the same per-step arithmetic as ``estimate``
+walked in textual order: the numbers backends print in ``explain`` and
+attach to profile nodes.
 
 >>> from repro.cost import CostModel, StatisticsCatalog
 >>> catalog = StatisticsCatalog.from_rows({
@@ -37,11 +43,9 @@ decisions, where non-monotonicity is harmless.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..engine.cost import CostEstimator
 from ..logical.atoms import RelationalAtom
 from ..logical.queries import ConjunctiveQuery, UnionQuery
 from ..logical.terms import Variable, is_variable
@@ -202,8 +206,7 @@ class CostModel:
                 join_cost=sum(part.join_cost for part in parts),
                 detail=tuple(part.describe() for part in parts),
             )
-        normalized = query.normalize_equalities()
-        atoms = normalized.relational_body
+        atoms, effective, selectivities = self._step_inputs(query, scale)
         if not atoms:
             return CostEstimate(
                 mode=MODE_LOCAL, cardinality=1.0, scan_cost=0.0, join_cost=0.0
@@ -213,15 +216,6 @@ class CostModel:
             * self.catalog.weight(atom.relation)
             for atom in atoms
         )
-        effective = [
-            max(
-                1.0,
-                self.estimate_rows(atom.relation, scale)
-                * self._selection_factor(atom, scale),
-            )
-            for atom in atoms
-        ]
-        selectivities = self._variable_selectivities(atoms, scale)
         join_cost, cardinality, order = self._greedy_plan(
             atoms, effective, selectivities
         )
@@ -235,6 +229,84 @@ class CostModel:
             join_cost=join_cost,
             detail=detail,
         )
+
+    def lower_bound(self, query: ConjunctiveQuery) -> float:
+        """A monotone bound on the cost of *query*: scans plus a unit per join.
+
+        Adding an atom adds its (non-negative) scan cost and one join, so
+        the bound never drops — the property that makes pruning the
+        backchase by cost sound (paper sections 1 and 2.3).  It shares
+        its scan term with :meth:`estimate`, whose every join step costs
+        at least one row, hence ``lower_bound(q) <= estimate(q).total``.
+        """
+        atoms = query.relational_body
+        if not atoms:
+            return 0.0
+        scan_cost = sum(self.catalog.scan_cost(atom.relation) for atom in atoms)
+        return scan_cost + (len(atoms) - 1)
+
+    def pipeline(self, query: ConjunctiveQuery) -> Tuple[float, ...]:
+        """Estimated running cardinality after each atom, in textual order.
+
+        The per-step function is the one :meth:`estimate`'s greedy order
+        search uses, so when the textual order *is* the greedy order the
+        last entry equals ``estimate(query).cardinality``.
+        """
+        atoms, effective, selectivities = self._step_inputs(query, None)
+        if not atoms:
+            return ()
+        bound = set(
+            term for term in atoms[0].variables() if term in selectivities
+        )
+        steps = [effective[0]]
+        for atom, rows in zip(atoms[1:], effective[1:]):
+            value, newly = self._join_step(
+                steps[-1], atom, rows, bound, selectivities
+            )
+            steps.append(value)
+            bound.update(newly)
+        return tuple(steps)
+
+    def _step_inputs(
+        self, query: ConjunctiveQuery, scale: Optional[Mapping[str, float]]
+    ) -> Tuple[Sequence[RelationalAtom], List[float], Dict[Variable, float]]:
+        """Atoms, their post-selection row counts, and the join selectivities."""
+        atoms = query.normalize_equalities().relational_body
+        effective = [
+            max(
+                1.0,
+                self.estimate_rows(atom.relation, scale)
+                * self._selection_factor(atom, scale),
+            )
+            for atom in atoms
+        ]
+        return atoms, effective, self._variable_selectivities(atoms, scale)
+
+    @staticmethod
+    def _join_step(
+        cardinality: float,
+        atom: RelationalAtom,
+        rows: float,
+        bound: Set[Variable],
+        selectivities: Mapping[Variable, float],
+    ) -> Tuple[float, List[Variable]]:
+        """Join *atom* (*rows* after selection) onto *cardinality* bindings.
+
+        One selectivity factor per occurrence of an already-bound join
+        variable; returns the new cardinality and the variables it binds.
+        """
+        step = cardinality * rows
+        newly: List[Variable] = []
+        local_bound = set(bound)
+        for term in atom.terms:
+            if not is_variable(term) or term not in selectivities:
+                continue
+            if term in local_bound:
+                step *= selectivities[term]
+            else:
+                local_bound.add(term)
+                newly.append(term)
+        return max(1.0, step), newly
 
     def _greedy_plan(
         self,
@@ -258,25 +330,12 @@ class CostModel:
         )
         cardinality = effective[first]
         join_cost = 0.0
-
-        def joined(card: float, index: int) -> Tuple[float, List[Variable]]:
-            step = card * effective[index]
-            newly: List[Variable] = []
-            local_bound = set(bound)
-            for term in atoms[index].terms:
-                if not is_variable(term) or term not in selectivities:
-                    continue
-                if term in local_bound:
-                    step *= selectivities[term]
-                else:
-                    local_bound.add(term)
-                    newly.append(term)
-            return max(1.0, step), newly
-
         while remaining:
             best_position, best_value, best_newly = 0, None, []
             for position, index in enumerate(remaining):
-                value, newly = joined(cardinality, index)
+                value, newly = self._join_step(
+                    cardinality, atoms[index], effective[index], bound, selectivities
+                )
                 if best_value is None or value < best_value:
                     best_position, best_value, best_newly = position, value, newly
             order.append(remaining.pop(best_position))
@@ -367,24 +426,3 @@ class CostModel:
         scored = [(self.estimate(query), query) for query in queries]
         scored.sort(key=lambda pair: pair[0].total)
         return scored
-
-    def as_estimator(self) -> "CostModelEstimator":
-        """Adapt the model to the engine's :class:`CostEstimator` interface."""
-        return CostModelEstimator(self)
-
-
-class CostModelEstimator(CostEstimator):
-    """A :class:`CostEstimator` view of a :class:`CostModel`.
-
-    Suitable for *ranking finished plans*; not for the backchase's
-    cost-based pruning, which requires a monotone estimator (see the
-    module docstring).
-    """
-
-    def __init__(self, model: CostModel):
-        self.model = model
-
-    def estimate(self, query: ConjunctiveQuery) -> float:
-        if query is None:
-            return math.inf
-        return self.model.estimate(query).total

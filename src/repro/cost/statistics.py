@@ -9,10 +9,10 @@ expensive than scanning a relational table).
 
 Catalogs come from two places:
 
-* **declared** — :meth:`StatisticsCatalog.from_configuration` derives a
-  catalog from a :class:`~repro.core.configuration.MarsConfiguration`'s
-  declarations (relational data, document node counts, administrator
-  overrides in ``configuration.statistics``).  This is what
+* **declared** — ``MarsConfiguration.build_statistics()`` derives a
+  catalog from the configuration's declarations (relational data,
+  document node counts) under the administrator's overrides, which are
+  themselves a catalog: ``configuration.statistics``.  This is what
   :class:`~repro.core.system.MarsSystem` plans with before any instance is
   built.
 * **collected** — every
@@ -23,17 +23,15 @@ Catalogs come from two places:
   and the sharded backend merges its children's catalogs (summing
   partitioned fragments, keeping one copy of broadcast tables).
 
-The legacy :class:`repro.storage.statistics.TableStatistics` (cardinality +
-weight only) remains the input of the engine-internal estimators;
-:meth:`StatisticsCatalog.to_table_statistics` converts down to it.
+Turning a catalog into a cardinality or a cost is the other half,
+:class:`~repro.cost.model.CostModel`; nothing else reads these records
+for arithmetic.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
-
-from ..storage.statistics import TableStatistics as LegacyTableStatistics
 
 DEFAULT_ROW_COUNT = 1000.0
 
@@ -95,6 +93,10 @@ class StatisticsCatalog:
     def add(self, statistics: TableStatistics) -> None:
         self.tables[statistics.name] = statistics
 
+    def set_cardinality(self, relation: str, row_count: float) -> None:
+        """Declare *relation*'s row count; its distinct counts become unknown."""
+        self.add(TableStatistics(name=relation, row_count=float(row_count)))
+
     def set_weight(self, relation: str, weight: float) -> None:
         self.access_weights[relation] = float(weight)
 
@@ -113,33 +115,6 @@ class StatisticsCatalog:
         catalog = cls()
         for name, rows in tables.items():
             catalog.add(profile_rows(name, rows))
-        return catalog
-
-    @classmethod
-    def from_configuration(cls, configuration: object) -> "StatisticsCatalog":
-        """The declared statistics of a MARS configuration.
-
-        Row counts and access weights reproduce
-        ``MarsConfiguration.build_statistics()`` exactly (administrator
-        overrides win, stored documents cost ``xml_access_weight`` per
-        node, materialized views default to a modest size); on top of
-        that, relations declared *with data* get exact per-column distinct
-        counts computed from the declared rows — unless an override
-        changed the row count, in which case the declared rows are no
-        longer trusted to describe the table.
-        """
-        legacy = configuration.build_statistics()
-        catalog = cls(
-            access_weights=dict(legacy.access_weights),
-            default_row_count=legacy.default_cardinality,
-            default_weight=legacy.default_weight,
-        )
-        for name, cardinality in legacy.cardinalities.items():
-            rows = configuration.relational_data.get(name)
-            if rows is not None and float(len(rows)) == float(cardinality):
-                catalog.add(profile_rows(name, rows))
-            else:
-                catalog.add(TableStatistics(name=name, row_count=float(cardinality)))
         return catalog
 
     # -- lookups --------------------------------------------------------
@@ -167,19 +142,6 @@ class StatisticsCatalog:
     def scan_cost(self, relation: str) -> float:
         """Cost of one full scan: row count times the access weight."""
         return self.row_count(relation) * self.weight(relation)
-
-    # -- conversion -----------------------------------------------------
-    def to_table_statistics(self) -> LegacyTableStatistics:
-        """Down-convert for the engine-internal (monotone) estimators."""
-        return LegacyTableStatistics(
-            cardinalities={
-                name: statistics.row_count
-                for name, statistics in self.tables.items()
-            },
-            access_weights=dict(self.access_weights),
-            default_cardinality=self.default_row_count,
-            default_weight=self.default_weight,
-        )
 
     def describe(self) -> str:
         lines = []

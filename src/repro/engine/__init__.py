@@ -4,12 +4,7 @@ from .backchase import BackchaseConfig, BackchaseEngine, BackchaseResult
 from .cb import CBConfig, CBEngine, CBResult
 from .chase import ChaseConfig, ChaseEngine, ChaseResult, ChaseStatistics, chase_query
 from .containment import ContainmentChecker
-from .cost import (
-    CostEstimator,
-    DynamicProgrammingCostEstimator,
-    SimpleCostEstimator,
-    best_of,
-)
+from .cost import CostEstimator, SimpleCostEstimator
 from .homomorphism import NaiveHomomorphismFinder, query_homomorphism
 from .join_tree import CompiledConjunction, JoinTreeHomomorphismFinder
 from .pruning import (
@@ -35,7 +30,6 @@ __all__ = [
     "CompiledConjunction",
     "ContainmentChecker",
     "CostEstimator",
-    "DynamicProgrammingCostEstimator",
     "GrexAtomClassifier",
     "JoinTreeHomomorphismFinder",
     "NaiveHomomorphismFinder",
@@ -43,7 +37,6 @@ __all__ = [
     "SimpleCostEstimator",
     "SubqueryLegality",
     "SymbolicInstance",
-    "best_of",
     "chase_query",
     "descendant_closure",
     "prune_parallel_descendant_atoms",

@@ -1,4 +1,4 @@
-"""Plug-in cost estimators for comparing candidate reformulations.
+"""The plug-in cost-estimator seam of the C&B engine (paper Figure 2).
 
 MARS does not commit to a particular cost model; it requires only that the
 model be *monotone* -- adding atoms to a query never makes it cheaper --
@@ -6,31 +6,20 @@ because that is what makes restricting attention to minimal reformulations
 safe (paper section 1) and what makes the backchase's cost-based pruning
 correct (paper section 2.3).
 
-Two estimators are provided:
-
-* :class:`SimpleCostEstimator` -- sum of weighted relation cardinalities
-  plus a per-join penalty.  Trivially monotone, very fast; used as default.
-* :class:`DynamicProgrammingCostEstimator` -- follows the paper more
-  closely: it costs a subquery by searching for the best join order with
-  dynamic programming over connected subsets, using textbook cardinality
-  estimation (cross product divided by a selectivity factor per shared
-  variable).  Its estimate of the best plan is then made monotone by adding
-  the scan costs of every referenced relation.
+:class:`CostEstimator` is that seam: what ``MarsSystem(estimator=)`` and
+``CBEngine(estimator=)`` accept.  The default :class:`SimpleCostEstimator`
+owns no arithmetic; it asks :mod:`repro.cost` for the monotone bound of a
+statistics catalog.
 """
 
 from __future__ import annotations
 
-import itertools
-import math
 from abc import ABC, abstractmethod
-from typing import Dict, FrozenSet, Optional, Sequence, Tuple
+from typing import Optional
 
-from ..logical.atoms import RelationalAtom
+from ..cost.model import CostModel
+from ..cost.statistics import StatisticsCatalog
 from ..logical.queries import ConjunctiveQuery
-from ..storage.statistics import TableStatistics
-
-DEFAULT_JOIN_SELECTIVITY = 0.1
-DP_ATOM_LIMIT = 9
 
 
 class CostEstimator(ABC):
@@ -40,159 +29,12 @@ class CostEstimator(ABC):
     def estimate(self, query: ConjunctiveQuery) -> float:
         """Return an abstract cost for executing *query*; lower is better."""
 
-    def compare(self, left: ConjunctiveQuery, right: ConjunctiveQuery) -> int:
-        """Three-way comparison helper; negative when *left* is cheaper."""
-        left_cost, right_cost = self.estimate(left), self.estimate(right)
-        if left_cost < right_cost:
-            return -1
-        if left_cost > right_cost:
-            return 1
-        return 0
-
 
 class SimpleCostEstimator(CostEstimator):
-    """Monotone cost: weighted scan cost per atom plus a join penalty."""
+    """Monotone cost: :meth:`repro.cost.model.CostModel.lower_bound`."""
 
-    def __init__(
-        self,
-        statistics: Optional[TableStatistics] = None,
-        join_penalty: float = 1.0,
-    ):
-        self.statistics = statistics or TableStatistics()
-        self.join_penalty = join_penalty
+    def __init__(self, statistics: Optional[StatisticsCatalog] = None):
+        self.model = CostModel(statistics)
 
     def estimate(self, query: ConjunctiveQuery) -> float:
-        atoms = query.relational_body
-        if not atoms:
-            return 0.0
-        scan_cost = sum(self.statistics.scan_cost(atom.relation) for atom in atoms)
-        join_cost = self.join_penalty * max(0, len(atoms) - 1)
-        return scan_cost + join_cost
-
-
-class DynamicProgrammingCostEstimator(CostEstimator):
-    """Join-order-aware estimator with a dynamic-programming search.
-
-    For up to :data:`DP_ATOM_LIMIT` atoms an exact DP over subsets finds the
-    cheapest bushy join order; beyond that a greedy order is used.  The cost
-    of a plan is the sum of estimated intermediate-result cardinalities (a
-    common logical cost metric).  To preserve monotonicity the final figure
-    adds every atom's weighted scan cost, so supersets of atoms can never be
-    estimated cheaper than the original set.
-    """
-
-    def __init__(
-        self,
-        statistics: Optional[TableStatistics] = None,
-        join_selectivity: float = DEFAULT_JOIN_SELECTIVITY,
-    ):
-        self.statistics = statistics or TableStatistics()
-        self.join_selectivity = join_selectivity
-
-    # -- cardinality model ------------------------------------------------
-    def _atom_cardinality(self, atom: RelationalAtom) -> float:
-        return max(1.0, self.statistics.cardinality(atom.relation))
-
-    def _join_cardinality(
-        self,
-        left_card: float,
-        right_card: float,
-        shared_variables: int,
-    ) -> float:
-        selectivity = self.join_selectivity ** max(0, shared_variables)
-        return max(1.0, left_card * right_card * selectivity)
-
-    # -- plan search ------------------------------------------------------
-    def estimate(self, query: ConjunctiveQuery) -> float:
-        atoms = query.relational_body
-        if not atoms:
-            return 0.0
-        scan_cost = sum(
-            self._atom_cardinality(atom) * self.statistics.weight(atom.relation)
-            for atom in atoms
-        )
-        if len(atoms) == 1:
-            return scan_cost
-        if len(atoms) <= DP_ATOM_LIMIT:
-            plan_cost = self._dp_plan_cost(atoms)
-        else:
-            plan_cost = self._greedy_plan_cost(atoms)
-        return scan_cost + plan_cost
-
-    def _variables_of(self, atoms: Sequence[RelationalAtom]) -> FrozenSet:
-        variables = set()
-        for atom in atoms:
-            variables.update(atom.variables())
-        return frozenset(variables)
-
-    def _dp_plan_cost(self, atoms: Sequence[RelationalAtom]) -> float:
-        indexes = tuple(range(len(atoms)))
-        # best[subset] = (cost, cardinality, variables)
-        best: Dict[FrozenSet[int], Tuple[float, float, FrozenSet]] = {}
-        for index in indexes:
-            subset = frozenset((index,))
-            best[subset] = (
-                0.0,
-                self._atom_cardinality(atoms[index]),
-                self._variables_of([atoms[index]]),
-            )
-        for size in range(2, len(atoms) + 1):
-            for combo in itertools.combinations(indexes, size):
-                subset = frozenset(combo)
-                best_entry = None
-                for split_size in range(1, size):
-                    for left_combo in itertools.combinations(combo, split_size):
-                        left = frozenset(left_combo)
-                        right = subset - left
-                        if left not in best or right not in best:
-                            continue
-                        left_cost, left_card, left_vars = best[left]
-                        right_cost, right_card, right_vars = best[right]
-                        shared = len(left_vars & right_vars)
-                        cardinality = self._join_cardinality(left_card, right_card, shared)
-                        cost = left_cost + right_cost + cardinality
-                        if best_entry is None or cost < best_entry[0]:
-                            best_entry = (cost, cardinality, left_vars | right_vars)
-                if best_entry is not None:
-                    best[subset] = best_entry
-        full = frozenset(indexes)
-        return best[full][0] if full in best else self._greedy_plan_cost(atoms)
-
-    def _greedy_plan_cost(self, atoms: Sequence[RelationalAtom]) -> float:
-        remaining = list(range(len(atoms)))
-        # Start from the smallest relation.
-        remaining.sort(key=lambda i: self._atom_cardinality(atoms[i]))
-        first = remaining.pop(0)
-        cardinality = self._atom_cardinality(atoms[first])
-        variables = set(atoms[first].variables())
-        total = 0.0
-        while remaining:
-            best_index = None
-            best_value = None
-            for position, index in enumerate(remaining):
-                shared = len(variables & set(atoms[index].variables()))
-                value = self._join_cardinality(
-                    cardinality, self._atom_cardinality(atoms[index]), shared
-                )
-                if best_value is None or value < best_value:
-                    best_value = value
-                    best_index = position
-            index = remaining.pop(best_index)
-            cardinality = best_value
-            total += best_value
-            variables.update(atoms[index].variables())
-        return total
-
-
-def best_of(
-    estimator: CostEstimator, queries: Sequence[ConjunctiveQuery]
-) -> Tuple[Optional[ConjunctiveQuery], float]:
-    """Return the cheapest query of *queries* and its cost (inf when empty)."""
-    best_query = None
-    best_cost = math.inf
-    for query in queries:
-        cost = estimator.estimate(query)
-        if cost < best_cost:
-            best_cost = cost
-            best_query = query
-    return best_query, best_cost
+        return self.model.lower_bound(query)

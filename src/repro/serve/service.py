@@ -1671,9 +1671,7 @@ class PublishingService:
             self._statistics_refreshes += 1
         self._m_statistics_refreshes.inc()
         self.events.record(
-            STATISTICS_REFRESH,
-            reason=reason,
-            tables=len(getattr(catalog, "tables", None) or ()),
+            STATISTICS_REFRESH, reason=reason, tables=len(catalog.tables)
         )
 
     def misestimation_report(

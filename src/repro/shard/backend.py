@@ -408,12 +408,14 @@ class ShardedBackend(StorageBackend):
         across shards, so the merge takes the maximum (a lower bound) and
         caps it at the merged row count.  Broadcast tables are complete on
         every shard — one child's statistics describe them.  Every entry
-        records its per-shard ``fragment_rows``.
+        records its per-shard ``fragment_rows``.  Each child keeps the
+        catalog it measured: it prices its own ``explain`` lines and
+        profile nodes from it (``estimate_pipeline``).
         """
         from ..cost.statistics import StatisticsCatalog, TableStatistics
 
         self._require_open()
-        child_catalogs = [child.collect_statistics() for child in self._children]
+        child_catalogs = [child.refresh_statistics() for child in self._children]
         catalog = StatisticsCatalog()
         for name, arity in self._arities.items():
             fragments = tuple(

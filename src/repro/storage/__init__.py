@@ -11,9 +11,8 @@ rows:
 * :mod:`repro.storage.backends` — the :class:`StorageBackend` protocol
   and registry (``memory`` / ``sqlite`` / ``sharded``); backends load
   tables, execute queries, ``explain`` themselves, ``clone()`` for
-  connection pooling and ``collect_statistics()`` for the cost model;
-* :mod:`repro.storage.statistics` — the legacy cardinality/weight record
-  consumed by the engine-internal estimators (the richer catalogs live in
+  connection pooling and ``collect_statistics()`` for the cost model
+  (statistics records and every estimate derived from them live in
   :mod:`repro.cost`).
 
 Entry points: ``create_backend(spec)`` resolves a backend, and
@@ -38,7 +37,6 @@ from .sql import (
     render_union_sql,
     render_union_sql_query,
 )
-from .statistics import TableStatistics
 
 __all__ = [
     "InMemoryDatabase",
@@ -48,7 +46,6 @@ __all__ = [
     "ShardedBackend",
     "StorageBackend",
     "Table",
-    "TableStatistics",
     "available_backends",
     "create_backend",
     "evaluate_query",

@@ -27,6 +27,7 @@ import collections
 import os
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
+from ...cost.model import CostModel
 from ...errors import EvaluationError, StorageError
 from ...logical.queries import ConjunctiveQuery, UnionQuery
 
@@ -187,6 +188,19 @@ class StorageBackend(abc.ABC):
         """
         return self._statistics_catalog
 
+    def estimate_pipeline(self, query: ConjunctiveQuery) -> Tuple[float, ...]:
+        """The planner's running row estimate after each atom of *query*.
+
+        Textual order, priced by the ranking model over
+        :attr:`statistics_catalog` — measured now if this backend was
+        never refreshed.  ``explain`` lines and profile nodes attach
+        these numbers; engines do no estimation arithmetic of their own.
+        """
+        catalog = self._statistics_catalog
+        if catalog is None:
+            catalog = self.refresh_statistics()
+        return CostModel(catalog).pipeline(query)
+
     # -- deployment topology -------------------------------------------
     def storage_units(self) -> Tuple[Tuple[str, "StorageBackend"], ...]:
         """The independently pooled-and-logged stores this backend is.
@@ -263,6 +277,16 @@ class StorageBackend(abc.ABC):
     @abc.abstractmethod
     def explain(self, query: Query) -> str:
         """A human-readable account of how the backend would run *query*."""
+
+    def _check_relations(self, query: Query) -> None:
+        """Raise :class:`EvaluationError` if *query* names a table not held."""
+        disjuncts = query if isinstance(query, UnionQuery) else (query,)
+        for disjunct in disjuncts:
+            for relation in disjunct.relation_names():
+                if not self.has_table(relation):
+                    raise EvaluationError(
+                        f"query {disjunct.name} references unknown table {relation!r}"
+                    )
 
     # -- lifecycle -----------------------------------------------------
     @property

@@ -23,14 +23,13 @@ class MemoryBackend(StorageBackend):
 
     Statistics (``collect_statistics``, inherited) profile the same lists
     the hash-join evaluator scans, so cost estimates derived from a memory
-    backend describe exactly the data it will join; :meth:`explain` uses
-    the same distinct counts for its per-step cardinality estimates.
+    backend describe exactly the data it will join.
 
     When a query profile is active (``explain(analyze=True)`` or the
     service's 1-in-N sampler), the evaluator emits one ``scan``/
-    ``join-step`` operator node per hash-join step — carrying the same
-    uniformity-model estimate :meth:`explain` prints, now paired with the
-    step's *actual* intermediate cardinality — into the ambient
+    ``join-step`` operator node per hash-join step — carrying the
+    :meth:`estimate_pipeline` figure :meth:`explain` prints, now paired
+    with the step's *actual* intermediate cardinality — into the ambient
     :func:`repro.profile.current_profile` sink.
     """
 
@@ -74,9 +73,10 @@ class MemoryBackend(StorageBackend):
 
     # -- execution -----------------------------------------------------
     def execute(self, query: Query, distinct: bool = True) -> List[Row]:
-        if isinstance(query, UnionQuery):
-            return evaluate_union(query, self.database, distinct=distinct)
-        return evaluate_query(query, self.database, distinct=distinct)
+        evaluate = evaluate_union if isinstance(query, UnionQuery) else evaluate_query
+        return evaluate(
+            query, self.database, distinct=distinct, estimator=self.estimate_pipeline
+        )
 
     def execute_union(self, union: Query, distinct: bool = True) -> List[Row]:
         """One batch through :func:`evaluate_union` rather than per-disjunct."""
@@ -107,30 +107,28 @@ class MemoryBackend(StorageBackend):
         """
         if self._closed:
             raise StorageError("cannot clone a closed MemoryBackend")
-        return MemoryBackend(self.database.copy())
-
-    def _distinct_count(self, relation: str, position: int) -> int:
-        """Distinct values in one column of the stored data (>= 1)."""
-        values = {row[position] for row in self.database.rows(relation)}
-        return max(1, len(values))
+        clone = MemoryBackend(self.database.copy())
+        clone._statistics_catalog = self._statistics_catalog
+        return clone
 
     def explain(self, query: Query) -> str:
         """Describe the hash-join order with estimated cardinalities per step.
 
-        Each step reports the estimated intermediate result size under the
-        textbook uniformity model: joining/selecting on a probed column
-        divides by that column's distinct-value count (computed from the
-        actual data, so the estimates are the ones a cost-from-statistics
-        estimator would derive from this backend).
+        The estimates are :meth:`estimate_pipeline`'s — the planner's own
+        model over this backend's statistics catalog — so they are what a
+        profiled execution is scored against.
         """
         if isinstance(query, UnionQuery):
             parts = [self.explain(disjunct) for disjunct in query]
             return "\nUNION\n".join(parts)
+        self._check_relations(query)
         query = query.normalize_equalities()
         lines = [f"hash-join pipeline for {query.name}:"]
         bound = set()
-        estimate = 1.0
-        for step, atom in enumerate(query.relational_body, start=1):
+        estimates = self.estimate_pipeline(query)
+        for step, (atom, estimate) in enumerate(
+            zip(query.relational_body, estimates), start=1
+        ):
             probe_positions = [
                 index
                 for index, term in enumerate(atom.terms)
@@ -140,10 +138,6 @@ class MemoryBackend(StorageBackend):
             mode = (
                 f"probe on positions {probe_positions}" if probe_positions else "scan"
             )
-            selectivity = 1.0
-            for position in probe_positions:
-                selectivity /= self._distinct_count(atom.relation, position)
-            estimate *= count * selectivity
             lines.append(
                 f"  {step}. {atom.relation} [{count} rows, {mode}] "
                 f"-> est. {estimate:.1f} rows"
@@ -153,7 +147,7 @@ class MemoryBackend(StorageBackend):
             lines.append("  (no relational atoms: constant-only evaluation)")
         else:
             lines.append(
-                f"  estimated result: {estimate:.1f} rows "
+                f"  estimated result: {estimates[-1]:.1f} rows "
                 "(before projection/dedup)"
             )
         return "\n".join(lines)

@@ -95,10 +95,6 @@ class SQLiteBackend(StorageBackend):
         self._state_lock = threading.Lock()
         self._inflight = 0
         self._connection_released = False
-        # (name, position) -> (row count when measured, distinct count):
-        # the profile estimator's memo, invalidated by row-count change,
-        # so sampled profiling does not re-run COUNT(DISTINCT) per query.
-        self._distinct_cache: Dict[Tuple[str, int], Tuple[int, int]] = {}
         self._adopt_existing_tables()
 
     def _require_open(self) -> None:
@@ -400,12 +396,9 @@ class SQLiteBackend(StorageBackend):
             # the cursor actually produced); per-atom ``scan`` children
             # carry the real table cardinalities the statement read.
             node = profile.child(
-                STATEMENT,
-                getattr(query, "name", "<query>"),
-                estimated_rows=self._profile_estimate(query),
-                engine="sqlite",
+                STATEMENT, getattr(query, "name", "<query>"), engine="sqlite"
             )
-            self._attach_profile_scans(node, query)
+            node.estimated_rows = self._attach_profile_scans(node, query)
         else:
             node = None
         try:
@@ -430,60 +423,26 @@ class SQLiteBackend(StorageBackend):
             node.finish(actual_rows=len(result))
         return result
 
-    def _profile_distinct_count(self, name: str, position: int, rows: int) -> int:
-        """Distinct values in one column (>= 1), memoized per row count."""
-        key = (name, position)
-        cached = self._distinct_cache.get(key)
-        if cached is not None and cached[0] == rows:
-            return cached[1]
-        column = self._attributes[name][position]
-        cursor = self._connection.execute(
-            f"SELECT COUNT(DISTINCT {quote_identifier(column)}) "
-            f"FROM {quote_identifier(name)}"
-        )
-        distinct = max(1, int(cursor.fetchone()[0]))
-        self._distinct_cache[key] = (rows, distinct)
-        return distinct
+    def _attach_profile_scans(self, node: "ProfileNode", query: Query) -> float:
+        """Per-atom ``scan`` children (and ``union-branch`` grouping).
 
-    def _profile_estimate(self, query: Query) -> float:
-        """Uniformity-model result estimate (the memory backend's model).
-
-        Only paid while a profile is active; the distinct counts it needs
-        come from :attr:`_distinct_cache`.
+        Returns the planner's result estimate for *query* — the last
+        :meth:`estimate_pipeline` step, summed over disjuncts — which the
+        caller attaches to *node*.
         """
         if isinstance(query, UnionQuery):
-            return sum(self._profile_estimate(disjunct) for disjunct in query)
-        normalized = query.normalize_equalities()
-        bound: Set[Variable] = set()
-        estimate = 1.0
-        for atom in normalized.relational_body:
-            count = self.cardinality(atom.relation)
-            selectivity = 1.0
-            for position, term in enumerate(atom.terms):
-                if not is_variable(term) or term in bound:
-                    selectivity /= self._profile_distinct_count(
-                        atom.relation, position, count
-                    )
-            estimate *= count * selectivity
-            bound.update(term for term in atom.terms if is_variable(term))
-        return estimate
-
-    def _attach_profile_scans(self, node: "ProfileNode", query: Query) -> None:
-        """Per-atom ``scan`` children (and ``union-branch`` grouping)."""
-        if isinstance(query, UnionQuery):
+            total = 0.0
             for position, disjunct in enumerate(query):
-                branch = node.child(
-                    UNION_BRANCH,
-                    disjunct.name,
-                    estimated_rows=self._profile_estimate(disjunct),
-                    disjunct=position,
-                )
-                self._attach_profile_scans(branch, disjunct)
+                branch = node.child(UNION_BRANCH, disjunct.name, disjunct=position)
+                branch.estimated_rows = self._attach_profile_scans(branch, disjunct)
+                total += branch.estimated_rows
                 branch.finish()
-            return
+            return total
         for atom in query.normalize_equalities().relational_body:
             scan = node.child(SCAN, atom.relation, relation=atom.relation)
             scan.finish(actual_rows=self.cardinality(atom.relation))
+        steps = self.estimate_pipeline(query)
+        return steps[-1] if steps else 1.0
 
     def execute_union(self, union: Query, distinct: bool = True) -> List[Row]:
         """Run a whole union reformulation as one SQL statement (one round trip).
@@ -510,15 +469,6 @@ class SQLiteBackend(StorageBackend):
         for row in cursor.fetchall():
             lines.append(f"  {row[-1]}")
         return "\n".join(lines)
-
-    def _check_relations(self, query: Query) -> None:
-        disjuncts = query if isinstance(query, UnionQuery) else (query,)
-        for disjunct in disjuncts:
-            for relation in disjunct.relation_names():
-                if relation not in self._arities:
-                    raise EvaluationError(
-                        f"query {disjunct.name} references unknown table {relation!r}"
-                    )
 
     # -- indexing ------------------------------------------------------
     @_uses_connection
@@ -637,7 +587,7 @@ class SQLiteBackend(StorageBackend):
         clone._state_lock = threading.Lock()
         clone._inflight = 0
         clone._connection_released = False
-        clone._distinct_cache = {}
+        clone._statistics_catalog = self._statistics_catalog
         if self.path in (":memory:", ""):
             self._connection.backup(clone._connection)
         return clone

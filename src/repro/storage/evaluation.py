@@ -8,17 +8,18 @@ data to execute reformulations and to verify their equivalence in tests.
 
 When a query profile is active (:func:`repro.profile.current_profile`),
 each hash-join step emits one ``scan``/``join-step`` operator node with
-its intermediate binding count as ``actual_rows`` and the textbook
-uniformity estimate — the same model :meth:`MemoryBackend.explain`
-prints — as ``estimated_rows``; union evaluation wraps each disjunct in
-a ``union-branch`` node.  Estimates (the distinct-count passes) are only
-computed while a profile is live, so unprofiled evaluation pays nothing
-beyond one ambient lookup per query.
+its intermediate binding count as ``actual_rows`` and, as
+``estimated_rows``, the figure the caller's *estimator* gives for that
+step (:meth:`StorageBackend.estimate_pipeline` — the numbers
+:meth:`MemoryBackend.explain` prints); union evaluation wraps each
+disjunct in a ``union-branch`` node.  The estimator is only consulted
+while a profile is live, so unprofiled evaluation pays nothing beyond
+one ambient lookup per query.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from ..errors import EvaluationError
 from ..logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
@@ -28,6 +29,8 @@ from ..profile import JOIN_STEP, SCAN, UNION_BRANCH, current_profile
 from .relational_db import InMemoryDatabase, Row
 
 Binding = Dict[Variable, object]
+#: Per-atom running row estimates of a query, in textual order.
+PipelineEstimator = Callable[[ConjunctiveQuery], Sequence[float]]
 
 
 def _match_atom(atom: RelationalAtom, row: Row, binding: Binding) -> Optional[Binding]:
@@ -63,6 +66,7 @@ def evaluate_query(
     query: ConjunctiveQuery,
     database: InMemoryDatabase,
     distinct: bool = True,
+    estimator: Optional[PipelineEstimator] = None,
 ) -> List[Row]:
     """Evaluate *query* over *database* and return the list of head tuples.
 
@@ -72,7 +76,7 @@ def evaluate_query(
     """
     query = query.normalize_equalities()
     profile = current_profile()
-    estimate = 1.0
+    estimates = estimator(query) if profile and estimator else ()
     bindings: List[Binding] = [{}]
     bound_vars: List[Variable] = []
     for step, atom in enumerate(query.relational_body, start=1):
@@ -83,18 +87,10 @@ def evaluate_query(
         rows = database.table(atom.relation).rows
         key_positions = _atom_join_key(atom, bound_vars)
         if profile:
-            # Uniformity-model estimate, the same arithmetic as
-            # MemoryBackend.explain: each probed column divides the
-            # running cardinality by its distinct-value count.
-            selectivity = 1.0
-            for position in key_positions:
-                distinct_values = len({row[position] for row in rows})
-                selectivity /= max(1, distinct_values)
-            estimate *= len(rows) * selectivity
             node = profile.child(
                 JOIN_STEP if key_positions else SCAN,
                 f"{atom.relation}[step {step}]",
-                estimated_rows=estimate,
+                estimated_rows=estimates[step - 1] if estimates else None,
                 relation=atom.relation,
                 probe_positions=tuple(key_positions),
             )
@@ -167,7 +163,10 @@ def _project_head(query: ConjunctiveQuery, binding: Binding) -> Row:
 
 
 def evaluate_union(
-    union: UnionQuery, database: InMemoryDatabase, distinct: bool = True
+    union: UnionQuery,
+    database: InMemoryDatabase,
+    distinct: bool = True,
+    estimator: Optional[PipelineEstimator] = None,
 ) -> List[Row]:
     """Evaluate a union of conjunctive queries (set semantics when *distinct*)."""
     profile = current_profile()
@@ -178,10 +177,10 @@ def evaluate_union(
             with profile.child(
                 UNION_BRANCH, disjunct.name, disjunct=position
             ) as branch:
-                produced = evaluate_query(disjunct, database, distinct=distinct)
+                produced = evaluate_query(disjunct, database, distinct, estimator)
                 branch.finish(actual_rows=len(produced))
         else:
-            produced = evaluate_query(disjunct, database, distinct=distinct)
+            produced = evaluate_query(disjunct, database, distinct, estimator)
         for row in produced:
             if distinct:
                 if row in seen:

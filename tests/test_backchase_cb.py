@@ -1,7 +1,5 @@
 """Unit tests for the backchase, cost estimators and the full C&B pipeline."""
 
-import math
-
 import pytest
 
 from repro.engine import (
@@ -11,10 +9,8 @@ from repro.engine import (
     CBEngine,
     ClosureSpec,
     ContainmentChecker,
-    DynamicProgrammingCostEstimator,
     SimpleCostEstimator,
     SubqueryLegality,
-    best_of,
     chase_query,
     prune_parallel_descendant_atoms,
 )
@@ -26,9 +22,16 @@ from repro.logical import (
     var,
     view_inclusion_dependencies,
 )
-from repro.storage import TableStatistics
+from repro.cost import StatisticsCatalog
 
 x, y, z, u = var("x"), var("y"), var("z"), var("u")
+
+
+def catalog(cardinalities, access_weights=None):
+    statistics = StatisticsCatalog(access_weights=access_weights)
+    for relation, rows in cardinalities.items():
+        statistics.set_cardinality(relation, rows)
+    return statistics
 
 
 def R(*terms):
@@ -41,46 +44,16 @@ def S(*terms):
 
 class TestCostEstimators:
     def test_simple_estimator_monotone(self):
-        estimator = SimpleCostEstimator(TableStatistics(cardinalities={"R": 10, "S": 20}))
+        estimator = SimpleCostEstimator(catalog({"R": 10, "S": 20}))
         small = ConjunctiveQuery("Q", [x], [R(x, y)])
         large = ConjunctiveQuery("Q", [x], [R(x, y), S(y, z)])
         assert estimator.estimate(small) < estimator.estimate(large)
 
     def test_simple_estimator_uses_weights(self):
-        stats = TableStatistics(cardinalities={"R": 10}, access_weights={"R": 5.0})
-        weighted = SimpleCostEstimator(stats)
-        unweighted = SimpleCostEstimator(TableStatistics(cardinalities={"R": 10}))
+        weighted = SimpleCostEstimator(catalog({"R": 10}, access_weights={"R": 5.0}))
+        unweighted = SimpleCostEstimator(catalog({"R": 10}))
         query = ConjunctiveQuery("Q", [x], [R(x, y)])
         assert weighted.estimate(query) > unweighted.estimate(query)
-
-    def test_dp_estimator_monotone_in_atoms(self):
-        estimator = DynamicProgrammingCostEstimator(
-            TableStatistics(cardinalities={"R": 100, "S": 100})
-        )
-        small = ConjunctiveQuery("Q", [x], [R(x, y)])
-        large = ConjunctiveQuery("Q", [x], [R(x, y), S(y, z)])
-        assert estimator.estimate(small) < estimator.estimate(large)
-
-    def test_dp_estimator_prefers_selective_join_orders(self):
-        # Just a sanity check: the estimate is finite and positive.
-        estimator = DynamicProgrammingCostEstimator(
-            TableStatistics(cardinalities={"R": 1000, "S": 10})
-        )
-        query = ConjunctiveQuery("Q", [x], [R(x, y), S(y, z), R(z, u)])
-        cost = estimator.estimate(query)
-        assert 0 < cost < math.inf
-
-    def test_best_of(self):
-        estimator = SimpleCostEstimator(TableStatistics(cardinalities={"R": 1, "S": 100}))
-        cheap = ConjunctiveQuery("A", [x], [R(x, y)])
-        pricey = ConjunctiveQuery("B", [x], [S(x, y)])
-        best, cost = best_of(estimator, [pricey, cheap])
-        assert best is cheap
-        assert cost == estimator.estimate(cheap)
-
-    def test_best_of_empty(self):
-        best, cost = best_of(SimpleCostEstimator(), [])
-        assert best is None and cost == math.inf
 
 
 class TestBackchase:
@@ -115,7 +88,7 @@ class TestBackchase:
     def test_backchase_without_target_restriction_minimizes(self):
         query, plan, dependencies = self._setup()
         engine = BackchaseEngine(
-            estimator=SimpleCostEstimator(TableStatistics(cardinalities={"V": 1, "R": 100, "S": 100}))
+            estimator=SimpleCostEstimator(catalog({"V": 1, "R": 100, "S": 100}))
         )
         result = engine.backchase(query, plan, dependencies, target_relations=None)
         assert result.best is not None

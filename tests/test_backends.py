@@ -36,8 +36,9 @@ from repro.workloads.star import StarParameters
 
 BACKEND_NAMES = ("memory", "sqlite")
 #: Engines that must satisfy the full StorageBackend protocol; "sharded"
-#: runs here with its defaults (2 memory children, everything broadcast).
-PROTOCOL_BACKENDS = BACKEND_NAMES + ("sharded",)
+#: and "replicated" run here with their defaults (2 memory children,
+#: everything broadcast; memory replicas).
+PROTOCOL_BACKENDS = BACKEND_NAMES + ("sharded", "replicated")
 
 
 def multiset(rows):
@@ -122,6 +123,13 @@ class TestBackendProtocol:
         query = ConjunctiveQuery("q", (x,), (RelationalAtom("nope", (x,)),))
         with pytest.raises(EvaluationError):
             backend.execute(query)
+
+    def test_explain_unknown_relation_raises(self, backend):
+        """explain() refuses what execute() refuses — no invented empty table."""
+        x = Variable("x")
+        query = ConjunctiveQuery("q", (x,), (RelationalAtom("Nope", (x,)),))
+        with pytest.raises(EvaluationError, match="unknown table 'Nope'"):
+            backend.explain(query)
 
     def test_explain_mentions_relations(self, backend):
         backend.create_table("r", 2, ("a", "b"))
@@ -374,9 +382,9 @@ class TestCrossBackendEquivalence:
 
     def test_statistics_reflect_backend_contents(self, name, configuration, queries):
         executor = MarsExecutor(configuration, backend="sqlite")
-        stats = executor.statistics()
+        stats = executor.collect_statistics()
         for relation, count in executor.backend.cardinalities().items():
-            assert stats.cardinalities[relation] == float(count)
+            assert stats.row_count(relation) == float(count)
         executor.close()
 
 

@@ -16,6 +16,8 @@ Four claims are pinned down here:
 """
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.logical.terms import Constant, Variable
 from repro.serve import PublishingService
 from repro.shard import MODE_GATHER, MODE_SCATTER, MODE_SINGLE, ShardedBackend
 from repro.storage.backends import MemoryBackend, SQLiteBackend
-from repro.workloads import medical, star
+from repro.workloads import medical, star, xmark
 from repro.workloads.star import StarParameters
 
 ORDERS = [(f"c{i % 4}", i, i % 6) for i in range(24)]
@@ -174,7 +176,7 @@ class TestCostModel:
         weak = ConjunctiveQuery(
             "weak", (y,), (RelationalAtom("W1", (x, y)), RelationalAtom("W2", (x, z)))
         )
-        scan_sum = SimpleCostEstimator(catalog.to_table_statistics())
+        scan_sum = SimpleCostEstimator(catalog)
         assert scan_sum.estimate(weak) < scan_sum.estimate(keyed)
         ranked = CostModel(catalog).rank([keyed, weak])
         assert ranked[0][1] is keyed  # 1250 intermediate rows vs 60
@@ -205,6 +207,99 @@ class TestCostModel:
         log_errors.sort()
         assert log_errors[len(log_errors) // 2] <= 1.0
         executor.close()
+
+
+# ----------------------------------------------------------------------
+# One model, two questions: the monotone bound and the ranking estimate
+# ----------------------------------------------------------------------
+INVARIANT_WORKLOADS = {
+    "medical": medical.build_configuration,
+    "star": lambda: star.build_configuration(
+        StarParameters(corners=2), with_instance=True
+    ),
+    "xmark": xmark.build_configuration,
+}
+
+
+@pytest.fixture(params=sorted(INVARIANT_WORKLOADS))
+def model_and_queries(request, query_generator):
+    """A collected-catalog model plus 80 seeded random queries per workload."""
+    executor = MarsExecutor(INVARIANT_WORKLOADS[request.param](), backend="memory")
+    model = CostModel(executor.collect_statistics())
+    generator = query_generator(executor.backend, seed=18, max_atoms=4)
+    queries = [generator.conjunctive(f"{request.param}{i}") for i in range(80)]
+    executor.close()
+    return model, queries
+
+
+class TestOneModelTwoQuestions:
+    def test_adding_an_atom_never_lowers_the_bound(self, model_and_queries):
+        """Monotonicity — what makes cost-pruning the backchase sound."""
+        model, queries = model_and_queries
+        extra_atoms = [query.relational_body[0] for query in queries[:10]]
+        for query in queries:
+            bound = model.lower_bound(query)
+            for atom in extra_atoms:
+                grown = ConjunctiveQuery(query.name, query.head, query.body + (atom,))
+                assert model.lower_bound(grown) >= bound, (query, atom)
+
+    def test_bound_never_exceeds_the_ranking_estimate(self, model_and_queries):
+        model, queries = model_and_queries
+        for query in queries:
+            assert model.lower_bound(query) <= model.estimate(query).total, query
+
+    def test_pipeline_ends_at_the_estimate_when_orders_coincide(
+        self, model_and_queries
+    ):
+        """Same per-step function: textual order == greedy order => same number."""
+        model, queries = model_and_queries
+        joins_checked = 0
+        for query in queries:
+            atoms, effective, selectivities = model._step_inputs(query, None)
+            order = model._greedy_plan(atoms, effective, selectivities)[2]
+            steps = model.pipeline(query)
+            assert len(steps) == len(atoms)
+            if order == tuple(range(len(atoms))):
+                assert steps[-1] == model.estimate(query).cardinality, query
+                joins_checked += len(atoms) > 1
+        assert joins_checked >= 3, "no multi-atom query kept its textual order"
+
+
+class TestEstimationLivesInReproCost:
+    """Statistics turn into numbers in ``repro.cost`` only: a second
+    estimator, a revived legacy statistics record or a second distinct-count
+    probe in the SQLite backend fails here."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+    OFFENCE = re.compile(r"\bselectivity\b|storage\.statistics|from \.+statistics import")
+    DISTINCT_PROBE = "SELECT COUNT(DISTINCT"
+
+    def test_source_scan(self):
+        offenders = []
+        paths = sorted(
+            path
+            for path in self.SRC.rglob("*.py")
+            if self.SRC / "cost" not in path.parents
+        )
+        assert paths, f"nothing to scan under {self.SRC}"
+        for path in paths:
+            for number, line in enumerate(path.read_text().splitlines(), start=1):
+                if self.OFFENCE.search(line):
+                    offenders.append(
+                        f"{path.relative_to(self.SRC)}:{number}: {line.strip()}"
+                    )
+        assert not offenders, "\n".join(offenders)
+
+    def test_sqlite_counts_distinct_values_in_one_place(self):
+        source = (self.SRC / "storage" / "backends" / "sqlite.py").read_text()
+        assert source.count(self.DISTINCT_PROBE) == 1
+
+    def test_the_scan_catches_what_it_is_for(self):
+        assert self.OFFENCE.search("selectivity /= max(1, distinct_values)")
+        assert self.OFFENCE.search("from ..storage.statistics import TableStatistics")
+        assert self.OFFENCE.search("from .statistics import TableStatistics")
+        assert not self.OFFENCE.search("from ..cost.statistics import StatisticsCatalog")
+        assert not self.OFFENCE.search("join selectivities pick the winner")
 
 
 # ----------------------------------------------------------------------
@@ -267,7 +362,7 @@ class TestCostBasedPlanSelection:
         assert "V1" not in system.reformulate(query).best.relation_names()
         # Measured statistics contradict the declarations: the view is in
         # fact tiny and the base tables huge.
-        catalog = StatisticsCatalog.from_configuration(configuration)
+        catalog = configuration.build_statistics()
         catalog.add(profile_rows("V1", [(i, i, i) for i in range(5)]))
         for name in ("R_store", "S1_store", "S2_store"):
             catalog.add(profile_rows(name, [(i, i % 7) for i in range(3000)]))

@@ -190,9 +190,9 @@ class TestExecutor:
     def test_statistics_reflect_instance_data(self):
         configuration = medical.build_configuration()
         executor = MarsExecutor(configuration)
-        stats = executor.statistics()
-        assert stats.cardinality("patientDiag") == len(medical.DEFAULT_PATIENTS)
-        assert stats.cardinality("drugPrice") == len(medical.DEFAULT_CATALOG)
+        stats = executor.collect_statistics()
+        assert stats.row_count("patientDiag") == len(medical.DEFAULT_PATIENTS)
+        assert stats.row_count("drugPrice") == len(medical.DEFAULT_CATALOG)
 
     def test_published_documents_materialized_from_views(self):
         configuration = medical.build_configuration()

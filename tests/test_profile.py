@@ -186,6 +186,54 @@ class TestProfilingDoesNotChangeAnswers:
         assert sorted(profiled) == sorted(plain)
 
 
+class TestEstimatesComeFromTheCatalog:
+    """Regression: memory recounted distinct values per profiled step while
+    SQLite memoized them per row count, so after a same-sized replacement
+    of the probed table the two engines reported different estimates."""
+
+    @staticmethod
+    def plan_estimate(backend, query):
+        """The last estimate in the tree: memory's final join-step, SQLite's
+        statement (its per-atom scans carry only actual rows)."""
+        with ProfileNode("execute", query.name) as root:
+            backend.execute(query)
+        return [
+            node.estimated_rows
+            for node in root.walk()
+            if node.estimated_rows is not None
+        ][-1]
+
+    def test_engines_agree_and_follow_the_refreshed_catalog(self):
+        a, b, c = Variable("a"), Variable("b"), Variable("c")
+        query = ConjunctiveQuery(
+            "join",
+            (a, c),
+            (RelationalAtom("r", (a, b)), RelationalAtom("s", (b, c))),
+        )
+        backends = [create_backend("memory"), create_backend("sqlite")]
+        try:
+            for backend in backends:
+                backend.create_table("r", 2, ("a", "b"))
+                backend.create_table("s", 2, ("b", "c"))
+                backend.insert_many("r", [(i, i % 3) for i in range(12)])
+                backend.insert_many("s", [(i % 3, i) for i in range(6)])
+            # 12 * 6 / max(3, 3) distinct join values.
+            assert [self.plan_estimate(b_, query) for b_ in backends] == [24.0, 24.0]
+            for backend in backends:
+                backend.clear_table("s")
+                backend.insert_many("s", [(i, i) for i in range(6)])
+                backend.refresh_statistics()
+            # Same row counts, new catalog: 12 * 6 / max(3, 6).
+            assert [self.plan_estimate(b_, query) for b_ in backends] == [12.0, 12.0]
+            for backend in backends:
+                with backend.clone() as clone:
+                    assert clone.statistics_catalog is backend.statistics_catalog
+                    assert self.plan_estimate(clone, query) == 12.0
+        finally:
+            for backend in backends:
+                backend.close()
+
+
 class TestExplainAnalyzeForcedWhenSamplingDisabled:
     def test_analyze_profiles_without_a_buffer(self):
         service = PublishingService(

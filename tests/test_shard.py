@@ -10,6 +10,7 @@ decision.
 import pytest
 
 from repro.core import MarsConfiguration, MarsExecutor
+from repro.cost import CostModel
 from repro.errors import EvaluationError, SchemaError, StorageError
 from repro.logical.atoms import InequalityAtom, RelationalAtom
 from repro.logical.queries import ConjunctiveQuery, UnionQuery
@@ -706,4 +707,7 @@ class TestMemoryExplainEstimates:
         assert "est. 12.0 rows" in plan
         assert "est. 24.0 rows" in plan
         assert "estimated result: 24.0 rows" in plan
+        # the numbers are the planner's, not a recount of the backend's own
+        steps = CostModel(backend.statistics_catalog).pipeline(query)
+        assert steps == (12.0, 24.0)
         backend.close()

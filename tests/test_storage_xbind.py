@@ -14,9 +14,10 @@ from repro.logical import (
     const,
     var,
 )
+from repro.cost import StatisticsCatalog
 from repro.storage import (
     InMemoryDatabase,
-    TableStatistics,
+    MemoryBackend,
     evaluate_query,
     evaluate_union,
     materialize_view,
@@ -151,15 +152,15 @@ class TestSqlRendering:
 
 class TestStatistics:
     def test_defaults_and_overrides(self):
-        stats = TableStatistics()
-        assert stats.cardinality("anything") == stats.default_cardinality
+        stats = StatisticsCatalog()
+        assert stats.row_count("anything") == stats.default_row_count
         stats.set_cardinality("R", 5)
         stats.set_weight("R", 2.0)
         assert stats.scan_cost("R") == 10.0
 
     def test_from_database(self, database):
-        stats = TableStatistics.from_database(database, access_weights={"R": 3.0})
-        assert stats.cardinality("R") == 3
+        stats = MemoryBackend(database).refresh_statistics(access_weights={"R": 3.0})
+        assert stats.row_count("R") == 3
         assert stats.weight("R") == 3.0
 
 

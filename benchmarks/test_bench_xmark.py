@@ -42,9 +42,9 @@ def test_report_per_query_times(system):
         print(f"  {query.name:<20s} {milliseconds:10.1f} {uses[:60]:<40s}")
     average = sum(times) / len(times)
     print(f"  {'AVERAGE':<20s} {average:10.1f}")
-    # Feasibility claim: the average stays within the same order of magnitude
-    # as the paper's 350 ms figure (we allow a generous bound).
-    assert average < 5000.0
+    # Feasibility claim: the average stays under the paper's own figure of
+    # about 350 ms per query (measured here: a few tens of milliseconds).
+    assert average < 350.0
 
 
 def test_report_execution_comparison():

@@ -12,6 +12,19 @@ sound because the cost model is monotone.
 Only atoms over the *target* (proprietary) schema may appear in a
 reformulation; the largest such subquery is the *initial reformulation*,
 which is returned even when minimization is switched off.
+
+**The mandatory core.**  Bottom-up enumeration is hopeless when the smallest
+reformulation is large: every legal subset below its size is inspected
+first.  Among subqueries of the universal plan, being a reformulation is
+monotone upward, so a target atom is dispensable iff the initial
+reformulation *minus that atom* is still a reformulation -- one equivalence
+check per atom decides exactly which atoms every reformulation must keep.
+That test is not free (a successful check is a full chase, and most queries
+resolve in three or four checks), so the search earns it: it runs bottom-up
+until it has spent as many *failed* checks as there are target atoms, then
+computes the core and starts over from it, enumerating only its supersets
+(see :meth:`BackchaseEngine.backchase`).  The trigger is a count, never a
+clock, so the search -- and ``subqueries_inspected`` -- stays deterministic.
 """
 
 from __future__ import annotations
@@ -54,10 +67,16 @@ class BackchaseResult:
     subqueries_inspected: int = 0
     equivalence_checks: int = 0
     elapsed_seconds: float = 0.0
+    # The atoms every reformulation must keep; ``None`` while the search never
+    # earned the core test (see :meth:`BackchaseEngine.backchase`).
+    mandatory_core: Optional[Tuple[RelationalAtom, ...]] = None
 
     @property
     def found(self) -> bool:
         return self.best is not None or self.initial_reformulation is not None
+
+
+_COMPUTE_INITIAL = object()
 
 
 class BackchaseEngine:
@@ -112,6 +131,31 @@ class BackchaseEngine:
             return None
         return candidate
 
+    def mandatory_core(
+        self,
+        original: ConjunctiveQuery,
+        universal_plan: ConjunctiveQuery,
+        dependencies: Sequence[DED],
+        candidates: Sequence[RelationalAtom],
+    ) -> FrozenSet[int]:
+        """Indices of the candidate atoms no reformulation can do without.
+
+        Among subqueries of the universal plan "is a reformulation" is
+        monotone upward (``S <= S'`` implies ``S'`` is contained in ``S``,
+        and every subquery already contains the original), so an atom is
+        missing from *some* reformulation iff all candidates but that atom
+        still form one.  Exact, at one equivalence check per candidate.
+        """
+        return frozenset(
+            index
+            for index in range(len(candidates))
+            if not self.checker.is_equivalent_subquery(
+                universal_plan.subquery(candidates[:index] + candidates[index + 1 :]),
+                original,
+                dependencies,
+            )
+        )
+
     # ------------------------------------------------------------------
     def backchase(
         self,
@@ -120,16 +164,30 @@ class BackchaseEngine:
         dependencies: Sequence[DED],
         target_relations: Optional[Set[str]] = None,
         legality: Optional[SubqueryLegality] = None,
+        initial: object = _COMPUTE_INITIAL,
     ) -> BackchaseResult:
-        """Enumerate minimal reformulations of *original* inside *universal_plan*."""
+        """Enumerate minimal reformulations of *original* inside *universal_plan*.
+
+        *initial* is the already verified result of
+        :meth:`initial_reformulation` for the same arguments (``None`` when
+        none exists); left out, it is computed here.
+
+        The search is bottom-up from the entry atoms.  After as many failed
+        equivalence checks as there are candidates it computes the
+        :meth:`mandatory_core` (recorded on the result, counted in
+        ``equivalence_checks``) and, unless that is empty, starts over from
+        the core so that only its supersets are enumerated.
+        """
         clock = timer()
         candidates = self.target_atoms(universal_plan, target_relations)
+        if initial is _COMPUTE_INITIAL:
+            initial = self.initial_reformulation(
+                original, universal_plan, dependencies, target_relations
+            )
         result = BackchaseResult(
             original=original,
             universal_plan=universal_plan,
-            initial_reformulation=self.initial_reformulation(
-                original, universal_plan, dependencies, target_relations
-            ),
+            initial_reformulation=initial,
         )
         if not candidates:
             result.elapsed_seconds = clock.elapsed
@@ -142,10 +200,20 @@ class BackchaseEngine:
             # (the "best cost seen so far" of the paper's backchase).
             result.best_cost = self.estimator.estimate(result.initial_reformulation)
 
-        index_of = {atom: i for i, atom in enumerate(candidates)}
         max_size = self.config.max_subquery_size or len(candidates)
         found_sets: List[FrozenSet[int]] = []
         seen: Set[FrozenSet[int]] = set()
+        # Failed equivalence checks so far.  Once the search has spent as
+        # many as one check per candidate -- the price of the mandatory-core
+        # test -- the core is computed and the enumeration restarts from it.
+        # A count, not a clock: the search stays deterministic.
+        failed_checks = 0
+        core: Optional[FrozenSet[int]] = None
+
+        def materialize(subset: FrozenSet[int]):
+            atoms = [candidates[i] for i in sorted(subset)]
+            subquery = universal_plan.subquery(atoms)
+            return atoms, subquery, self.estimator.estimate(subquery)
 
         def record_reformulation(subset: FrozenSet[int], query: ConjunctiveQuery, cost: float):
             named = query.with_name(f"{original.name}_reform{len(result.minimal_reformulations)}")
@@ -165,51 +233,67 @@ class BackchaseEngine:
 
         while level:
             next_level: List[FrozenSet[int]] = []
+            prepared = {}
             if len(level) <= 512:
                 # Process cheap subsets first so that reformulations found
                 # early drive the cost-based pruning of the rest of the level.
-                level.sort(
-                    key=lambda subset: self.estimator.estimate(
-                        universal_plan.subquery([candidates[i] for i in sorted(subset)])
-                    )
-                )
+                prepared = {subset: materialize(subset) for subset in level}
+                level.sort(key=lambda subset: prepared[subset][2])
             for subset in level:
                 if result.subqueries_inspected >= self.config.max_inspected:
                     result.elapsed_seconds = clock.elapsed
                     return result
                 if any(found <= subset for found in found_sets):
                     continue  # supersets of reformulations are never minimal
-                atoms = [candidates[i] for i in sorted(subset)]
-                subquery = universal_plan.subquery(atoms)
+                atoms, subquery, cost = prepared.get(subset) or materialize(subset)
                 result.subqueries_inspected += 1
                 # Cost-based pruning applies to every candidate (safe or not):
                 # the cost model is monotone, so once a subquery is costlier
                 # than the best reformulation found, so is every superset.
-                cost = self.estimator.estimate(subquery)
                 if self.config.prune_by_cost and cost > result.best_cost:
                     continue  # prune this subquery and all its supersets
-                if subquery.is_safe():
+                # Subsets grown from entry atoms are legal by construction;
+                # those grown from the core are not, and the search must
+                # keep answering only for legal ones.
+                if subquery.is_safe() and (not core or legality.is_legal(atoms)):
                     result.equivalence_checks += 1
                     if self.checker.is_equivalent_subquery(subquery, original, dependencies):
-                        if self.config.verify_minimality and not self._is_minimal_within(
+                        if not self.config.verify_minimality or self._is_minimal_within(
                             subquery, original, dependencies
                         ):
-                            pass
-                        else:
                             record_reformulation(subset, subquery, cost)
                             if self.config.stop_at_first:
                                 result.elapsed_seconds = clock.elapsed
                                 return result
                             continue  # supersets cannot be minimal
+                    else:
+                        failed_checks += 1
+                        if core is None and failed_checks >= len(candidates):
+                            core = self.mandatory_core(
+                                original, universal_plan, dependencies, candidates
+                            )
+                            result.equivalence_checks += len(candidates)
+                            result.mandatory_core = tuple(
+                                candidates[i] for i in sorted(core)
+                            )
+                            if core:
+                                # Every reformulation contains the core, and
+                                # every legal superset of it is reachable from
+                                # it by legal extensions: drop what is pending
+                                # and start over there.
+                                seen = {core}
+                                next_level = [core] if len(core) <= max_size else []
+                                break
                 if len(subset) >= max_size:
                     continue
+                covered = legality.covered_terms(atoms)
                 for index, atom in enumerate(candidates):
                     if index in subset:
                         continue
                     extended = subset | {index}
                     if extended in seen:
                         continue
-                    if not legality.can_extend(atoms, atom):
+                    if not legality.attaches(atom, covered):
                         continue
                     seen.add(extended)
                     next_level.append(extended)

@@ -14,15 +14,16 @@ from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
 from ..errors import ReformulationError
+from ..logical.atoms import RelationalAtom
 from ..logical.dependencies import DED
 from ..logical.queries import ConjunctiveQuery
 from ..obs.timer import timer
 from .backchase import BackchaseConfig, BackchaseEngine, BackchaseResult
-from .chase import ChaseConfig, ChaseEngine, ChaseResult
+from .chase import ChaseConfig, ChaseResult
 from .containment import ContainmentChecker
 from .cost import CostEstimator, SimpleCostEstimator
 from .pruning import SubqueryLegality, prune_parallel_descendant_atoms
-from .shortcut import ClosureSpec, ShortcutChaseEngine
+from .shortcut import ClosureSpec
 
 
 @dataclass
@@ -53,6 +54,7 @@ class CBResult:
     time_to_initial: float
     time_to_best: float
     pruned_descendant_atoms: int = 0
+    mandatory_core: Optional[Tuple[RelationalAtom, ...]] = None
 
     @property
     def total_time(self) -> float:
@@ -88,11 +90,12 @@ class CBEngine:
     def chase_to_universal_plan(
         self, query: ConjunctiveQuery, dependencies: Sequence[DED]
     ) -> ChaseResult:
-        """Phase 1: the chase (optionally short-cutting the closure axioms)."""
-        if self.config.use_shortcut and self.specs:
-            engine = ShortcutChaseEngine(self.specs, self.config.chase)
-            return engine.chase(query, dependencies)
-        return ChaseEngine(self.config.chase).chase(query, dependencies)
+        """Phase 1: the chase (optionally short-cutting the closure axioms).
+
+        Runs on the checker's chase engine: one engine, and one cache of
+        compiled dependencies, for the lifetime of this object.
+        """
+        return self.checker.engine.chase(query, dependencies)
 
     def reformulate(
         self,
@@ -154,6 +157,7 @@ class CBEngine:
             dependencies,
             target_relations=target_relations,
             legality=legality,
+            initial=initial,
         )
         time_best = clock.elapsed
         best = backchase_result.best
@@ -174,4 +178,5 @@ class CBEngine:
             time_to_initial=time_initial,
             time_to_best=time_best,
             pruned_descendant_atoms=pruned_count,
+            mandatory_core=backchase_result.mandatory_core,
         )

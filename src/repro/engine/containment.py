@@ -11,7 +11,7 @@ body is a subset of the chase of ``Q``).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Dict, FrozenSet, Optional, Sequence, Tuple
 
 from ..logical.dependencies import DED
 from ..logical.queries import ConjunctiveQuery
@@ -19,6 +19,11 @@ from .chase import ChaseConfig, ChaseEngine, ChaseResult
 from .homomorphism import NaiveHomomorphismFinder, query_homomorphism
 from .join_tree import JoinTreeHomomorphismFinder
 from .shortcut import ClosureSpec, ShortcutChaseEngine
+
+
+# A long-lived checker (one per CBEngine, i.e. per configuration version)
+# sees an open-ended stream of queries; the memo starts over at this size.
+_RELEVANT_MEMO_LIMIT = 4096
 
 
 class ContainmentChecker:
@@ -38,11 +43,17 @@ class ContainmentChecker:
         self.config = config or ChaseConfig()
         self.specs = tuple(specs)
         if self.specs:
-            self._engine = ShortcutChaseEngine(self.specs, self.config)
+            self.engine = ShortcutChaseEngine(self.specs, self.config)
         else:
-            self._engine = ChaseEngine(self.config)
+            self.engine = ChaseEngine(self.config)
         self._naive_finder = NaiveHomomorphismFinder()
         self._join_finder = JoinTreeHomomorphismFinder()
+        # relevant_dependencies() depends only on the candidate's relation
+        # names, and the backchase asks for the same few name sets over and
+        # over against one dependency sequence.  The sequence is held so the
+        # identity test below stays meaningful.
+        self._relevant_for: Optional[Sequence[DED]] = None
+        self._relevant_memo: Dict[FrozenSet[str], Tuple[DED, ...]] = {}
 
     # ------------------------------------------------------------------
     def _finder(self):
@@ -81,11 +92,26 @@ class ContainmentChecker:
                             if atom.relation not in reachable:
                                 reachable.add(atom.relation)
                                 progressed = True
-                    progressed = progressed or True
                 else:
                     still_remaining.append(dependency)
             remaining = still_remaining
         return selected
+
+    def _relevant(
+        self, query: ConjunctiveQuery, dependencies: Sequence[DED]
+    ) -> Tuple[DED, ...]:
+        """:meth:`relevant_dependencies`, remembered per relation-name set."""
+        if dependencies is not self._relevant_for:
+            self._relevant_for = dependencies
+            self._relevant_memo = {}
+        names = query.relation_names()
+        relevant = self._relevant_memo.get(names)
+        if relevant is None:
+            if len(self._relevant_memo) >= _RELEVANT_MEMO_LIMIT:
+                self._relevant_memo.clear()
+            relevant = tuple(self.relevant_dependencies(query, dependencies))
+            self._relevant_memo[names] = relevant
+        return relevant
 
     def _has_containment_mapping(
         self, outer: ConjunctiveQuery, chased_inner: ConjunctiveQuery
@@ -114,8 +140,8 @@ class ContainmentChecker:
         """
         if len(inner.head) != len(outer.head):
             return False
-        chased = self._engine.chase(
-            inner, self.relevant_dependencies(inner, dependencies)
+        chased = self.engine.chase(
+            inner, self._relevant(inner, dependencies)
         )
         if not chased.branches:
             # The chase failed on every branch: inner is unsatisfiable, hence
@@ -152,8 +178,8 @@ class ContainmentChecker:
         """
         if not subquery.is_safe():
             return False
-        chased = precomputed_chase or self._engine.chase(
-            subquery, self.relevant_dependencies(subquery, dependencies)
+        chased = precomputed_chase or self.engine.chase(
+            subquery, self._relevant(subquery, dependencies)
         )
         if not chased.branches:
             return True

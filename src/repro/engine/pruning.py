@@ -17,6 +17,14 @@ Criteria 2-3 are enforced constructively: a directed *reachability graph*
 over the atoms of the universal plan is built, and the backchase only ever
 extends a candidate subquery with atoms reachable from what it already
 contains, exactly as the paper prescribes.
+
+The backchase's *mandatory core* (see :mod:`repro.engine.backchase`) is a
+fourth cut of the same search space, orthogonal to these: once earned, the
+enumeration is seeded with the atoms every reformulation must keep rather
+than with entry atoms.  Such a seed need not satisfy criteria 2-3 itself,
+so the backchase then asks :meth:`SubqueryLegality.is_legal` before it
+answers for a subset, and keeps extending under the same reachability rule
+(:meth:`SubqueryLegality.attaches`).
 """
 
 from __future__ import annotations
@@ -35,29 +43,30 @@ class GrexAtomClassifier:
     """Classifies atoms of a universal plan with respect to GReX relations."""
 
     specs: Tuple[ClosureSpec, ...]
+    navigation: FrozenSet[str] = field(compare=False, repr=False)
+    roots: FrozenSet[str] = field(compare=False, repr=False)
+    properties: FrozenSet[str] = field(compare=False, repr=False)
 
     def __init__(self, specs: Sequence[ClosureSpec]):
-        object.__setattr__(self, "specs", tuple(specs))
-
-    def _spec_relation_sets(self):
+        specs = tuple(specs)
         navigation, roots, properties = set(), set(), set()
-        for spec in self.specs:
+        for spec in specs:
             navigation.update((spec.child, spec.desc))
             roots.add(spec.root)
             properties.update((spec.tag, spec.text, spec.attr, spec.id, spec.el))
-        return navigation, roots, properties
+        object.__setattr__(self, "specs", specs)
+        object.__setattr__(self, "navigation", frozenset(navigation))
+        object.__setattr__(self, "roots", frozenset(roots))
+        object.__setattr__(self, "properties", frozenset(properties))
 
     def is_navigation(self, atom: RelationalAtom) -> bool:
-        navigation, _, _ = self._spec_relation_sets()
-        return atom.relation in navigation and atom.arity == 2
+        return atom.relation in self.navigation and atom.arity == 2
 
     def is_root(self, atom: RelationalAtom) -> bool:
-        _, roots, _ = self._spec_relation_sets()
-        return atom.relation in roots
+        return atom.relation in self.roots
 
     def is_property(self, atom: RelationalAtom) -> bool:
-        _, _, properties = self._spec_relation_sets()
-        return atom.relation in properties
+        return atom.relation in self.properties
 
     def is_grex(self, atom: RelationalAtom) -> bool:
         return self.is_navigation(atom) or self.is_root(atom) or self.is_property(atom)
@@ -130,6 +139,10 @@ class SubqueryLegality:
     by the candidate.  Non-GReX atoms (views, relational storage,
     specialized relations) are always entry points and cover all their
     variables.
+
+    Each candidate atom is classified once, at construction: whether it is
+    an entry point and which terms it makes available.  The backchase asks
+    about the same few atoms for every subset it inspects.
     """
 
     def __init__(
@@ -148,66 +161,71 @@ class SubqueryLegality:
                     self._produced.add(atom.terms[1])
                 elif self.classifier.is_root(atom):
                     self._produced.add(atom.terms[0])
+        self._classified: Dict[RelationalAtom, Tuple[bool, Tuple[Term, ...]]] = {}
+        for atom in self.atoms:
+            self._classify(atom)
+
+    def _classify(self, atom: RelationalAtom) -> Tuple[bool, Tuple[Term, ...]]:
+        """``(is an entry point, terms it makes available)`` for *atom*."""
+        known = self._classified.get(atom)
+        if known is not None:
+            return known
+        classifier = self.classifier
+        if (
+            classifier is None
+            or not classifier.is_grex(atom)
+            or classifier.is_root(atom)
+        ):
+            known = (True, atom.terms)
+        else:
+            # Navigation and property atoms alike are entry points only
+            # when no navigation step of the plan produces their node.
+            entry = not self.enabled or atom.terms[0] not in self._produced
+            if classifier.is_navigation(atom) and not entry:
+                known = (False, atom.terms[1:])
+            else:
+                known = (entry, atom.terms)
+        self._classified[atom] = known
+        return known
 
     # ------------------------------------------------------------------
     def is_entry(self, atom: RelationalAtom) -> bool:
         """Entry points: roots, non-GReX atoms, and unproduced context nodes."""
-        if not self.enabled:
-            return True
-        classifier = self.classifier
-        if not classifier.is_grex(atom):
-            return True
-        if classifier.is_root(atom):
-            return True
-        if classifier.is_navigation(atom):
-            return atom.terms[0] not in self._produced
-        # property atom: entry when its node is not produced by any navigation
-        return atom.terms[0] not in self._produced
+        return self._classify(atom)[0]
 
     def covered_terms(self, subset: Iterable[RelationalAtom]) -> Set[Term]:
         """Terms made available ("navigated to") by the atoms of *subset*."""
         covered: Set[Term] = set()
-        classifier = self.classifier
         for atom in subset:
-            if classifier is None or not classifier.is_grex(atom):
-                covered.update(atom.terms)
-            elif classifier.is_root(atom):
-                covered.update(atom.terms)
-            elif classifier.is_navigation(atom):
-                covered.add(atom.terms[1])
-                if self.is_entry(atom):
-                    covered.add(atom.terms[0])
-            else:  # property atom
-                covered.update(atom.terms)
+            covered.update(self._classify(atom)[1])
         return covered
+
+    def attaches(self, atom: RelationalAtom, covered: Set[Term]) -> bool:
+        """May *atom* join a candidate whose atoms cover *covered*?
+
+        Entry atoms always may; navigation and property atoms attach to an
+        already-covered context node (criteria 2-3).
+        """
+        return self._classify(atom)[0] or atom.terms[0] in covered
 
     def can_extend(
         self, subset: Sequence[RelationalAtom], atom: RelationalAtom
     ) -> bool:
         """May *atom* be added to the candidate *subset* (criteria 2-3)?"""
-        if not self.enabled:
-            return True
-        if self.is_entry(atom):
-            return True
-        covered = self.covered_terms(subset)
-        classifier = self.classifier
-        if classifier.is_navigation(atom):
-            return atom.terms[0] in covered
-        # property atoms attach to an already-covered node
-        return atom.terms[0] in covered
+        return self.is_entry(atom) or atom.terms[0] in self.covered_terms(subset)
 
     def is_legal(self, subset: Sequence[RelationalAtom]) -> bool:
         """Is the whole *subset* constructible by legal extensions?"""
         if not self.enabled:
             return True
         remaining = list(subset)
-        current: List[RelationalAtom] = []
+        covered: Set[Term] = set()
         progressed = True
         while remaining and progressed:
             progressed = False
             for index, atom in enumerate(remaining):
-                if self.can_extend(current, atom):
-                    current.append(atom)
+                if self.attaches(atom, covered):
+                    covered.update(self._classify(atom)[1])
                     remaining.pop(index)
                     progressed = True
                     break

@@ -1142,6 +1142,7 @@ class PublishingService:
                 "backchase.minimize",
                 reformulation.minimization_time,
                 offset=overhead + reformulation.time_to_initial,
+                subqueries_inspected=reformulation.subqueries_inspected,
             )
             with self._counter_lock:
                 self._reformulations_computed += 1

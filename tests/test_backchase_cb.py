@@ -1,7 +1,10 @@
 """Unit tests for the backchase, cost estimators and the full C&B pipeline."""
 
+import itertools
+
 import pytest
 
+from repro.core.system import MarsSystem
 from repro.engine import (
     BackchaseConfig,
     BackchaseEngine,
@@ -23,6 +26,10 @@ from repro.logical import (
     view_inclusion_dependencies,
 )
 from repro.cost import StatisticsCatalog
+from repro.logical.terms import Variable
+from repro.workloads import medical, star, xmark
+from repro.xbind.atoms import PathAtom
+from repro.xbind.query import XBindQuery
 
 x, y, z, u = var("x"), var("y"), var("z"), var("u")
 
@@ -187,3 +194,260 @@ class TestCBEngine:
         result = engine.reformulate(query, [cV, bV], target_relations={"V"})
         assert result.best is None
         assert result.minimal_reformulations == []
+
+
+# ----------------------------------------------------------------------
+# Brute-force oracle for the backchase
+# ----------------------------------------------------------------------
+def _xmark_chain(path, tail=None):
+    """A child-axis chain over the auction document (the RegionItems shape)."""
+    element, value = Variable("e"), Variable("v")
+    atoms = [PathAtom(path, element, document=xmark.AUCTION_DOCUMENT)]
+    if tail is None:
+        return XBindQuery("Chain", (element,), tuple(atoms))
+    atoms.append(PathAtom(tail, value, source=element))
+    return XBindQuery("Chain", (value,), tuple(atoms))
+
+
+def _star(corners):
+    parameters = star.StarParameters(corners=corners)
+    return star.build_configuration(parameters), star.client_query(parameters)
+
+
+# (configuration, query, does the search earn the mandatory-core test?)
+ORACLE_CASES = {
+    "xmark:/site": lambda: (
+        xmark.build_configuration(with_instance=False), _xmark_chain("/site"), False),
+    "xmark:/site/regions": lambda: (
+        xmark.build_configuration(with_instance=False),
+        _xmark_chain("/site/regions"), True),
+    "xmark:/site/regions/europe": lambda: (
+        xmark.build_configuration(with_instance=False),
+        _xmark_chain("/site/regions/europe"), True),
+    "xmark:/site/regions/europe/text()": lambda: (
+        xmark.build_configuration(with_instance=False),
+        _xmark_chain("/site/regions/europe", "./text()"), True),
+    "medical:DrugUsage": lambda: (
+        medical.build_configuration(), medical.drug_usage_query(), False),
+    "star:NC3": lambda: _star(3) + (False,),
+    "star:NC4": lambda: _star(4) + (False,),
+}
+
+
+class BackchaseOracle:
+    """Everything the backchase must agree with, computed the slow way.
+
+    Shares no search code with :class:`BackchaseEngine`: it chases to the
+    universal plan through the engine's public phase-1 entry point, then
+    asks a checker of its own about subsets of the target atoms.
+    """
+
+    def __init__(self, configuration, query, prune_by_cost):
+        self.system = MarsSystem(configuration)
+        self.specs = configuration.closure_specs()
+        self.original = self.system.compile_query(query)
+        self.dependencies = self.system.dependencies
+        self.engine = CBEngine(
+            config=CBConfig(backchase=BackchaseConfig(prune_by_cost=prune_by_cost)),
+            estimator=self.system.estimator,
+            specs=self.specs,
+        )
+        self.result = self.engine.reformulate(
+            self.original, self.dependencies, self.system.target_relations
+        )
+        self.plan = self.result.universal_plan
+        self.targets = self.engine.backchase_engine.target_atoms(
+            self.plan, self.system.target_relations
+        )
+        self.legality = SubqueryLegality(self.targets, specs=self.specs)
+        self.checker = ContainmentChecker(CBConfig().chase, specs=self.specs)
+
+    def is_reformulation(self, atoms, legal_only=True):
+        if legal_only and not self.legality.is_legal(atoms):
+            return False
+        return self.checker.is_equivalent_subquery(
+            self.plan.subquery(atoms), self.original, self.dependencies
+        )
+
+    def minimal_among(self, subsets):
+        """The inclusion-minimal legal reformulations among *subsets*."""
+        reformulations = [
+            frozenset(subset) for subset in subsets if self.is_reformulation(subset)
+        ]
+        return {
+            subset
+            for subset in reformulations
+            if not any(other < subset for other in reformulations)
+        }
+
+    def all_subsets(self, pinned=()):
+        free = [atom for atom in self.targets if atom not in pinned]
+        for size in range(len(free) + 1):
+            for extra in itertools.combinations(free, size):
+                if pinned or extra:
+                    yield tuple(pinned) + extra
+
+    def core(self):
+        """Atoms whose removal from the full target set breaks equivalence."""
+        return {
+            atom
+            for atom in self.targets
+            if not self.is_reformulation(
+                [other for other in self.targets if other != atom], legal_only=False
+            )
+        }
+
+    def found(self):
+        return {
+            frozenset(m.relational_body) for m in self.result.minimal_reformulations
+        }
+
+    def cheapest(self, minimal):
+        return min(
+            self.system.estimator.estimate(self.plan.subquery(m)) for m in minimal
+        )
+
+
+class TestBackchaseOracle:
+    @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
+    def test_all_minimal_reformulations_match_brute_force(self, case):
+        configuration, query, earns_core = ORACLE_CASES[case]()
+        oracle = BackchaseOracle(configuration, query, prune_by_cost=False)
+        assert len(oracle.targets) <= 12
+        minimal = oracle.minimal_among(oracle.all_subsets())
+        assert minimal, "the case must have a reformulation"
+        assert oracle.found() == minimal
+        core = oracle.result.mandatory_core
+        if core is not None:
+            assert set(core) == oracle.core()
+            assert all(set(core) <= m for m in minimal)
+
+        # The default search (cost pruning on) is the one whose trigger the
+        # case table describes.
+        pruned = BackchaseOracle(configuration, query, prune_by_cost=True)
+        assert (pruned.result.mandatory_core is not None) == earns_core
+        assert pruned.result.best_cost == oracle.cheapest(minimal)
+        assert frozenset(pruned.result.best.relational_body) in minimal
+
+    def test_region_items_matches_brute_force_above_its_core(self):
+        """RegionItems keeps atoms *beyond* its core, so the search must
+        extend past the seed; 20 target atoms are too many for 2**20, but
+        every reformulation contains the (independently computed) core."""
+        oracle = BackchaseOracle(
+            xmark.build_configuration(with_instance=False),
+            xmark.query_region_items(),
+            prune_by_cost=False,
+        )
+        core = oracle.core()
+        assert set(oracle.result.mandatory_core) == core
+        assert 0 < len(core) < len(oracle.result.best.relational_body)
+        pinned = [atom for atom in oracle.targets if atom in core]
+        assert oracle.found() == oracle.minimal_among(oracle.all_subsets(pinned))
+
+    def test_interchangeable_atoms_around_a_small_core(self):
+        """Five safe singletons fail, which earns the core test at the end
+        of level 1 with a core no larger than the level: the search starts
+        over from ``{A}`` and still finds all four minimal reformulations."""
+        def unary(name):
+            return RelationalAtom(name, (x,))
+
+        dependencies = [
+            tgd("b12", [unary("B1")], [unary("B2")]),
+            tgd("b21", [unary("B2")], [unary("B1")]),
+            tgd("c12", [unary("C1")], [unary("C2")]),
+            tgd("c21", [unary("C2")], [unary("C1")]),
+        ]
+        query = ConjunctiveQuery("Q", [x], [unary("A"), unary("B1"), unary("C1")])
+        plan = chase_query(query, dependencies).universal_plan
+        engine = BackchaseEngine(config=BackchaseConfig(prune_by_cost=False))
+        result = engine.backchase(query, plan, dependencies)
+        assert result.mandatory_core == (unary("A"),)
+        assert {
+            frozenset(m.relation_names()) for m in result.minimal_reformulations
+        } == {
+            frozenset({"A", b, c}) for b in ("B1", "B2") for c in ("C1", "C2")
+        }
+
+    def test_core_seeded_search_still_answers_only_for_legal_subsets(self):
+        """The core itself can be an *illegal* reformulation (here it jumps
+        over ``child(r, a)``, which a dependency restores).  The bottom-up
+        search never builds it; the core-seeded one does, and must pass it
+        by in favour of the legal reformulation above it."""
+        r, a = var("r"), var("a")
+        root = RelationalAtom("root", (r,))
+        step = RelationalAtom("child", (r, a))
+        test = RelationalAtom("tag", (a, const("t")))
+        view = RelationalAtom("V", (r,))
+        restore = tgd("restore", [root, test], [step])
+        query = ConjunctiveQuery("Q", [r], [root, step, test, view])
+        targets = query.relational_body
+        engine = BackchaseEngine(config=BackchaseConfig(prune_by_cost=False))
+        result = engine.backchase(
+            query,
+            query,
+            [restore],
+            legality=SubqueryLegality(targets, specs=[ClosureSpec()]),
+        )
+        assert set(result.mandatory_core) == {root, test, view}
+        assert [set(m.relational_body) for m in result.minimal_reformulations] == [
+            set(targets)
+        ]
+
+
+# ----------------------------------------------------------------------
+# The earned trigger: where the core path runs, and that it is a count
+# ----------------------------------------------------------------------
+# subqueries_inspected of the plain bottom-up search (the figures recorded
+# before the mandatory core existed).  Equal figures mean the core path did
+# not run; RegionItems is the one workload query that earns it.
+PLAIN_SEARCH_INSPECTED = {
+    "DiagPrice": 29,
+    "DrugUsage": 3,
+    "ItemNames": 2,
+    "ItemsInCategory": 8,
+    "PersonCities": 2,
+    "ItemPrices": 9,
+    "BuyersWithItems": 50,
+    "OutOfTownBuyers": 9,
+    "Star3": 37,
+    "Star4": 86,
+    "Star5": 372,
+    "Star6": 784,
+    "Star7": 3444,
+}
+
+
+def _workload_cases():
+    for query in (medical.client_query(), medical.drug_usage_query()):
+        yield medical.build_configuration(), query
+    for query in xmark.query_suite():
+        yield xmark.build_configuration(with_instance=False), query
+    for corners in range(3, 8):
+        yield _star(corners)
+
+
+class TestCoreTrigger:
+    def test_only_region_items_earns_the_core(self):
+        earned = {}
+        for configuration, query in _workload_cases():
+            result = BackchaseOracle(configuration, query, prune_by_cost=True).result
+            if result.mandatory_core is None:
+                assert (
+                    result.subqueries_inspected == PLAIN_SEARCH_INSPECTED[query.name]
+                ), query.name
+            else:
+                earned[query.name] = result.subqueries_inspected
+        assert list(earned) == ["RegionItems"]
+        assert earned["RegionItems"] < 400  # 6 791 without the core
+
+    def test_region_items_search_is_deterministic(self):
+        def compile_fresh():
+            system = MarsSystem(xmark.build_configuration(with_instance=False))
+            reformulation = system.reformulate(xmark.query_region_items())
+            return (
+                reformulation.subqueries_inspected,
+                [str(m) for m in reformulation.minimal],
+                str(reformulation.best),
+            )
+
+        assert compile_fresh() == compile_fresh()

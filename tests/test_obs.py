@@ -389,6 +389,17 @@ class TestServiceTracing:
                              "chase", "backchase.initial", "pool.acquire",
                              "execute"):
                 assert expected in names, names
+            # the size of the search rides on the minimization span
+            (minimize,) = [
+                span for span in service.last_trace.root.walk()
+                if span.name == "backchase.minimize"
+            ]
+            compiled = service.system.reformulate(query)  # the cached plan
+            assert compiled.subqueries_inspected > 0
+            assert (
+                minimize.attributes["subqueries_inspected"]
+                == compiled.subqueries_inspected
+            )
             service.publish(query)
             warm = service.last_trace.span_names()
             assert "chase" not in warm  # cache hit: no C&B phases

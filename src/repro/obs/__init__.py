@@ -26,6 +26,10 @@ reports through:
   error-budget burn (:class:`SLOTracker`);
 * :mod:`repro.obs.audit` — the durable, rotated JSONL :class:`AuditLog`
   of every acknowledged publish/update;
+* :mod:`repro.obs.request` — the :class:`RequestRecord` a served
+  request is described by, once; every sink above shows a projection;
+* :mod:`repro.obs.ring` — the one 1-in-N sampler + bounded ring
+  (:class:`SampledRing`) under the trace, profile and slow-query buffers;
 * :mod:`repro.obs.http` — the :class:`AdminServer` scrape surface
   (``/metrics``, ``/stats``, ``/health``, ``/ready``, ``/events``,
   ``/traces/recent``).
@@ -67,6 +71,8 @@ from .health import (
     worst_status,
 )
 from .http import AdminServer, METRICS_CONTENT_TYPE
+from .request import RequestRecord
+from .ring import SampledRing
 from .metrics import (
     ALLOWED_UNIT_SUFFIXES,
     DEFAULT_LATENCY_BUCKETS,
@@ -128,11 +134,13 @@ __all__ = [
     "REPLICA_FAILOVER",
     "REPLICA_FENCED",
     "REPLICA_REPAIRED",
+    "RequestRecord",
     "SLOW_QUERY",
     "SLOReport",
     "SLOTracker",
     "STATISTICS_REFRESH",
     "STATUS_VALUES",
+    "SampledRing",
     "Span",
     "Timer",
     "Trace",

@@ -81,7 +81,13 @@ class FingerprintFeedback:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "fingerprint": repr(self.fingerprint),
+            # A digest string exports as itself — the spelling audit entries
+            # and plan artifacts carry — anything else by its repr.
+            "fingerprint": (
+                self.fingerprint
+                if isinstance(self.fingerprint, str)
+                else repr(self.fingerprint)
+            ),
             "plan": self.plan_name,
             "samples": self.samples,
             "estimated_rows": self.estimated_rows,

@@ -32,6 +32,8 @@ import threading
 from time import perf_counter as _now
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from .ring import SampledRing
+
 _ACTIVE = threading.local()
 
 
@@ -316,70 +318,33 @@ def phase_breakdown(span: "Span") -> Dict[str, float]:
     return phases
 
 
-class TraceBuffer:
+class TraceBuffer(SampledRing):
     """A sampled ring of completed span trees, exported as JSON-able dicts.
 
     ``/traces/recent`` serves this buffer: *sample* keeps every Nth
-    completed trace (1 keeps them all — the deterministic counter idiom
-    of the slow-query log), *maxlen* bounds retention.  Recording
-    retains the :class:`Trace` object itself — each request builds a
-    fresh span tree, so the retained tree is stable — and the dict
-    export happens on :meth:`recent`, keeping the per-publish cost of a
-    retained trace to a counter bump and a list append.
+    completed trace (1 keeps them all), *maxlen* bounds retention.
+    Recording retains the :class:`Trace` object itself — each request
+    builds a fresh span tree, so the retained tree is stable — and the
+    dict export happens on :meth:`recent`, keeping the per-publish cost
+    of a retained trace to a counter bump and a list append.
     """
 
     def __init__(self, maxlen: int = 64, sample: int = 1):
-        if maxlen < 1:
-            raise ValueError(f"trace buffer needs maxlen >= 1, got {maxlen}")
-        if sample < 1:
-            raise ValueError(f"trace sample must be >= 1, got {sample}")
-        self.sample = sample
-        self._lock = threading.Lock()
-        self._traces: List["Trace"] = []
-        self._maxlen = maxlen
-        self._completed = 0
-        self._recorded = 0
+        super().__init__("trace", maxlen, sample)
 
     def record(self, trace: "Trace") -> bool:
         """Offer one completed trace; returns whether it was retained."""
-        if not trace.enabled:
-            return False
-        with self._lock:
-            self._completed += 1
-            if (self._completed - 1) % self.sample:
-                return False
-            self._traces.append(trace)
-            if len(self._traces) > self._maxlen:
-                del self._traces[0]
-            self._recorded += 1
-            return True
+        return trace.enabled and self.sampled() and self.keep(trace)
 
     @property
     def completed(self) -> int:
         """Traces offered over the buffer's lifetime (sampled or not)."""
-        with self._lock:
-            return self._completed
-
-    @property
-    def recorded(self) -> int:
-        """Traces retained over the buffer's lifetime (before eviction)."""
-        with self._lock:
-            return self._recorded
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._traces)
+        return self.offered
 
     def recent(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
         """The retained traces as dicts, newest first (at most *n*)."""
-        with self._lock:
-            traces = list(reversed(self._traces))
-        if n is not None:
-            if n <= 0:
-                return []
-            traces = traces[:n]
         exported = []
-        for trace in traces:
+        for trace in self.newest(n):
             entry = trace.to_dict()
             entry["duration_ms"] = round(trace.duration * 1000.0, 3)
             exported.append(entry)

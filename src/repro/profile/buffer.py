@@ -22,31 +22,18 @@ to a counter bump and a list append.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Dict, List, Optional
 
+from ..obs.ring import SampledRing, head
 from .nodes import QueryProfile
 
 
-class ProfileBuffer:
+class ProfileBuffer(SampledRing):
     """Thread-safe sampler + ring of the profiles a service retained."""
 
     def __init__(self, maxlen: int = 64, sample: int = 1, seed: int = 0):
-        if maxlen < 1:
-            raise ValueError(f"profile buffer needs maxlen >= 1, got {maxlen}")
-        if sample < 1:
-            raise ValueError(f"profile sample must be >= 1, got {sample}")
-        if seed < 0:
-            raise ValueError(f"profile sampler seed must be >= 0, got {seed}")
-        self.sample = sample
-        self.seed = seed
-        self._lock = threading.Lock()
-        self._profiles: List[QueryProfile] = []
-        self._maxlen = maxlen
-        self._offered = 0
-        self._recorded = 0
+        super().__init__("profile", maxlen, sample, seed)
 
-    # -- sampling ------------------------------------------------------
     def should_sample(self) -> bool:
         """Decide (deterministically) whether the next publish is profiled.
 
@@ -55,68 +42,26 @@ class ProfileBuffer:
         Called once per publish *before* execution so unsampled requests
         pay nothing beyond this counter bump.
         """
-        with self._lock:
-            self._offered += 1
-            return (self._offered - 1 + self.seed) % self.sample == 0
+        return self.sampled()
 
-    # -- recording -----------------------------------------------------
     def record(self, profile: QueryProfile) -> bool:
         """Retain one completed profile; returns whether it was kept."""
         if profile is None or not profile.root.enabled:
             return False
-        with self._lock:
-            self._profiles.append(profile)
-            if len(self._profiles) > self._maxlen:
-                del self._profiles[0]
-            self._recorded += 1
-            return True
-
-    # -- reading -------------------------------------------------------
-    @property
-    def offered(self) -> int:
-        """Publishes the sampler has decided on over the buffer's lifetime."""
-        with self._lock:
-            return self._offered
-
-    @property
-    def recorded(self) -> int:
-        """Profiles retained over the buffer's lifetime (before eviction)."""
-        with self._lock:
-            return self._recorded
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._profiles)
+        return self.keep(profile)
 
     def recent(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
         """The retained profiles as dicts, newest first (at most *n*)."""
-        with self._lock:
-            profiles = list(reversed(self._profiles))
-        if n is not None:
-            if n <= 0:
-                return []
-            profiles = profiles[:n]
-        return [profile.to_dict() for profile in profiles]
+        return [profile.to_dict() for profile in self.newest(n)]
 
     def worst(self, n: Optional[int] = None) -> List[Dict[str, Any]]:
         """Retained profiles as dicts, largest worst-operator q-error first."""
-        with self._lock:
-            profiles = list(self._profiles)
+        profiles = self.items()
         profiles.sort(key=lambda profile: profile.worst_q_error(), reverse=True)
-        if n is not None:
-            if n <= 0:
-                return []
-            profiles = profiles[:n]
-        return [profile.to_dict() for profile in profiles]
+        return [profile.to_dict() for profile in head(profiles, n)]
 
     def worst_q_error(self) -> float:
         """The largest per-operator q-error across retained profiles."""
-        with self._lock:
-            profiles = list(self._profiles)
-        if not profiles:
-            return 1.0
-        return max(profile.worst_q_error() for profile in profiles)
-
-    def clear(self) -> None:
-        with self._lock:
-            self._profiles.clear()
+        return max(
+            (profile.worst_q_error() for profile in self.items()), default=1.0
+        )

@@ -269,9 +269,10 @@ class QueryProfile:
     """A finished operator tree plus request metadata.
 
     The root node covers the whole execution (its ``actual_rows`` is the
-    published row count); metadata carries the query name, fingerprint,
-    strategy and whether the profile came from the 1-in-N sampler or a
-    forced ``explain(analyze=True)`` run.
+    published row count); metadata carries the query name, strategy,
+    whether the profile came from the 1-in-N sampler or a forced
+    ``explain(analyze=True)`` run, and the ``request_id`` of the served
+    request it belongs to.
     """
 
     __slots__ = ("root", "metadata")
@@ -279,6 +280,11 @@ class QueryProfile:
     def __init__(self, root: ProfileNode, **metadata: Any):
         self.root = root
         self.metadata: Dict[str, Any] = metadata
+
+    @property
+    def request_id(self) -> Optional[int]:
+        """The id of the request's ``RequestRecord`` (``None`` outside a service)."""
+        return self.metadata.get("request_id")
 
     @property
     def elapsed_seconds(self) -> float:

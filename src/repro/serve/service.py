@@ -18,12 +18,20 @@ servable system.  A :class:`PublishingService` owns
 
 Which kind of backend holds the data is the backend's business: recovery,
 checkpoint, repair, health, stats and teardown all walk the unit tuple.
-Only the request paths differ.  ``publish(query)`` does cache-aware
-reformulation, checks one connection out — or routes the plan and checks
-out only the units the router names — runs the plan (optionally the whole
-union of minimal reformulations as a single ``UNION`` round trip) and
-returns the rows; ``update(changeset)`` applies and logs on the template,
-or routes the change set and applies and logs unit by unit.
+Only the request paths differ.  ``publish(query)`` — the batch of one of
+``publish_many`` — does cache-aware reformulation, checks one connection
+out — or routes the plan and checks out only the units the router names —
+runs the plan (optionally the whole union of minimal reformulations as a
+single ``UNION`` round trip) and returns the rows; ``update(changeset)``
+applies and logs on the template, or routes the change set and applies
+and logs unit by unit.
+
+What a served request leaves behind is decided in one place: every
+publish, every query of a batch, every ``explain(analyze=/trace=)`` run
+and every update is described once, as a
+:class:`~repro.obs.request.RequestRecord`, and :meth:`PublishingService._emit`
+hands that record to the sinks — metrics, SLO, cost feedback, slow-query
+log, trace buffer, profile buffer and, last and raising, the audit log.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import count
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -43,7 +52,7 @@ from ..core.system import MarsSystem
 from ..errors import ReformulationError, StorageError
 from ..logical.queries import ConjunctiveQuery, UnionQuery
 from ..plan import PlanStore, PlanStoreStats
-from ..profile import ProfileBuffer, ProfileNode, QueryProfile
+from ..profile import NULL_PROFILE, ProfileBuffer, ProfileNode, QueryProfile
 from ..obs import (
     AdminServer,
     AuditLog,
@@ -62,10 +71,12 @@ from ..obs import (
     NULL_TRACE,
     REPLICA_FAILOVER,
     REPLICA_FENCED,
+    RequestRecord,
     SLOW_QUERY,
     SLOReport,
     SLOTracker,
     STATISTICS_REFRESH,
+    SampledRing,
     TraceBuffer,
     Tracer,
     UNHEALTHY,
@@ -112,6 +123,23 @@ class _Unit(NamedTuple):
     store: StorageBackend
     log: MutationLog
     pool: ConnectionPool
+
+
+class _Flight:
+    """One query on its way through :meth:`PublishingService._serve`: the
+    scratch its :class:`RequestRecord` is built from."""
+
+    __slots__ = ("query", "trace", "proot", "reformulation", "plan", "rows",
+                 "route", "coarse")
+
+    def __init__(self, query: XBindQuery, trace, proot):
+        self.query = query
+        self.trace = trace
+        #: The operator-profile root, or the falsy ``NULL_PROFILE``.
+        self.proot = proot
+        #: Stopwatch readings of the two halves of a publish: the phase
+        #: breakdown of an untraced request (a traced one reads its spans).
+        self.coarse: Dict[str, float] = {}
 
 
 class _PublishGate:
@@ -318,8 +346,6 @@ class PublishingService:
         tracing: bool = True,
         slow_query_seconds: Optional[float] = None,
         slow_query_sample: int = 1,
-        metrics_registry: Optional[MetricsRegistry] = None,
-        event_log_size: int = 1024,
         log_dir: Optional[str] = None,
         plan_dir: Optional[str] = None,
         log_fsync: Optional[str] = None,
@@ -328,21 +354,12 @@ class PublishingService:
         admin_port: Optional[int] = None,
         admin_host: str = "127.0.0.1",
         audit_dir: Optional[str] = None,
-        audit_fsync: Optional[str] = None,
-        audit_max_bytes: Optional[int] = None,
         slo_target_p99: Optional[float] = None,
-        slo_window_seconds: Optional[float] = None,
-        trace_buffer_size: int = 64,
-        trace_sample: int = 1,
         profile_sample: int = 0,
         profile_buffer_size: int = 64,
     ):
         if strategy not in (STRATEGY_BEST, STRATEGY_UNION):
             raise ValueError(f"unknown execution strategy {strategy!r}")
-        if slow_query_sample < 1:
-            raise ValueError(
-                f"slow_query_sample must be >= 1, got {slow_query_sample}"
-            )
         if profile_sample < 0:
             raise ValueError(
                 f"profile_sample must be >= 0 (0 disables profiling), "
@@ -358,17 +375,14 @@ class PublishingService:
         # stamped with the current write LSN, and the cost-feedback
         # recorder closes the estimate-vs-actual loop.
         self.tracer = Tracer(enabled=tracing)
-        self.registry = (
-            metrics_registry if metrics_registry is not None else MetricsRegistry()
-        )
-        self.events = EventLog(
-            maxlen=event_log_size, lsn_source=lambda: self._write_lsn
-        )
+        self.registry = MetricsRegistry()
+        self.events = EventLog(lsn_source=lambda: self._write_lsn)
         self.cost_feedback = CostFeedback()
-        #: A sampled ring of completed span trees, served on /traces/recent.
-        self.trace_buffer = TraceBuffer(
-            maxlen=trace_buffer_size, sample=trace_sample
-        )
+        #: The ring of completed span trees served on /traces/recent.
+        self.trace_buffer = TraceBuffer()
+        #: Every served request takes the next id; it joins the request's
+        #: slow-query event, trace, profile and audit line.
+        self._request_ids = count(1)
         #: Per-operator query profiles: with ``profile_sample`` = N > 0,
         #: one publish in N executes with a structured profile attached
         #: and lands in this ring (served on /profiles/recent and
@@ -386,9 +400,8 @@ class PublishingService:
         # Per-query latency objectives: a seconds budget (here or on the
         # configuration) turns error-budget tracking on.
         slo_target = _setting(slo_target_p99, configuration.slo_target_p99)
-        slo_window = _setting(slo_window_seconds, configuration.slo_window_seconds)
         self.slo: Optional[SLOTracker] = (
-            SLOTracker(slo_target, window_seconds=slo_window)
+            SLOTracker(slo_target, window_seconds=configuration.slo_window_seconds)
             if slo_target is not None
             else None
         )
@@ -396,14 +409,15 @@ class PublishingService:
         #: registered once storage exists (see _init_health), callers may
         #: register their own.
         self.health_checks = HealthCheck()
+        # The pool probe's since-last-probe deltas.
+        self._probe_lock = threading.Lock()
         self._health_pool_rejections = 0
         self._health_pool_stale_rebuilds = 0
         #: Publishes at or over this many seconds enter the slow-query
         #: log (``None`` disables it); of those, every *slow_query_sample*-th
         #: is recorded (1 records them all).
         self.slow_query_seconds = slow_query_seconds
-        self.slow_query_sample = slow_query_sample
-        self._slow_candidates = 0
+        self._slow_sampler = SampledRing("slow_query", sample=slow_query_sample)
         #: The span tree of the most recent traced publish/update.
         self.last_trace = NULL_TRACE
         self._write_lsn = 0
@@ -490,10 +504,6 @@ class PublishingService:
         # correct but not reentrant, so reformulation is serialized.  Plan
         # execution — the per-request hot path — runs fully in parallel.
         self._reformulate_lock = threading.Lock()
-        self._counter_lock = threading.Lock()
-        self._queries_served = 0
-        self._reformulations_computed = 0
-        self._plans_loaded = 0
         # Write-path state: updates serialize behind one lock; publishes
         # and updates pass the gate as readers, the rebalance cutover as
         # the exclusive writer.
@@ -501,10 +511,6 @@ class PublishingService:
         self._gate = _PublishGate()
         self._rebalance_lock = threading.Lock()
         self._rebalance_log: Optional[MutationLog] = None
-        self._updates_applied = 0
-        self._statistics_refreshes = 0
-        self._rebalances = 0
-        self._replica_repairs = 0
         # Row-count drift accounting for the adaptive statistics trigger:
         # rows touched per relation since the last collection, compared
         # against the row counts that collection measured.
@@ -535,8 +541,8 @@ class PublishingService:
             if audit_path is not None:
                 self.audit = AuditLog(
                     audit_path,
-                    max_bytes=_setting(audit_max_bytes, configuration.audit_max_bytes),
-                    fsync=_setting(audit_fsync, configuration.audit_fsync),
+                    max_bytes=configuration.audit_max_bytes,
+                    fsync=configuration.audit_fsync,
                 )
             port = _setting(admin_port, configuration.admin_port)
             if port is not None:
@@ -851,7 +857,7 @@ class PublishingService:
     def _check_pool(self) -> CheckResult:
         pool, _per_unit = self._pool_stats()
         waiting, rejections, stale = pool.waiting, pool.rejections, pool.stale_rebuilds
-        with self._counter_lock:
+        with self._probe_lock:
             new_rejections = rejections - self._health_pool_rejections
             new_stale = stale - self._health_pool_stale_rebuilds
             self._health_pool_rejections = rejections
@@ -1041,8 +1047,6 @@ class PublishingService:
         self.shard_logs: Tuple[MutationLog, ...] = (
             () if own else tuple(unit.log for unit in units)
         )
-        #: What an audit entry's ``route`` says when no route span exists.
-        self._unrouted_modes = ["single"] if own else ["sharded"]
 
     def _pool_stats(self) -> Tuple[PoolStats, Tuple[PoolStats, ...]]:
         """The aggregate over the units' pools (see :class:`ServiceStats`
@@ -1090,14 +1094,18 @@ class PublishingService:
     # ------------------------------------------------------------------
     # Reformulation (cache-aware, serialized)
     # ------------------------------------------------------------------
-    def reformulate(self, query: XBindQuery) -> MarsReformulation:
-        """The (possibly cached) reformulation the service would execute."""
+    def reformulate(self, query: XBindQuery, parent=None) -> MarsReformulation:
+        """The (possibly cached) reformulation the service would execute.
+
+        Its spans attach to *parent* (default: the ambient span).
+        """
         cache = self.plan_cache
         # Spans are grafted after the fact (add_phase on the measured
         # durations) rather than entered: nothing below needs the ambient
         # span, and a cache hit — the steady-state path — then costs one
         # span, not a context-managed subtree.
-        parent = current_span()
+        if parent is None:
+            parent = current_span()
         with self._reformulate_lock:
             # Read the miss counter on both sides of the call while still
             # holding the lock: read outside it, another thread's concurrent
@@ -1118,8 +1126,6 @@ class PublishingService:
                 query=query.name, cache_hit=False, plan_store_hit=True,
             )
             span.add_phase("plan_store.load", seconds)
-            with self._counter_lock:
-                self._plans_loaded += 1
             self._m_plans_loaded.inc()
         elif missed:
             span = parent.add_phase(
@@ -1144,8 +1150,6 @@ class PublishingService:
                 offset=overhead + reformulation.time_to_initial,
                 subqueries_inspected=reformulation.subqueries_inspected,
             )
-            with self._counter_lock:
-                self._reformulations_computed += 1
             self._m_reformulations.inc()
         else:
             parent.add_phase(
@@ -1156,10 +1160,10 @@ class PublishingService:
 
     def warm(self, queries: Sequence[XBindQuery]) -> int:
         """Pre-populate the plan cache; returns how many plans were computed."""
-        before = self._reformulations_computed
+        before = self._m_reformulations.value
         for query in queries:
             self.reformulate(query)
-        return self._reformulations_computed - before
+        return int(self._m_reformulations.value - before)
 
     # ------------------------------------------------------------------
     # Serving
@@ -1192,40 +1196,35 @@ class PublishingService:
             )
         return reformulation.best
 
-    @staticmethod
-    def _execute_on(backend, plan, distinct: bool) -> List[Row]:
-        if isinstance(plan, UnionQuery):
-            return backend.execute_union(plan, distinct=True)
-        return backend.execute(plan, distinct=distinct)
+    def _run_plan(
+        self, plan, distinct: bool, backend: Optional[StorageBackend] = None
+    ) -> Tuple[List[Row], Tuple[str, ...]]:
+        """Execute one plan; returns the rows and the routing modes taken.
 
-    def _run_plan(self, plan, distinct: bool) -> List[Row]:
-        """Execute one plan on pooled storage (one unit, or routed units).
-
-        When the template is split into units the plan is routed first and
-        connections are checked out *only for the units the router names*,
-        always in ascending order (uniform acquisition order means
-        concurrent multi-unit publishes cannot deadlock against each
-        other).
+        *backend* is the checked-out connection when the template is its
+        own unit.  When it is split into units (``None``) the plan is
+        routed first and connections are checked out *only for the units
+        the router names*, always in ascending order (uniform acquisition
+        order means concurrent multi-unit publishes cannot deadlock
+        against each other).
         """
-        if self.pool is not None:
-            # The LSN barrier: the checked-out clone must have replayed at
-            # least every update this service has acknowledged, so a
-            # client that just wrote reads its own write.
-            with self.pool.connection(
-                timeout=self.checkout_timeout, min_lsn=self.mutation_log.lsn
-            ) as backend:
-                with current_span().child(
-                    "execute", engine=backend.backend_name
-                ) as span:
-                    rows = self._execute_on(backend, plan, distinct)
-                    span.annotate(rows=len(rows))
-                    return rows
+        if backend is not None:
+            with current_span().child(
+                "execute", engine=backend.backend_name
+            ) as span:
+                if isinstance(plan, UnionQuery):
+                    rows = backend.execute_union(plan, distinct=True)
+                else:
+                    rows = backend.execute(plan, distinct=distinct)
+                span.annotate(rows=len(rows))
+                return rows, ("single",)
         template = self.executor.backend
         with current_span().child("route") as route_span:
             route = template.route_plan(plan)
+            modes = tuple(str(decision.mode) for _q, decision in route.decisions)
             route_span.annotate(
-                disjuncts=len(route.decisions),
-                modes=[decision.mode for _q, decision in route.decisions],
+                disjuncts=len(modes),
+                modes=list(modes),
                 shards=sorted(route.needed_shards),
             )
         acquired: List[Tuple[int, StorageBackend]] = []
@@ -1241,7 +1240,7 @@ class PublishingService:
             with current_span().child("execute") as span:
                 rows = template.execute_routed(route, plan, distinct, children)
                 span.annotate(rows=len(rows))
-                return rows
+                return rows, modes
         finally:
             for shard, connection in acquired:
                 self.shard_pools[shard].release(connection)
@@ -1260,246 +1259,8 @@ class PublishingService:
         (or *trace* forcing it for this call) the span tree is kept on
         :attr:`last_trace`.
         """
-        rows, _tracked, _profile = self._publish_traced(
-            query, distinct, strategy, trace
-        )
+        ((rows, _record),) = self._serve([query], distinct, strategy, trace)
         return rows
-
-    def _publish_traced(
-        self,
-        query: XBindQuery,
-        distinct: bool,
-        strategy: Optional[str],
-        trace: bool,
-        profile: bool = False,
-    ):
-        if self._closed:
-            raise StorageError("PublishingService is closed")
-        effective = self._check_strategy(strategy, distinct)
-        tracked = self.tracer.trace(
-            "publish", force=trace, query=query.name, strategy=effective
-        )
-        # The profiling decision is made *before* execution (forced by
-        # explain(analyze=True), else the buffer's deterministic 1-in-N
-        # sampler): unsampled publishes run against NULL_PROFILE and
-        # build no operator tree at all.
-        profiling = profile or (
-            self.profile_buffer is not None
-            and self.profile_buffer.should_sample()
-        )
-        proot = (
-            ProfileNode("execute", query.name, strategy=effective)
-            if profiling
-            else None
-        )
-        # The LSN barrier this request is served at (read-your-writes):
-        # captured up front so the audit entry records the guarantee made.
-        barrier_lsn = self._write_lsn
-        clock = timer()
-        try:
-            with tracked.root:
-                with self._gate.read():
-                    reform_clock = timer()
-                    reformulation = self.reformulate(query)
-                    reform_seconds = reform_clock.stop()
-                    plan = self.plan_for(reformulation, strategy=effective)
-                    exec_clock = timer()
-                    if proot is not None:
-                        if reformulation.candidate_costs:
-                            # The planner's rejected alternatives, priced:
-                            # estimate-vs-actual attribution should name
-                            # what *could* have run, not just what did.
-                            proot.annotate(
-                                candidate_costs=[
-                                    [name, round(cost, 3)]
-                                    for name, cost in (
-                                        reformulation.candidate_costs
-                                    )
-                                ]
-                            )
-                        with proot:
-                            rows = self._run_plan(plan, distinct)
-                        proot.finish(actual_rows=len(rows))
-                    else:
-                        rows = self._run_plan(plan, distinct)
-                    exec_seconds = exec_clock.stop()
-        except Exception:
-            self._m_publish_errors.inc()
-            raise
-        query_profile: Optional[QueryProfile] = None
-        if proot is not None:
-            query_profile = QueryProfile(
-                proot,
-                query=query.name,
-                strategy=effective,
-                plan=getattr(plan, "name", ""),
-                forced=profile,
-            )
-            self.last_profile = query_profile
-            if self.profile_buffer is not None:
-                if self.profile_buffer.record(query_profile):
-                    self._m_profiles.inc()
-            else:
-                self._m_profiles.inc()
-        seconds = clock.stop()
-        # Per-phase attribution: from the span tree when tracing is live,
-        # else the two coarse timers above — the slow-query log and the
-        # audit entry always carry a breakdown.
-        phases = phase_breakdown(tracked.root) if tracked.enabled else {}
-        if not phases:
-            phases = {
-                "reformulate": reform_seconds,
-                "execute": exec_seconds,
-            }
-        self._account_publish(
-            query, reformulation, plan, effective, len(rows), seconds,
-            exec_seconds, phases, barrier_lsn, tracked, query_profile,
-        )
-        return rows, tracked, query_profile
-
-    def _account_publish(
-        self,
-        query: XBindQuery,
-        reformulation: MarsReformulation,
-        plan,
-        strategy: str,
-        rows: int,
-        seconds: float,
-        exec_seconds: float,
-        phases: Dict[str, float],
-        lsn: int,
-        tracked,
-        profile: Optional[QueryProfile] = None,
-    ) -> None:
-        """The bookkeeping every served query goes through, once.
-
-        Counters, latency histogram, SLO, cost feedback, slow-query log,
-        trace buffer and — last, raising on failure so the request stays
-        unacknowledged — the durable audit entry.
-        """
-        with self._counter_lock:
-            self._queries_served += 1
-        self._m_publishes.inc()
-        self._m_published_rows.inc(rows)
-        self._m_publish_latency.observe(seconds)
-        if self.slo is not None:
-            violated = self.slo.observe(query.name, seconds)
-            self._m_slo_requests.labels(query=query.name).inc()
-            if violated:
-                self._m_slo_violations.labels(query=query.name).inc()
-        self._record_feedback(
-            query, reformulation, plan, rows, exec_seconds, profile=profile
-        )
-        self._note_slow(query, seconds, rows, phases)
-        if tracked.enabled:
-            tracked.root.annotate(rows=rows)
-            self.last_trace = tracked
-            self.trace_buffer.record(tracked)
-        if self.audit is None:
-            return
-        entry: Dict[str, object] = {
-            "ts": time.time(),
-            "kind": "publish",
-            "query": query.name,
-            # The structural fingerprint as its stable digest: the raw
-            # tuple's repr drifts across refactors, the digest is the
-            # durable form shared with plan-artifact identities (and it
-            # is memoized on the query object).
-            "fingerprint": query.fingerprint_digest(),
-            "strategy": strategy,
-            "route": self._route_modes(tracked),
-            "lsn": lsn,
-            "rows": rows,
-            "seconds": seconds,
-            "phases": phases,
-        }
-        estimate = reformulation.cost_estimate
-        if estimate is not None:
-            entry["estimate"] = {
-                "rows": getattr(estimate, "cardinality", 0.0),
-                "cost": getattr(estimate, "total", 0.0),
-            }
-        self.audit.record(entry)
-
-    def _record_feedback(
-        self,
-        query,
-        reformulation,
-        plan,
-        actual_rows: int,
-        seconds: float,
-        profile: Optional[QueryProfile] = None,
-    ) -> None:
-        """Feed one execution's outcome to the cost-feedback recorder.
-
-        A profiled publish also names its worst *operator* — the node
-        with the largest per-operator q-error — so the misestimation
-        report can point at the join step or shard fragment the error
-        came from instead of the whole plan.
-        """
-        estimate = reformulation.cost_estimate
-        if estimate is None:
-            return
-        worst_operator = None
-        worst_q = 1.0
-        if profile is not None:
-            worst = profile.worst_operator()
-            if worst is not None:
-                worst_operator = worst.describe()
-                worst_q = worst.q_error or 1.0
-        self.cost_feedback.record(
-            fingerprint=query.fingerprint(),
-            plan_name=getattr(plan, "name", ""),
-            estimated_rows=getattr(estimate, "cardinality", 0.0),
-            estimated_cost=getattr(estimate, "total", 0.0),
-            actual_rows=actual_rows,
-            actual_seconds=seconds,
-            worst_operator=worst_operator,
-            worst_operator_q_error=worst_q,
-        )
-        self._m_feedback.inc()
-
-    def _route_modes(self, tracked) -> List[str]:
-        """The routing modes this publish took, for the audit entry."""
-        if tracked.enabled:
-            for span in list(tracked.root.children):
-                if span.name == "route":
-                    modes = span.attributes.get("modes")
-                    if modes:
-                        return [str(mode) for mode in modes]
-        return self._unrouted_modes
-
-    def _note_slow(
-        self,
-        query,
-        seconds: float,
-        rows: int,
-        phases: Optional[Dict[str, float]] = None,
-    ) -> None:
-        """Count a slow publish; sample every Nth into the event log."""
-        threshold = self.slow_query_seconds
-        if threshold is None or seconds < threshold:
-            return
-        self._m_slow.inc()
-        with self._counter_lock:
-            self._slow_candidates += 1
-            sampled = (self._slow_candidates - 1) % self.slow_query_sample == 0
-        if sampled:
-            details: Dict[str, object] = {
-                "query": query.name,
-                "seconds": seconds,
-                "rows": rows,
-                "threshold": threshold,
-            }
-            if phases:
-                # Where the time went, phase by phase — the difference
-                # between "the query was slow" and "the pool was starved".
-                details["phases"] = dict(phases)
-            self.events.record(SLOW_QUERY, **details)
-
-    def slow_queries(self):
-        """The sampled slow-query events retained in the event log."""
-        return self.events.events(SLOW_QUERY)
 
     def publish_many(
         self,
@@ -1510,54 +1271,211 @@ class PublishingService:
         """Serve a batch of queries on this thread, reusing one connection.
 
         The same rules as :meth:`publish` apply to the whole batch, and
-        every query in it is accounted like a publish (counters, latency,
-        SLO, cost feedback, audit entry) before the batch is acknowledged;
-        batches are not traced.  When the template is split into units
-        each plan routes (and checks out connections) independently, so a
-        batch of pruned queries never pins every unit at once.
+        every query in it leaves what a publish leaves (counters, latency,
+        SLO, cost feedback, its own trace, audit entry) before the batch
+        is acknowledged.  When the template is split into units each plan
+        routes (and checks out connections) independently, so a batch of
+        pruned queries never pins every unit at once.
         """
+        return [rows for rows, _record in self._serve(queries, distinct, strategy)]
+
+    def _serve(
+        self,
+        queries: Sequence[XBindQuery],
+        distinct: bool,
+        strategy: Optional[str],
+        trace: bool = False,
+        profile: bool = False,
+    ) -> List[Tuple[List[Row], RequestRecord]]:
+        """Plan every query, check out once, execute every plan, emit every
+        record — the one path a query is served on."""
         if self._closed:
             raise StorageError("PublishingService is closed")
         effective = self._check_strategy(strategy, distinct)
+        # The LSN barrier these requests are served at (read-your-writes):
+        # captured up front so the audit entry records the guarantee made.
         barrier_lsn = self._write_lsn
-        planned = []  # (query, reformulation, plan, reformulate seconds)
-        results: List[List[Row]] = []
-        execute_seconds: List[float] = []
-
-        def serve(execute) -> None:
-            for _query, _reformulation, plan, _seconds in planned:
-                clock = timer()
-                results.append(execute(plan))
-                execute_seconds.append(clock.stop())
-
+        # The profiling decision is made *before* execution (forced by
+        # explain(analyze=True), else the buffer's deterministic 1-in-N
+        # sampler): unsampled publishes run against NULL_PROFILE and
+        # build no operator tree at all.
+        sampler = self.profile_buffer
+        flights = [
+            _Flight(
+                query,
+                self.tracer.trace(
+                    "publish", force=trace, query=query.name, strategy=effective
+                ),
+                ProfileNode("execute", query.name, strategy=effective)
+                if profile or (sampler is not None and sampler.should_sample())
+                else NULL_PROFILE,
+            )
+            for query in queries
+        ]
+        wall = timer()
         try:
             with self._gate.read():
-                for query in queries:
+                for flight in flights:
                     clock = timer()
-                    reformulation = self.reformulate(query)
-                    plan = self.plan_for(reformulation, strategy=effective)
-                    planned.append((query, reformulation, plan, clock.stop()))
-                if self.pool is not None:
-                    with self.pool.connection(
-                        timeout=self.checkout_timeout,
-                        min_lsn=self.mutation_log.lsn,
-                    ) as backend:
-                        serve(lambda plan: self._execute_on(backend, plan, distinct))
-                else:
-                    serve(lambda plan: self._run_plan(plan, distinct))
+                    flight.reformulation = self.reformulate(
+                        flight.query, parent=flight.trace.root
+                    )
+                    flight.plan = self.plan_for(
+                        flight.reformulation, strategy=effective
+                    )
+                    flight.coarse["reformulate"] = clock.stop()
+                self._execute(flights, distinct)
         except Exception:
             self._m_publish_errors.inc()
             raise
-        for (query, reformulation, plan, reform_seconds), rows, seconds in zip(
-            planned, results, execute_seconds
-        ):
-            self._account_publish(
-                query, reformulation, plan, effective, len(rows),
-                reform_seconds + seconds, seconds,
-                {"reformulate": reform_seconds, "execute": seconds},
-                barrier_lsn, NULL_TRACE,
+        wall_seconds = wall.stop()
+        served = []
+        for flight in flights:
+            query, plan_name = flight.query, getattr(flight.plan, "name", "")
+            estimate = flight.reformulation.cost_estimate
+            if estimate is not None:
+                estimate = (
+                    getattr(estimate, "cardinality", 0.0),
+                    getattr(estimate, "total", 0.0),
+                )
+            query_profile = None
+            if flight.proot:
+                query_profile = QueryProfile(
+                    flight.proot, query=query.name, strategy=effective,
+                    plan=plan_name, forced=profile,
+                )
+            record = self._record(
+                "publish",
+                flight.trace,
+                barrier_lsn,
+                # A lone publish took the call's wall clock (gate wait
+                # included); a batch member its own planning + execution.
+                wall_seconds if len(flights) == 1 else sum(flight.coarse.values()),
+                coarse=flight.coarse,
+                profile=query_profile,
+                query=query.name,
+                # Of the compiled query the plan cache keeps: the same
+                # structure, so the same digest, memoized across requests
+                # even when clients build a fresh query object each time.
+                fingerprint=flight.reformulation.query.fingerprint_digest(),
+                strategy=effective,
+                plan=plan_name,
+                route=flight.route,
+                rows=len(flight.rows),
+                estimate=estimate,
             )
-        return results
+            served.append((flight.rows, self._emit(record)))
+        return served
+
+    def _execute(self, flights: Sequence[_Flight], distinct: bool) -> None:
+        """Run every planned flight, on one checkout when the template is
+        its own unit."""
+        backend = None
+        try:
+            for flight in flights:
+                clock = timer()
+                with flight.trace.root as root:
+                    if backend is None and self.pool is not None:
+                        # The batch's one checkout, attributed to its first
+                        # query.  The LSN barrier: the clone must have
+                        # replayed at least every update this service has
+                        # acknowledged, so a client that just wrote reads
+                        # its own write.
+                        backend = self.pool.acquire(
+                            timeout=self.checkout_timeout,
+                            min_lsn=self.mutation_log.lsn,
+                        )
+                    proot, costs = flight.proot, flight.reformulation.candidate_costs
+                    if proot and costs:
+                        # The planner's rejected alternatives, priced:
+                        # estimate-vs-actual attribution should name what
+                        # *could* have run, not just what did.
+                        proot.annotate(
+                            candidate_costs=[[n, round(c, 3)] for n, c in costs]
+                        )
+                    with proot:
+                        flight.rows, flight.route = self._run_plan(
+                            flight.plan, distinct, backend
+                        )
+                    proot.finish(actual_rows=len(flight.rows))
+                    root.annotate(rows=len(flight.rows))
+                flight.coarse["execute"] = clock.stop()
+        finally:
+            if backend is not None:
+                self.pool.release(backend)
+
+    def _record(
+        self,
+        kind: str,
+        trace,
+        lsn: int,
+        seconds: float,
+        coarse: Optional[Dict[str, float]] = None,
+        **fields: object,
+    ) -> RequestRecord:
+        """Describe one served request — the only place a record is built.
+
+        The id is stamped on the span tree's and the profile's metadata
+        too, so the objects ``/traces/recent`` and ``/profiles/*`` export
+        carry it.  Phases come from the span tree when there is one, else
+        from *coarse*.
+        """
+        request_id = next(self._request_ids)
+        phases = coarse or {}
+        if trace.enabled:
+            trace.metadata["request_id"] = request_id
+            phases = phase_breakdown(trace.root)
+        if fields.get("profile") is not None:
+            fields["profile"].metadata["request_id"] = request_id
+        return RequestRecord(
+            request_id, kind, time.time(), lsn, seconds, phases, trace, **fields
+        )
+
+    def _emit(self, record: RequestRecord) -> RequestRecord:
+        """Hand *record* to every sink, once, in this fixed order.
+
+        Metrics, SLO, cost feedback, slow-query log, trace buffer, profile
+        buffer and — last, raising on failure so the request stays
+        unacknowledged — the durable audit entry.
+        """
+        published = record.kind == "publish"
+        if published:
+            self._m_publishes.inc()
+            self._m_published_rows.inc(record.rows)
+            self._m_publish_latency.observe(record.seconds)
+        else:
+            self._m_updates.inc()
+            self._m_update_latency.observe(record.seconds)
+        if published and self.slo is not None:
+            violated = self.slo.observe(record.query, record.seconds)
+            self._m_slo_requests.labels(query=record.query).inc()
+            if violated:
+                self._m_slo_violations.labels(query=record.query).inc()
+        feedback = record.feedback()
+        if feedback is not None:
+            self.cost_feedback.record(**feedback)
+            self._m_feedback.inc()
+        threshold = self.slow_query_seconds
+        if published and threshold is not None and record.seconds >= threshold:
+            self._m_slow.inc()
+            if self._slow_sampler.sampled():
+                self.events.record(SLOW_QUERY, **record.slow_event(threshold))
+        if record.trace.enabled:
+            self.last_trace = record.trace
+            self.trace_buffer.record(record.trace)
+        if record.profile is not None:
+            self.last_profile = record.profile
+            if self.profile_buffer is None or self.profile_buffer.record(
+                record.profile
+            ):
+                self._m_profiles.inc()
+        if self.audit is not None:
+            self.audit.record(record.audit_entry())
+        return record
+
+    def slow_queries(self):
+        """The sampled slow-query events retained in the event log."""
+        return self.events.events(SLOW_QUERY)
 
     # ------------------------------------------------------------------
     # The write path
@@ -1615,24 +1533,11 @@ class PublishingService:
                         lsn = self._write_lsn + 1
                         refresh = self._finish_update(changeset, lsn)
             root.annotate(lsn=lsn)
-        seconds = clock.stop()
-        self._m_updates.inc()
-        self._m_update_latency.observe(seconds)
-        if tracked.enabled:
-            self.last_trace = tracked
-            self.trace_buffer.record(tracked)
-        if self.audit is not None:
-            phases = phase_breakdown(tracked.root) if tracked.enabled else {}
-            self.audit.record(
-                {
-                    "ts": time.time(),
-                    "kind": "update",
-                    "lsn": lsn,
-                    "changes": len(changeset.changes),
-                    "seconds": seconds,
-                    "phases": phases,
-                }
+        self._emit(
+            self._record(
+                "update", tracked, lsn, clock.stop(), changes=len(changeset.changes)
             )
+        )
         if refresh:
             # Outside the gate: collecting statistics sweeps every table
             # and must not hold publishes (or a waiting rebalance) up.
@@ -1646,7 +1551,6 @@ class PublishingService:
             # so the new layout replays it.
             self._rebalance_log.append(changeset)
         self._write_lsn = lsn
-        self._updates_applied += 1
         return self._note_drift(changeset)
 
     def _note_drift(self, changeset: ChangeSet) -> bool:
@@ -1668,8 +1572,6 @@ class PublishingService:
         with self._reformulate_lock:
             self.system.attach_statistics(catalog)
         self._reset_drift_baseline(catalog)
-        with self._counter_lock:
-            self._statistics_refreshes += 1
         self._m_statistics_refreshes.inc()
         self.events.record(
             STATISTICS_REFRESH, reason=reason, tables=len(catalog.tables)
@@ -1773,8 +1675,6 @@ class PublishingService:
                 if not child.closed:
                     child.close()
             self._refresh_statistics(reason="rebalance")
-            with self._counter_lock:
-                self._rebalances += 1
         self._m_rebalances.inc()
         self._m_rebalance_latency.observe(clock.elapsed)
         return RebalanceReport(
@@ -1855,8 +1755,6 @@ class PublishingService:
                 )
                 reports.append(report)
                 if report.repaired:
-                    with self._counter_lock:
-                        self._replica_repairs += len(report.repaired)
                     self._m_repairs.inc(len(report.repaired))
         return tuple(reports)
 
@@ -1868,14 +1766,6 @@ class PublishingService:
     # Introspection and lifecycle
     # ------------------------------------------------------------------
     def stats(self) -> ServiceStats:
-        with self._counter_lock:
-            served = self._queries_served
-            computed = self._reformulations_computed
-            loaded = self._plans_loaded
-            updates = self._updates_applied
-            refreshes = self._statistics_refreshes
-            rebalances = self._rebalances
-            repairs = self._replica_repairs
         template = self.executor.backend
         pool, per_unit = self._pool_stats()
         # Replica counters are the template's own, when it is replicated.
@@ -1887,8 +1777,8 @@ class PublishingService:
         import repro
 
         return ServiceStats(
-            queries_served=served,
-            reformulations_computed=computed,
+            queries_served=int(self._m_publishes.value),
+            reformulations_computed=int(self._m_reformulations.value),
             cache=self.plan_cache.stats(),
             pool=pool,
             # The per-shard breakdown pairs off with shard_pools, so it is
@@ -1897,14 +1787,14 @@ class PublishingService:
                 stats for stats, _pool in zip(per_unit, self.shard_pools)
             ),
             router=template.router_stats(),
-            updates_applied=updates,
+            updates_applied=int(self._m_updates.value),
             last_write_lsn=self._write_lsn,
-            statistics_refreshes=refreshes,
-            rebalances=rebalances,
+            statistics_refreshes=int(self._m_statistics_refreshes.value),
+            rebalances=int(self._m_rebalances.value),
             replicas=replicated.stats() if replicated is template else None,
             replica_failovers=self.events.count(REPLICA_FAILOVER),
             replica_fenced=self.events.count(REPLICA_FENCED),
-            replica_repairs=repairs,
+            replica_repairs=int(self._m_repairs.value),
             events_dropped=self.events.dropped,
             log_segments=sum(stats.segments for stats in durable),
             log_size_bytes=sum(stats.size_bytes for stats in durable),
@@ -1913,7 +1803,7 @@ class PublishingService:
             version=getattr(repro, "__version__", "unknown"),
             slo=tuple(self.slo.report()) if self.slo is not None else (),
             audit=self.audit.stats() if self.audit is not None else None,
-            plans_loaded=loaded,
+            plans_loaded=int(self._m_plans_loaded.value),
             plan_store=(
                 self.plan_store.stats() if self.plan_store is not None else None
             ),
@@ -1961,10 +1851,10 @@ class PublishingService:
         if self._closed:
             raise StorageError("PublishingService is closed")
         if analyze:
-            _rows, _tracked, profiled = self._publish_traced(
-                query, distinct, strategy, trace, profile=True
+            ((_rows, record),) = self._serve(
+                [query], distinct, strategy, trace, profile=True
             )
-            return profiled
+            return record.profile
         effective = self._check_strategy(strategy, distinct)
         with self._gate.read():
             reformulation = self.reformulate(query)
@@ -1984,11 +1874,9 @@ class PublishingService:
                 for line in self.executor.backend.explain(plan).splitlines()
             )
         if trace:
-            _rows, tracked, _profile = self._publish_traced(
-                query, distinct, effective, True
-            )
+            ((_rows, record),) = self._serve([query], distinct, effective, True)
             lines.append("")
-            lines.append(tracked.render())
+            lines.append(record.trace.render())
         return "\n".join(lines)
 
     @property

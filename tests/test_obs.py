@@ -15,8 +15,10 @@ Covers the acceptance criteria of the telemetry subsystem:
   to the oracle count, and disabled tracing stays allocation-free.
 """
 
+import ast
 import json
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -880,3 +882,233 @@ class TestServiceOperationalStats:
             later = service.stats().snapshot()
             assert later["uptime_seconds"] >= restored["uptime_seconds"]
             assert later["started_at"] == restored["started_at"]
+
+
+# ----------------------------------------------------------------------
+# One request, one record
+# ----------------------------------------------------------------------
+DEPLOYMENTS = ["memory", "sqlite", "sharded", "replicated"]
+
+
+def every_sink_service(backend, tmp_path, **options):
+    """A small xmark service with every telemetry sink switched on."""
+    configuration = small_xmark()
+    configuration.shard_count = 2
+    configuration.replica_count = 2
+    options.setdefault("pool_size", 2)
+    return PublishingService(
+        configuration,
+        backend=backend,
+        audit_dir=str(tmp_path / "audit"),
+        slo_target_p99=5.0,
+        slow_query_seconds=0.0,
+        profile_sample=1,
+        **options,
+    )
+
+
+class TestOneRequestRecord:
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    def test_every_sink_carries_the_same_request_id(self, backend, tmp_path):
+        with every_sink_service(backend, tmp_path) as service:
+            service.publish(xmark.query_item_names())
+            service.publish(xmark.query_item_names())
+            ids = {
+                "event": service.slow_queries()[-1].details["request_id"],
+                "trace": service.trace_buffer.recent(1)[0]["request_id"],
+                "profile": service.profile_buffer.recent(1)[0]["request_id"],
+                "last_trace": service.last_trace.metadata["request_id"],
+                "last_profile": service.last_profile.request_id,
+                "audit": list(service.audit.entries())[-1]["request_id"],
+            }
+            assert set(ids.values()) == {2}, ids
+
+    def test_ids_are_unique_and_increasing_under_eight_threads(self, tmp_path):
+        threads_n, rounds = 8, 5
+        queries = [xmark.query_item_names(), xmark.query_person_cities()]
+        with every_sink_service("memory", tmp_path, pool_size=4) as service:
+            started = threading.Barrier(threads_n)
+            seen = [[] for _ in range(threads_n)]
+            errors = []
+
+            def worker(mine):
+                try:
+                    started.wait(timeout=10)
+                    for _ in range(rounds):
+                        for query in queries:
+                            profile = service.explain(query, analyze=True)
+                            mine.append(profile.request_id)
+                except Exception as error:  # pragma: no cover
+                    errors.append(error)
+
+            workers = [
+                threading.Thread(target=worker, args=(mine,)) for mine in seen
+            ]
+            for thread in workers:
+                thread.start()
+            for thread in workers:
+                thread.join(timeout=60)
+                assert not thread.is_alive()
+            assert not errors
+            oracle = threads_n * rounds * len(queries)
+            for mine in seen:
+                assert mine == sorted(set(mine))  # increasing per client
+            assert sorted(sum(seen, [])) == list(range(1, oracle + 1))
+            audited = [entry["request_id"] for entry in service.audit.entries()]
+            assert sorted(audited) == list(range(1, oracle + 1))
+
+    def test_every_batch_query_is_traced_on_one_checkout(self, tmp_path):
+        queries = [xmark.query_item_names(), xmark.query_person_cities()]
+        with every_sink_service("memory", tmp_path) as service:
+            service.warm(queries)
+            before = service.pool.stats().checkouts
+            results = service.publish_many(queries)
+            assert service.pool.stats().checkouts == before + 1
+            newest_first = service.trace_buffer.recent()
+            assert [t["query"] for t in newest_first] == [
+                queries[1].name, queries[0].name
+            ]
+            assert [t["request_id"] for t in newest_first] == [2, 1]
+            assert [t["trace"]["attributes"]["rows"] for t in newest_first] == [
+                len(results[1]), len(results[0])
+            ]
+            # The one checkout shows up in the first query's span tree.
+            acquires = [
+                sum(c["name"] == "pool.acquire" for c in t["trace"]["children"])
+                for t in newest_first
+            ]
+            assert acquires == [0, 1]
+
+    @pytest.mark.parametrize("tracing", [True, False])
+    def test_audit_route_is_the_routers_decision(self, tracing, tmp_path):
+        """Traced or not, alone or in a batch, the audit entry names the
+        modes the router chose — not a span-scrape fallback."""
+        query = xmark.query_item_names()
+        with every_sink_service("sharded", tmp_path, tracing=tracing) as service:
+            plan = service.plan_for(service.reformulate(query))
+            decided = [
+                decision.mode
+                for _q, decision in service.executor.backend.route_plan(plan).decisions
+            ]
+            assert decided and "sharded" not in decided
+            service.publish(query)
+            service.publish_many([query])
+            routes = [entry["route"] for entry in service.audit.entries()]
+            assert routes == [decided, decided]
+
+    def test_one_fingerprint_spelling_joins_feedback_audit_and_plans(self, tmp_path):
+        query = xmark.query_item_names()
+        with every_sink_service(
+            "memory", tmp_path, plan_dir=str(tmp_path / "plans")
+        ) as service:
+            service.publish(query)
+            (row,) = service.misestimation_report()
+            (entry,) = service.audit.entries()
+            (identity,) = service.plan_store.identities()
+            artifact = service.plan_store.load(identity)
+            assert (
+                row.to_dict()["fingerprint"]
+                == entry["fingerprint"]
+                == artifact["query_digest"]
+                == query.fingerprint_digest()
+            )
+
+    def test_sinks_fire_in_order_and_a_failed_audit_acknowledges_nothing(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.obs import AuditError
+
+        with every_sink_service("memory", tmp_path) as service:
+            order = []
+
+            def spy(owner, method, name, fail=False):
+                original = getattr(owner, method)
+
+                def wrapped(*args, **kwargs):
+                    order.append(name)
+                    if fail:
+                        raise AuditError("disk full")
+                    return original(*args, **kwargs)
+
+                monkeypatch.setattr(owner, method, wrapped)
+
+            spy(service.slo, "observe", "slo")
+            spy(service.cost_feedback, "record", "feedback")
+            spy(service.events, "record", "event")
+            spy(service.trace_buffer, "record", "trace")
+            spy(service.profile_buffer, "record", "profile")
+            spy(service.audit, "record", "audit", fail=True)
+            with pytest.raises(AuditError):
+                service.publish(xmark.query_item_names())
+            assert order == ["slo", "feedback", "event", "trace", "profile", "audit"]
+            assert list(service.audit.entries()) == []
+
+    def test_update_records_take_the_same_path(self, tmp_path):
+        with every_sink_service("memory", tmp_path) as service:
+            service.publish(xmark.query_item_names())
+            lsn = service.update(
+                ChangeSet.build(inserts={"itemName": [("item_r1", "recorded")]})
+            )
+            entry = list(service.audit.entries())[-1]
+            assert set(entry) == {
+                "ts", "kind", "request_id", "lsn", "changes", "seconds", "phases",
+            }
+            assert (entry["kind"], entry["lsn"], entry["changes"]) == ("update", lsn, 1)
+            assert entry["request_id"] == 2  # one counter for every request
+            assert set(entry["phases"]) == {"apply", "log.append"}
+            trace = service.last_trace
+            assert trace.metadata["request_id"] == 2
+            assert [child.name for child in trace.root.children] == [
+                "apply", "log.append"
+            ]
+            assert service.trace_buffer.recent(1)[0]["request_id"] == 2
+            assert service.stats().updates_applied == 1
+            assert service.registry.get("mars_updates_total").value == 1
+
+
+class TestOneEmitSite:
+    """Each telemetry sink is written to from exactly one function of the
+    serving layer: a second hand-written call site fails here."""
+
+    SERVE = Path(__file__).resolve().parent.parent / "src" / "repro" / "serve"
+    SINK_CALLS = (
+        ".audit.record(",
+        "cost_feedback.record(",
+        "trace_buffer.record(",
+        "profile_buffer.record(",
+        "slo.observe(",
+    )
+
+    @staticmethod
+    def call_sites(source, needle):
+        """The innermost function around every line containing *needle*."""
+        functions = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        ]
+        sites = []
+        for number, line in enumerate(source.splitlines(), start=1):
+            if needle in line:
+                around = [f for f in functions if f.lineno <= number <= f.end_lineno]
+                sites.append(max(around, key=lambda f: f.lineno).name if around else "")
+        return sites
+
+    def test_source_scan(self):
+        paths = sorted(self.SERVE.rglob("*.py"))
+        assert paths, f"nothing to scan under {self.SERVE}"
+        for needle in self.SINK_CALLS:
+            sites = {
+                f"{path.name}:{name}"
+                for path in paths
+                for name in self.call_sites(path.read_text(), needle)
+            }
+            assert len(sites) == 1, f"{needle} is called from {sorted(sites)}"
+
+    def test_the_scan_catches_what_it_is_for(self):
+        source = (
+            "def a(self):\n    self.audit.record(entry)\n"
+            "def b(self):\n    def inner():\n        self.audit.record(entry)\n"
+        )
+        assert self.call_sites(source, ".audit.record(") == ["a", "inner"]
+        assert self.call_sites(source, "slo.observe(") == []

@@ -698,8 +698,8 @@ class TestShardedService:
             assert [d.mode for _q, d in route.decisions] == ["single"]
             target = route.needed_shards[0]
             before = [pool.stats().checkouts for pool in service.shard_pools]
-            rows = service._run_plan(plan, distinct=True)
-            assert rows == [("flu",)]
+            rows, modes = service._run_plan(plan, distinct=True)
+            assert rows == [("flu",)] and modes == ("single",)
             after = [pool.stats().checkouts for pool in service.shard_pools]
             deltas = [b - a for a, b in zip(before, after)]
             assert sum(deltas) == 1 and deltas[target] == 1

@@ -13,7 +13,10 @@ drives a few publishes and one update through it, then:
   source tree);
 * checks ``/health`` reports ``healthy``, ``/stats`` carries the audit
   and SLO sections, and the audit log on disk replays every
-  acknowledged request.
+  acknowledged request;
+* joins the replayed audit entry of every publish to the
+  ``/traces/recent`` and ``/events?kind=query.slow`` entries scraped
+  while the service was up, on their shared ``request_id``.
 
 Exits non-zero with the violation list on any failure.  Stdlib only.
 """
@@ -53,6 +56,7 @@ def main() -> int:
         admin_port=0,
         audit_dir=audit_dir,
         slo_target_p99=5.0,
+        slow_query_seconds=0.0,
         profile_sample=1,
     )
     published = 0
@@ -71,6 +75,7 @@ def main() -> int:
             "/health": 200,
             "/ready": 200,
             "/events": 200,
+            "/events?kind=query.slow": 200,
             "/traces/recent": 200,
             "/profiles/recent": 200,
             "/profiles/worst": 200,
@@ -98,6 +103,14 @@ def main() -> int:
                 failures.append(
                     "/profiles/recent root node is missing actual_rows"
                 )
+        traced = {
+            trace.get("request_id")
+            for trace in json.loads(bodies["/traces/recent"])["traces"]
+        }
+        slow = {
+            event["details"].get("request_id")
+            for event in json.loads(bodies["/events?kind=query.slow"])["events"]
+        }
         worst = json.loads(bodies["/profiles/worst"])
         if worst.get("worst_q_error", 0.0) < 1.0:
             failures.append(f"/profiles/worst q-error malformed: {worst}")
@@ -122,6 +135,13 @@ def main() -> int:
         failures.append(
             f"audit log replays {len(publishes)} publish(es), "
             f"expected {published}"
+        )
+    audited = {entry.get("request_id") for entry in publishes}
+    if None in audited or not audited <= traced & slow:
+        failures.append(
+            f"request ids do not join: audit {sorted(audited, key=str)}, "
+            f"/traces/recent {sorted(traced, key=str)}, "
+            f"query.slow events {sorted(slow, key=str)}"
         )
     if len(updates) != 1 or updates[0].get("lsn") != lsn:
         failures.append(f"audit log update entries wrong: {updates}")

@@ -2,10 +2,10 @@
 
 The bargain of the profile package mirrors the tracer's: *sampled*
 per-operator profiling is affordable because the sampling decision is
-made before execution — nine publishes in ten run against
-:data:`~repro.profile.NULL_PROFILE` (one thread-local lookup per query,
-no estimate arithmetic, no node allocation), and only the sampled tenth
-pays for distinct-count selectivities and the operator tree.
+made before execution — nine publishes in ten run an unprofiled tree
+(one ``profiled`` flag read per operator site, no estimate arithmetic,
+no operator node), and only the sampled tenth pays for distinct-count
+selectivities and the operator nodes.
 
 Two numbers are produced, following ``test_bench_obs`` exactly:
 
@@ -24,8 +24,7 @@ profiled, ...), and the minimum trial per service is compared so
 scheduler noise and GC pauses are discarded rather than averaged in.
 """
 
-from repro.obs import timer
-from repro.profile import NULL_PROFILE, current_profile
+from repro.obs import NULL_SPAN, current_span, timer
 from repro.serve import PublishingService
 from repro.workloads import medical, xmark
 
@@ -141,7 +140,7 @@ class TestProfilingOverhead:
     def test_disabled_profiling_takes_the_null_path(self):
         """The guard the overhead numbers rest on: with sampling off no
         buffer exists, publishes leave no profile behind, and the ambient
-        sink stays the falsy singleton."""
+        node stays the null node, which records no operator."""
         with PublishingService(
             medical.build_configuration(), pool_size=1, profile_sample=0
         ) as service:
@@ -149,5 +148,5 @@ class TestProfilingOverhead:
                 service.publish(medical.client_query())
             assert service.profile_buffer is None
             assert service.last_profile is None
-            assert current_profile() is NULL_PROFILE
-            assert not NULL_PROFILE
+            assert current_span() is NULL_SPAN
+            assert not NULL_SPAN.profiled

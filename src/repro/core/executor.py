@@ -25,7 +25,7 @@ from typing import List, Tuple, Type, Union
 from ..compile.view_compiler import RelationalView
 from ..logical.queries import ConjunctiveQuery, UnionQuery
 from ..obs.timer import timer
-from ..profile import current_profile
+from ..obs.trace import current_span
 from ..storage.backends import StorageBackend
 from ..xbind.evaluation import MixedStorage, evaluate_xbind
 from ..xbind.query import XBindQuery
@@ -176,9 +176,9 @@ class MarsExecutor:
         entry point, which real engines run as a single ``UNION`` statement
         (one round trip) rather than one execution per disjunct.
         """
-        profile = current_profile()
-        if profile:
-            profile.annotate(
+        span = current_span()
+        if span.profiled:
+            span.annotate(
                 plan=getattr(query, "name", "<query>"),
                 engine=self.backend.backend_name,
                 disjuncts=len(tuple(query)) if isinstance(query, UnionQuery) else 1,

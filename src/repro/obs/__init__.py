@@ -7,9 +7,11 @@ reports through:
 * :mod:`repro.obs.timer` — the one wall-clock helper (``obs.timer()``)
   behind every duration the system records, so spans, ``elapsed_seconds``
   fields and benchmark deltas agree;
-* :mod:`repro.obs.trace` — per-request span trees (:class:`Tracer`,
-  :class:`Span`, the ambient :func:`current_span`), free when disabled,
-  plus the sampled :class:`TraceBuffer` ring of completed traces and the
+* :mod:`repro.obs.trace` — the one execution tree per request
+  (:class:`Tracer`, :class:`Span`, the ambient :func:`current_span`),
+  free when disabled, whose span view is the :class:`Trace` and whose
+  operator view is the :class:`~repro.profile.QueryProfile`, plus the
+  sampled :class:`TraceBuffer` ring of completed traces and the
   :func:`phase_breakdown` per-phase latency attribution;
 * :mod:`repro.obs.metrics` — the thread-safe :class:`MetricsRegistry`
   (counters, gauges, fixed-bucket histograms with p50/p95/p99) with
@@ -93,6 +95,7 @@ from .trace import (
     TraceBuffer,
     Tracer,
     current_span,
+    operator_root,
     phase_breakdown,
 )
 
@@ -149,6 +152,7 @@ __all__ = [
     "UNHEALTHY",
     "current_span",
     "now",
+    "operator_root",
     "phase_breakdown",
     "q_error",
     "timer",

@@ -1,4 +1,4 @@
-"""Request tracing: a span tree attached to every publish/update.
+"""One execution tree per request: its spans and its profile operators.
 
 A :class:`Span` is one timed step of serving a request (plan-cache
 lookup, C&B reformulation, routing decision, pool checkout, per-shard
@@ -13,16 +13,28 @@ that thread its innermost open span.  Code running on *worker* threads
 instead — thread-locals do not cross threads, span objects do (child
 attachment is lock-protected).
 
-Tracing is built to be free when off: a disabled :class:`Tracer` hands
-out the :data:`NULL_SPAN` singleton, whose every method is a no-op and
-whose children are itself, so instrumented code never branches on an
-``if tracing`` flag — it always opens spans, and the null span absorbs
-them without allocating.
+The same tree records what execution *did*, operator by operator, when
+it is ``profiled`` — one flag, set at the root and inherited by every
+child.  A node is a *layer* (a named span: ``route``, ``pool.acquire``),
+an *operator* (a ``kind``/``label`` with estimated and actual rows,
+opened by :meth:`Span.operator` in a profiled tree only: ``scan``,
+``join-step``, ``statement``, a routing decision), or *both*, one span
+that :meth:`Span.as_operator` marks (``execute``, ``shard.execute``,
+``shard.gather``, ``merge``, ``replica.read``).  :class:`Trace` and
+:class:`~repro.profile.QueryProfile` are the two :class:`TreeView`
+projections of one root: the trace keeps the layer nodes, the profile
+the operators under ``execute``, each lifting what it keeps past what it
+drops — so an unprofiled request's trace is its tree.
 
-A finished trace exports as a JSON-able dict (:meth:`Trace.to_dict`/
-:meth:`Trace.to_json`) and renders as an indented tree with millisecond
-durations (:meth:`Trace.render`) — the view ``PublishingService.explain``
-shows under ``trace=True``.
+Tracing is built to be free when off: a request neither traced nor
+profiled gets :data:`NULL_TRACE`, rooted at the :data:`NULL_SPAN`
+singleton whose every method is a no-op and whose children are itself,
+so instrumented code never branches on an ``if tracing`` flag — it
+always opens spans, and the null span absorbs them without allocating.
+A finished trace exports as a JSON-able dict (:meth:`Trace.to_dict`)
+and renders as an indented tree with millisecond durations
+(:meth:`TreeView.render`) — the view ``PublishingService.explain`` shows
+under ``trace=True``.
 """
 
 from __future__ import annotations
@@ -32,16 +44,18 @@ import threading
 from time import perf_counter as _now
 from typing import Any, Dict, Iterator, List, Optional, Tuple
 
+from .feedback import q_error
 from .ring import SampledRing
 
 _ACTIVE = threading.local()
 
 
 def current_span() -> "Span":
-    """The innermost open span on this thread, or :data:`NULL_SPAN`.
+    """The innermost open node on this thread, or :data:`NULL_SPAN`.
 
-    Backends use this to attach per-shard/per-replica children without a
-    tracing parameter threading through every ``StorageBackend`` method.
+    Backends use this to attach per-shard, per-replica and per-operator
+    children without a tracing or profiling parameter threading through
+    every ``StorageBackend`` method.
     """
     stack = getattr(_ACTIVE, "stack", None)
     if stack:
@@ -50,7 +64,7 @@ def current_span() -> "Span":
 
 
 class Span:
-    """One timed, attributed step in a trace; a node of the span tree.
+    """One node of a request's execution tree: a span, an operator, or both.
 
     Tracing sits on every publish, so spans are deliberately lock-free:
     the mutating operations (``children.append``, ``attributes.update``)
@@ -60,21 +74,59 @@ class Span:
     snapshot ``list(children)`` before iterating).
     """
 
-    __slots__ = ("name", "attributes", "start", "end", "children")
+    __slots__ = (
+        "name", "attributes", "start", "end", "children", "profiled",
+        "kind", "label", "estimated_rows", "actual_rows",
+    )
 
-    def __init__(self, name: str, **attributes: Any):
+    def __init__(self, name: Optional[str], profiled: bool = False, **attributes: Any):
+        #: The span name; ``None`` on an operator-only node.
         self.name = name
+        #: Whether this tree records operators (set at the root, inherited).
+        self.profiled = profiled
         self.attributes: Dict[str, Any] = attributes
         self.start: float = _now()
         self.end: Optional[float] = None
         self.children: List["Span"] = []
+        #: The operator class; ``None`` on a layer-only node.
+        self.kind: Optional[str] = None
+        self.label = ""
+        self.estimated_rows: Optional[float] = None
+        self.actual_rows: Optional[int] = None
 
     # -- recording -----------------------------------------------------
     def child(self, name: str, **attributes: Any) -> "Span":
         """Open (and return) a child span; use it as a context manager."""
-        span = Span(name, **attributes)
+        span = Span(name, self.profiled, **attributes)
         self.children.append(span)
         return span
+
+    def operator(
+        self,
+        kind: str,
+        label: str,
+        estimated_rows: Optional[float] = None,
+        **attributes: Any,
+    ) -> "Span":
+        """Open an operator-only child — the null node in an unprofiled tree."""
+        if not self.profiled:
+            return NULL_SPAN
+        node = Span(None, True, **attributes)
+        node.kind, node.label, node.estimated_rows = kind, label, estimated_rows
+        self.children.append(node)
+        return node
+
+    def as_operator(self, kind: str, label: str, **attributes: Any) -> "Span":
+        """Make this span an operator too, when the tree is profiled.
+
+        *attributes* are operator detail only a profiled tree carries.
+        Returns the span, so ``parent.child(...).as_operator(...)`` opens
+        one node for an event that is both a layer and an operator.
+        """
+        if self.profiled:
+            self.kind, self.label = kind, label
+            self.attributes.update(attributes)
+        return self
 
     def add_phase(
         self, name: str, seconds: float, offset: float = 0.0, **attributes: Any
@@ -85,7 +137,7 @@ class Span:
         the service grafts those readings into the tree.  *offset* is
         seconds past this span's start.
         """
-        span = Span(name, **attributes)
+        span = Span(name, self.profiled, **attributes)
         span.start = self.start + offset
         span.end = span.start + max(0.0, seconds)
         self.children.append(span)
@@ -95,7 +147,16 @@ class Span:
         """Merge *attributes* into this span (last write wins per key)."""
         self.attributes.update(attributes)
 
-    def finish(self) -> None:
+    def produced(self, rows: int) -> None:
+        """Record the rows this step produced, once for both views: the
+        span's ``rows`` attribute and the operator's ``actual_rows``."""
+        self.attributes["rows"] = rows
+        self.actual_rows = rows
+
+    def finish(self, actual_rows: Optional[int] = None) -> None:
+        """Close the timing window and record the measured cardinality."""
+        if actual_rows is not None:
+            self.actual_rows = actual_rows
         if self.end is None:
             self.end = _now()
 
@@ -128,10 +189,24 @@ class Span:
         """Seconds this span covered (running spans read as 'so far')."""
         return (self.end if self.end is not None else _now()) - self.start
 
+    #: The profile view's name for :attr:`duration`.
+    elapsed_seconds = duration
+
+    @property
+    def q_error(self) -> Optional[float]:
+        """Per-operator cardinality q-error; ``None`` until both sides exist."""
+        if self.estimated_rows is None or self.actual_rows is None:
+            return None
+        return q_error(self.estimated_rows, self.actual_rows)
+
+    def describe(self) -> str:
+        """``kind:label`` — the operator name feedback and reports use."""
+        return f"{self.kind}:{self.label}"
+
     def to_dict(self, origin: Optional[float] = None) -> Dict[str, Any]:
+        """This span's subtree in the trace view (see :class:`Trace`)."""
         if origin is None:
             origin = self.start
-        children = list(self.children)
         entry: Dict[str, Any] = {
             "name": self.name,
             "offset_ms": round((self.start - origin) * 1000.0, 3),
@@ -139,22 +214,34 @@ class Span:
         }
         if self.attributes:
             entry["attributes"] = dict(self.attributes)
+        children = [child.to_dict(origin) for child in _lifted(self, is_layer)]
         if children:
-            entry["children"] = [child.to_dict(origin) for child in children]
+            entry["children"] = children
         return entry
 
     def walk(self) -> Iterator["Span"]:
-        """This span and every descendant, depth-first."""
+        """This node and every descendant, depth-first."""
         yield self
         for child in list(self.children):
             yield from child.walk()
 
+    def worst_operator(self) -> Optional["Span"]:
+        """The descendant (or self) with the largest q-error, if any."""
+        worst: Optional["Span"] = None
+        worst_error = 0.0
+        for node in self.walk():
+            error = node.q_error
+            if error is not None and error > worst_error:
+                worst, worst_error = node, error
+        return worst
+
 
 class _NullSpan:
-    """The do-nothing span handed out while tracing is disabled.
+    """The do-nothing node handed out while nothing is recorded.
 
-    Every method absorbs its call without allocating; ``child`` returns
-    the singleton itself so arbitrarily deep instrumentation stays free.
+    Every method absorbs its call without allocating; the opening ones
+    (``child``, ``operator``, ...) return the singleton itself so
+    arbitrarily deep instrumentation stays free.
     """
 
     __slots__ = ()
@@ -164,30 +251,22 @@ class _NullSpan:
     children: Tuple[()] = ()
     #: Real-span shape so offset arithmetic (``clock.started - parent.start``)
     #: never branches on whether tracing is live; the result is discarded.
-    start = 0.0
-    end = 0.0
-    duration = 0.0
-    enabled = False
+    start = end = duration = elapsed_seconds = 0.0
+    enabled = profiled = False
+    kind = estimated_rows = actual_rows = q_error = None
+    label = ""
 
-    def child(self, name: str, **attributes: Any) -> "_NullSpan":
+    def _itself(self, *args: Any, **attributes: Any) -> "_NullSpan":
         return self
 
-    def add_phase(
-        self, name: str, seconds: float, offset: float = 0.0, **attributes: Any
-    ) -> "_NullSpan":
-        return self
+    def _nothing(self, *args: Any, **attributes: Any) -> None:
+        return None
 
-    def annotate(self, **attributes: Any) -> None:
-        pass
+    child = operator = as_operator = add_phase = __enter__ = _itself
+    annotate = produced = finish = __exit__ = worst_operator = _nothing
 
-    def finish(self) -> None:
-        pass
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        pass
+    def describe(self) -> str:
+        return ""
 
     def to_dict(self, origin: Optional[float] = None) -> Dict[str, Any]:
         return {}
@@ -199,82 +278,153 @@ class _NullSpan:
 NULL_SPAN = _NullSpan()
 
 
-class Trace:
-    """A finished (or in-flight) span tree plus request metadata."""
+def operator_root(kind: str, label: str, **attributes: Any) -> Span:
+    """A new profiled tree rooted at one operator — what a
+    :class:`~repro.profile.QueryProfile` views outside a service request."""
+    return Span(None, True).as_operator(kind, label, **attributes)
+
+
+def is_layer(node: Span) -> bool:
+    """Whether *node* is a span (the trace view keeps it)."""
+    return node.name is not None
+
+
+def _lifted(node: Span, keeps) -> Iterator[Span]:
+    """*node*'s children as a view sees them: each kept child, and in
+    place of a dropped one its own kept descendants, lifted."""
+    for child in list(node.children):
+        if keeps(child):
+            yield child
+        else:
+            yield from _lifted(child, keeps)
+
+
+class TreeView:
+    """One projection of an execution tree: the nodes it ``keeps``, one
+    export (``to_dict``) and the one indented-tree printer (``render``,
+    one ``line`` per node)."""
 
     __slots__ = ("root", "metadata")
+
+    #: The word heading :meth:`render` when the view carries metadata.
+    title = ""
 
     def __init__(self, root: Span, **metadata: Any):
         self.root = root
         self.metadata: Dict[str, Any] = metadata
 
-    @property
-    def enabled(self) -> bool:
-        return True
+    def children(self, node: Span) -> Iterator[Span]:
+        """*node*'s children in this view (dropped nodes' kept ones lifted)."""
+        return _lifted(node, self.keeps)
 
-    @property
-    def duration(self) -> float:
-        return self.root.duration
-
-    def to_dict(self) -> Dict[str, Any]:
-        entry: Dict[str, Any] = dict(self.metadata)
-        entry["trace"] = self.root.to_dict()
-        return entry
+    def nodes(self, node: Optional[Span] = None) -> Iterator[Span]:
+        """Every node of this view (under *node*, default the root), depth-first."""
+        node = self.root if node is None else node
+        yield node
+        for child in self.children(node):
+            yield from self.nodes(child)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.to_dict(), indent=indent, default=repr)
 
-    def span_names(self) -> List[str]:
-        """Every span name in the tree, depth-first (handy in assertions)."""
-        return [span.name for span in self.root.walk()]
+    def header(self) -> str:
+        meta = ", ".join(f"{k}={v}" for k, v in self.metadata.items())
+        return f"{self.title} [{meta}]"
 
     def render(self) -> str:
-        """The span tree as indented text with millisecond durations."""
+        """The view as indented text, one :meth:`line` per node."""
         lines: List[str] = []
         if self.metadata:
-            meta = ", ".join(f"{k}={v}" for k, v in self.metadata.items())
-            lines.append(f"trace [{meta}]")
+            lines.append(self.header())
 
-        def emit(span: Span, depth: int) -> None:
-            attrs = ""
-            if span.attributes:
-                attrs = " {" + ", ".join(
-                    f"{k}={v!r}" for k, v in sorted(span.attributes.items())
-                ) + "}"
-            lines.append(
-                f"{'  ' * depth}{span.name}: {span.duration * 1000.0:.3f} ms{attrs}"
-            )
-            for child in list(span.children):
+        def emit(node: Span, depth: int) -> None:
+            lines.append("  " * depth + self.line(node))
+            for child in self.children(node):
                 emit(child, depth + 1)
 
         emit(self.root, 1 if self.metadata else 0)
         return "\n".join(lines)
 
 
-class _NullTrace:
-    """Stand-in returned by a disabled tracer: nothing recorded, no cost."""
+def format_attributes(attributes: Dict[str, Any]) -> str:
+    """`` {k=v, ...}`` in key order, or ``""`` — a rendered line's tail."""
+    if not attributes:
+        return ""
+    return " {" + ", ".join(f"{k}={v!r}" for k, v in sorted(attributes.items())) + "}"
 
-    __slots__ = ()
 
-    root = NULL_SPAN
-    metadata: Dict[str, Any] = {}
-    duration = 0.0
-    enabled = False
+class Trace(TreeView):
+    """The span view of a request's tree, plus request metadata.
+
+    ``enabled`` is whether the request is traced: a profiled request that
+    is not still grows a real tree (its profile is a view of it), but its
+    trace view is off — nothing exported, nothing retained.
+    """
+
+    __slots__ = ("enabled",)
+
+    title = "trace"
+    keeps = staticmethod(is_layer)
+
+    def __init__(self, root: Span, traced: bool = True, **metadata: Any):
+        super().__init__(root, **metadata)
+        self.enabled = traced
+
+    @property
+    def duration(self) -> float:
+        return self.root.duration
 
     def to_dict(self) -> Dict[str, Any]:
-        return {}
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return "{}"
+        if not self.enabled:
+            return {}
+        entry: Dict[str, Any] = dict(self.metadata)
+        entry["trace"] = self.root.to_dict()
+        return entry
 
     def span_names(self) -> List[str]:
-        return []
+        """Every span name in the tree, depth-first (handy in assertions)."""
+        return [span.name for span in self.nodes()] if self.enabled else []
+
+    def line(self, node: Span) -> str:
+        return (
+            f"{node.name}: {node.duration * 1000.0:.3f} ms"
+            + format_attributes(node.attributes)
+        )
 
     def render(self) -> str:
-        return "(tracing disabled)"
+        return super().render() if self.enabled else "(tracing disabled)"
 
 
-NULL_TRACE = _NullTrace()
+#: The trace of a request that is neither traced nor profiled.
+NULL_TRACE = Trace(NULL_SPAN, traced=False)
+
+
+class Tracer:
+    """The per-service switchboard deciding whether requests get spans.
+
+    ``enabled=False`` makes :meth:`trace` return :data:`NULL_TRACE`
+    (whose root is the null span), so the serving path's instrumentation
+    runs at no-op cost; individual calls can still force a trace (the
+    ``explain(trace=True)`` path) via *force*.
+    """
+
+    __slots__ = ("enabled",)
+
+    def __init__(self, enabled: bool = True):
+        self.enabled = enabled
+
+    def trace(self, name: str, force: bool = False, profiled: bool = False,
+              **metadata: Any) -> Trace:
+        """A new tree rooted at *name* and its trace view.
+
+        A *profiled* tree records operators; a request neither traced
+        nor profiled gets :data:`NULL_TRACE`.
+        """
+        traced = self.enabled or force
+        if not (traced or profiled):
+            return NULL_TRACE
+        return Trace(Span(name, profiled), traced, **metadata)
+
 
 #: Canonical publish phases the slow-query log and the audit log break a
 #: request into, mapped from the span names that carry them.  The cache
@@ -349,24 +499,3 @@ class TraceBuffer(SampledRing):
             entry["duration_ms"] = round(trace.duration * 1000.0, 3)
             exported.append(entry)
         return exported
-
-
-class Tracer:
-    """The per-service switchboard deciding whether requests get spans.
-
-    ``enabled=False`` makes :meth:`trace` return :data:`NULL_TRACE`
-    (whose root is the null span), so the serving path's instrumentation
-    runs at no-op cost; individual calls can still force a trace (the
-    ``explain(trace=True)`` path) via *force*.
-    """
-
-    __slots__ = ("enabled",)
-
-    def __init__(self, enabled: bool = True):
-        self.enabled = enabled
-
-    def trace(self, name: str, force: bool = False, **metadata: Any):
-        """A new :class:`Trace` rooted at *name*, or the null trace."""
-        if not (self.enabled or force):
-            return NULL_TRACE
-        return Trace(Span(name), **metadata)

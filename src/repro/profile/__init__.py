@@ -1,54 +1,52 @@
 """Per-operator EXPLAIN ANALYZE: structured profiles of real executions.
 
 ``explain()`` renders the planner's *intent* as a string; this package
-records what execution actually *did*, operator by operator, so a
+shows what execution actually *did*, operator by operator, so a
 cardinality misestimate can be localized to the join step, shard or
-replica that produced it rather than blamed on a whole fingerprint:
+replica that produced it rather than blamed on a whole fingerprint.
+The operators are nodes of the request's one execution tree
+(:mod:`repro.obs.trace`), recorded when the tree is profiled:
 
-* :mod:`repro.profile.nodes` — the :class:`ProfileNode` operator tree
-  (``scan`` / ``join-step`` / ``union-branch`` / ``shard-fragment`` /
-  ``replica-read`` / ``merge`` nodes, each with ``estimated_rows``,
-  ``actual_rows``, ``elapsed_seconds`` and a per-operator ``q_error``),
-  the :class:`QueryProfile` wrapper, and the ambient
-  :func:`current_profile` sink (free when inactive via
-  :data:`NULL_PROFILE`, mirroring the span tracer);
+* :mod:`repro.profile.view` — the operator kinds (``scan`` /
+  ``join-step`` / ``union-branch`` / ``shard-fragment`` /
+  ``replica-read`` / ``merge`` / ``statement``) and the
+  :class:`QueryProfile` view of a tree (each operator with
+  ``estimated_rows``, ``actual_rows``, ``elapsed_seconds`` and a
+  per-operator ``q_error``); the tree's other view is the trace;
 * :mod:`repro.profile.buffer` — the deterministic 1-in-N sampler and
   bounded ring (:class:`ProfileBuffer`) behind the service's always-on
   sampled profiling and the ``/profiles/recent`` / ``/profiles/worst``
   admin routes.
 
-Every storage backend emits nodes into the ambient sink when a profile
-is active; ``PublishingService.explain(query, analyze=True)`` forces one
-profiled execution and returns its :class:`QueryProfile`.  See the
-"Query profiling" section of ``docs/OBSERVABILITY.md``.
+Every storage backend opens operator nodes under the ambient node
+(``repro.obs.current_span()``) when its tree is profiled;
+``PublishingService.explain(query, analyze=True)`` forces one profiled
+execution and returns its :class:`QueryProfile`.  See the "Query
+profiling" section of ``docs/OBSERVABILITY.md``.
 """
 
 from .buffer import ProfileBuffer
-from .nodes import (
+from .view import (
+    EXECUTE,
     JOIN_STEP,
     MERGE,
-    NULL_PROFILE,
     REPLICA_READ,
     SCAN,
     SHARD_FRAGMENT,
     STATEMENT,
     UNION_BRANCH,
-    ProfileNode,
     QueryProfile,
-    current_profile,
 )
 
 __all__ = [
+    "EXECUTE",
     "JOIN_STEP",
     "MERGE",
-    "NULL_PROFILE",
     "ProfileBuffer",
-    "ProfileNode",
     "QueryProfile",
     "REPLICA_READ",
     "SCAN",
     "SHARD_FRAGMENT",
     "STATEMENT",
     "UNION_BRANCH",
-    "current_profile",
 ]

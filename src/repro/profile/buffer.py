@@ -15,9 +15,10 @@ estimate computation costs real time on the hot path.  The
   ``/profiles/recent`` and ``/profiles/worst`` admin routes.
 
 The sampling decision is made *before* execution, so an unsampled
-publish builds no tree at all (backends see :data:`NULL_PROFILE`); the
-dict export happens at read time, keeping the per-profile recording cost
-to a counter bump and a list append.
+publish records no operator at all (its tree is not profiled, and
+backends skip every operator node and estimate); the dict export
+happens at read time, keeping the per-profile recording cost to a
+counter bump and a list append.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional
 
 from ..obs.ring import SampledRing, head
-from .nodes import QueryProfile
+from .view import QueryProfile
 
 
 class ProfileBuffer(SampledRing):

@@ -43,7 +43,7 @@ from typing import (
 from ..errors import StorageError
 from ..obs.events import EventLog, REPLICA_FAILOVER, REPLICA_FENCED
 from ..obs.trace import current_span
-from ..profile import REPLICA_READ, current_profile
+from ..profile import REPLICA_READ
 from ..storage.backends.base import Query, Row, StorageBackend, create_backend
 from .changeset import ChangeSet
 from .selector import ReplicaSelector, create_selector
@@ -200,7 +200,6 @@ class ReplicatedBackend(StorageBackend):
         with self._lock:
             loads = tuple(self._loads)
         order = self.selector.order(self.replica_count, loads)
-        profile = current_profile()
         last_error: Optional[StorageError] = None
         for index in order:
             replica = self._replicas[index]
@@ -208,37 +207,24 @@ class ReplicatedBackend(StorageBackend):
                 continue
             with self._lock:
                 self._loads[index] += 1
-            span = current_span().child(
-                "replica.read", replica=index, engine=replica.backend_name
-            )
             # One replica-read node per *attempt*: a failed attempt stays
             # in the tree annotated failover=True, so the profile shows
             # exactly which copy served the read and which were tried.
-            node = (
-                profile.child(
-                    REPLICA_READ,
-                    f"replica{index}",
-                    replica=index,
-                    engine=replica.backend_name,
-                    selector=self.selector.name,
-                )
-                if profile
-                else None
+            span = current_span().child(
+                "replica.read", replica=index, engine=replica.backend_name
+            ).as_operator(
+                REPLICA_READ, f"replica{index}", selector=self.selector.name
             )
             try:
                 with span:
-                    if node is not None:
-                        with node:
-                            result = action(replica)
-                    else:
-                        result = action(replica)
+                    result = action(replica)
             except StorageError as error:
                 # The engine failed (killed replica, closed connection):
                 # try the next copy.  Query errors (EvaluationError and
                 # friends) are deterministic and propagate unchanged.
                 last_error = error
-                if node is not None:
-                    node.annotate(failover=True)
+                if span.profiled:
+                    span.annotate(failover=True)
                 with self._lock:
                     self._loads[index] -= 1
                     self._failovers += 1
@@ -254,8 +240,8 @@ class ReplicatedBackend(StorageBackend):
                 with self._lock:
                     self._loads[index] -= 1
                 raise
-            if node is not None and isinstance(result, (list, tuple)):
-                node.actual_rows = len(result)
+            if span.profiled and isinstance(result, (list, tuple)):
+                span.actual_rows = len(result)
             with self._lock:
                 self._loads[index] -= 1
                 self._reads[index] += 1

@@ -52,7 +52,7 @@ from ..core.system import MarsSystem
 from ..errors import ReformulationError, StorageError
 from ..logical.queries import ConjunctiveQuery, UnionQuery
 from ..plan import PlanStore, PlanStoreStats
-from ..profile import NULL_PROFILE, ProfileBuffer, ProfileNode, QueryProfile
+from ..profile import EXECUTE, ProfileBuffer, QueryProfile
 from ..obs import (
     AdminServer,
     AuditLog,
@@ -129,14 +129,13 @@ class _Flight:
     """One query on its way through :meth:`PublishingService._serve`: the
     scratch its :class:`RequestRecord` is built from."""
 
-    __slots__ = ("query", "trace", "proot", "reformulation", "plan", "rows",
-                 "route", "coarse")
+    __slots__ = ("query", "trace", "reformulation", "plan", "rows", "route",
+                 "coarse")
 
-    def __init__(self, query: XBindQuery, trace, proot):
+    def __init__(self, query: XBindQuery, trace):
         self.query = query
+        #: The request's execution tree (its trace view; profiled or not).
         self.trace = trace
-        #: The operator-profile root, or the falsy ``NULL_PROFILE``.
-        self.proot = proot
         #: Stopwatch readings of the two halves of a publish: the phase
         #: breakdown of an untraced request (a traced one reads its spans).
         self.coarse: Dict[str, float] = {}
@@ -1197,7 +1196,11 @@ class PublishingService:
         return reformulation.best
 
     def _run_plan(
-        self, plan, distinct: bool, backend: Optional[StorageBackend] = None
+        self,
+        plan,
+        distinct: bool,
+        backend: Optional[StorageBackend] = None,
+        flight: Optional[_Flight] = None,
     ) -> Tuple[List[Row], Tuple[str, ...]]:
         """Execute one plan; returns the rows and the routing modes taken.
 
@@ -1206,17 +1209,15 @@ class PublishingService:
         routed first and connections are checked out *only for the units
         the router names*, always in ascending order (uniform acquisition
         order means concurrent multi-unit publishes cannot deadlock
-        against each other).
+        against each other).  *flight* is the request the plan serves.
         """
         if backend is not None:
-            with current_span().child(
-                "execute", engine=backend.backend_name
-            ) as span:
+            with self._execute_span(flight, engine=backend.backend_name) as span:
                 if isinstance(plan, UnionQuery):
                     rows = backend.execute_union(plan, distinct=True)
                 else:
                     rows = backend.execute(plan, distinct=distinct)
-                span.annotate(rows=len(rows))
+                span.produced(len(rows))
                 return rows, ("single",)
         template = self.executor.backend
         with current_span().child("route") as route_span:
@@ -1237,13 +1238,33 @@ class PublishingService:
                 )
                 acquired.append((shard, connection))
                 children[shard] = connection
-            with current_span().child("execute") as span:
+            with self._execute_span(flight) as span:
                 rows = template.execute_routed(route, plan, distinct, children)
-                span.annotate(rows=len(rows))
+                span.produced(len(rows))
                 return rows, modes
         finally:
             for shard, connection in acquired:
                 self.shard_pools[shard].release(connection)
+
+    @staticmethod
+    def _execute_span(flight: Optional[_Flight], **attributes):
+        """Open the ``execute`` node: a span, and in a profiled tree the
+        root operator of *flight*'s profile."""
+        span = current_span().child("execute", **attributes)
+        if span.profiled and flight is not None:
+            span.as_operator(
+                EXECUTE, flight.query.name,
+                strategy=flight.trace.metadata["strategy"],
+            )
+            costs = flight.reformulation.candidate_costs
+            if costs:
+                # The planner's rejected alternatives, priced:
+                # estimate-vs-actual attribution should name what
+                # *could* have run, not just what did.
+                span.annotate(
+                    candidate_costs=[[n, round(c, 3)] for n, c in costs]
+                )
+        return span
 
     def publish(
         self,
@@ -1297,18 +1318,18 @@ class PublishingService:
         barrier_lsn = self._write_lsn
         # The profiling decision is made *before* execution (forced by
         # explain(analyze=True), else the buffer's deterministic 1-in-N
-        # sampler): unsampled publishes run against NULL_PROFILE and
-        # build no operator tree at all.
+        # sampler): an unsampled publish's tree records no operator.
         sampler = self.profile_buffer
         flights = [
             _Flight(
                 query,
                 self.tracer.trace(
-                    "publish", force=trace, query=query.name, strategy=effective
+                    "publish", force=trace,
+                    profiled=profile or (
+                        sampler is not None and sampler.should_sample()
+                    ),
+                    query=query.name, strategy=effective,
                 ),
-                ProfileNode("execute", query.name, strategy=effective)
-                if profile or (sampler is not None and sampler.should_sample())
-                else NULL_PROFILE,
             )
             for query in queries
         ]
@@ -1339,9 +1360,9 @@ class PublishingService:
                     getattr(estimate, "total", 0.0),
                 )
             query_profile = None
-            if flight.proot:
+            if flight.trace.root.profiled:
                 query_profile = QueryProfile(
-                    flight.proot, query=query.name, strategy=effective,
+                    flight.trace.root, query=query.name, strategy=effective,
                     plan=plan_name, forced=profile,
                 )
             record = self._record(
@@ -1385,19 +1406,9 @@ class PublishingService:
                             timeout=self.checkout_timeout,
                             min_lsn=self.mutation_log.lsn,
                         )
-                    proot, costs = flight.proot, flight.reformulation.candidate_costs
-                    if proot and costs:
-                        # The planner's rejected alternatives, priced:
-                        # estimate-vs-actual attribution should name what
-                        # *could* have run, not just what did.
-                        proot.annotate(
-                            candidate_costs=[[n, round(c, 3)] for n, c in costs]
-                        )
-                    with proot:
-                        flight.rows, flight.route = self._run_plan(
-                            flight.plan, distinct, backend
-                        )
-                    proot.finish(actual_rows=len(flight.rows))
+                    flight.rows, flight.route = self._run_plan(
+                        flight.plan, distinct, backend, flight
+                    )
                     root.annotate(rows=len(flight.rows))
                 flight.coarse["execute"] = clock.stop()
         finally:

@@ -35,15 +35,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import EvaluationError, SchemaError, StorageError
-from ..logical.queries import ConjunctiveQuery, UnionQuery
+from ..logical.queries import UnionQuery
 from ..obs.trace import current_span
-from ..profile import (
-    MERGE,
-    NULL_PROFILE,
-    SHARD_FRAGMENT,
-    UNION_BRANCH,
-    current_profile,
-)
+from ..profile import MERGE, SHARD_FRAGMENT, UNION_BRANCH
 from ..storage.backends.base import Query, Row, StorageBackend, create_backend
 from ..storage.backends.memory import MemoryBackend
 from .executor import ScatterGatherExecutor, merge_rows
@@ -499,17 +493,22 @@ class ShardedBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def route_plan(self, plan: Query, annotate: bool = False) -> RoutePlan:
-        """The routing decisions for *plan* (one per union disjunct)."""
+    def route_plan(self, plan: Query, annotate: Optional[bool] = None) -> RoutePlan:
+        """The routing decisions for *plan* (one per union disjunct).
+
+        *annotate* defaults to whether the ambient tree is profiled: a
+        profiled execution pays for the describe-only cost annotations
+        too, so its decision nodes carry the chosen *and* rejected
+        estimates, not just the modes.
+        """
         self._require_open()
+        if annotate is None:
+            annotate = current_span().profiled
         return self.router.route_plan(plan, annotate=annotate)
 
     def execute(self, query: Query, distinct: bool = True) -> List[Row]:
         with current_span().child("route") as span:
-            # With a profile active, pay for the describe-only cost
-            # annotations too: the profile nodes should carry the chosen
-            # *and* rejected estimates, not just the modes.
-            plan = self.route_plan(query, annotate=bool(current_profile()))
+            plan = self.route_plan(query)
             span.annotate(
                 disjuncts=len(plan.decisions),
                 modes=[decision.mode for _q, decision in plan.decisions],
@@ -539,13 +538,10 @@ class ShardedBackend(StorageBackend):
         engines: Mapping[int, StorageBackend] = (
             children if children is not None else dict(enumerate(self._children))
         )
-        # The ambient span is thread-local; capture it here so the task
-        # closures below can parent their per-shard spans from the
-        # scatter/gather worker threads.  The ambient profile node is
-        # captured for the same reason: per-shard fragment profiles are
-        # built on worker threads and grafted under the decision node.
+        # The ambient node is thread-local; capture it here so the task
+        # closures below can parent their per-shard nodes from the
+        # scatter/gather worker threads.
         parent = current_span()
-        profile = current_profile()
         is_union = isinstance(query, UnionQuery)
         if (
             is_union
@@ -561,39 +557,31 @@ class ShardedBackend(StorageBackend):
             return self._execute_gather_union(plan, distinct, engines)
         per_disjunct: List[List[Row]] = []
         for position, (disjunct, decision) in enumerate(plan.decisions):
-            if profile:
-                # The scatter/gather node the per-shard fragment profiles
-                # graft under, carrying the router's decision — mode,
-                # reason, and (when a cost model priced it) the chosen and
-                # rejected-alternative costs.
-                decision_node = profile.child(
-                    UNION_BRANCH if is_union else decision.mode,
-                    disjunct.name,
-                    disjunct=position,
-                    **decision.profile_attributes(),
-                )
-            else:
-                decision_node = NULL_PROFILE
+            # The routing decision as an operator — mode, reason, and (when
+            # a cost model priced it) the chosen and rejected-alternative
+            # costs.  A gather *is* that node; a scatter's shard fragments
+            # and merge nest under it.
+            kind = UNION_BRANCH if is_union else decision.mode
+            attributes = decision.profile_attributes() if parent.profiled else {}
             if decision.mode == MODE_GATHER:
                 with parent.child(
                     "shard.gather", shards=sorted(decision.shards)
-                ):
-                    with decision_node:
-                        rows = self._execute_gather(
-                            decision, disjunct, distinct, engines
-                        )
-                    decision_node.finish(actual_rows=len(rows))
+                ).as_operator(
+                    kind, disjunct.name, disjunct=position, **attributes
+                ) as node:
+                    scratch = self._gather(node, decision.fetch_shards, engines)
+                    rows = scratch.execute(disjunct, distinct=distinct)
+                    node.finish(actual_rows=len(rows))
             else:
+                node = parent.operator(
+                    kind, disjunct.name, disjunct=position, **attributes
+                )
+                host = node if parent.profiled else parent
                 tasks = [
                     (
                         shard,
                         lambda shard=shard: self._traced_shard_execute(
-                            parent,
-                            decision_node,
-                            shard,
-                            engines[shard],
-                            disjunct,
-                            distinct,
+                            host, shard, engines[shard], disjunct, distinct
                         ),
                     )
                     for shard in decision.shards
@@ -602,77 +590,60 @@ class ShardedBackend(StorageBackend):
                 with self._stats_lock:
                     for shard in decision.shards:
                         self._executions[shard] += 1
-                merge_node = decision_node.child(
-                    MERGE, f"{disjunct.name}[merge]", inputs=len(results)
-                )
-                with parent.child("merge", inputs=len(results)) as merge_span:
+                with host.child("merge", inputs=len(results)).as_operator(
+                    MERGE, f"{disjunct.name}[merge]"
+                ) as merge:
                     rows = merge_rows(results, distinct)
-                    merge_span.annotate(rows=len(rows))
-                merge_node.finish(actual_rows=len(rows))
-                decision_node.finish(actual_rows=len(rows))
+                    merge.produced(len(rows))
+                node.finish(actual_rows=len(rows))
             per_disjunct.append(rows)
         if not is_union:
             return per_disjunct[0]
         # Same set/bag semantics as the per-shard merge, across disjuncts.
-        union_merge = profile.child(MERGE, "union", inputs=len(per_disjunct))
         with parent.child(
             "merge", inputs=len(per_disjunct), union=True
-        ) as merge_span:
+        ).as_operator(MERGE, "union") as merge:
             rows = merge_rows(list(enumerate(per_disjunct)), distinct)
-            merge_span.annotate(rows=len(rows))
-        union_merge.finish(actual_rows=len(rows))
+            merge.produced(len(rows))
         return rows
 
     @staticmethod
-    def _traced_shard_execute(parent, profile_parent, shard, engine, disjunct, distinct):
+    def _traced_shard_execute(parent, shard, engine, disjunct, distinct):
         with parent.child(
             "shard.execute", shard=shard, engine=engine.backend_name
-        ) as span:
-            if profile_parent:
-                with profile_parent.child(
-                    SHARD_FRAGMENT,
-                    f"{disjunct.name}@shard{shard}",
-                    shard=shard,
-                    engine=engine.backend_name,
-                ) as fragment:
-                    rows = engine.execute(disjunct, distinct=distinct)
-                    fragment.finish(actual_rows=len(rows))
-            else:
-                rows = engine.execute(disjunct, distinct=distinct)
-            span.annotate(rows=len(rows))
+        ).as_operator(SHARD_FRAGMENT, f"{disjunct.name}@shard{shard}") as span:
+            rows = engine.execute(disjunct, distinct=distinct)
+            span.produced(len(rows))
             return rows
 
-    def _execute_gather(
-        self,
-        decision,
-        query: ConjunctiveQuery,
-        distinct: bool,
-        engines: Mapping[int, StorageBackend],
-    ) -> List[Row]:
-        """Pull pruned table fragments to a scratch store and evaluate there."""
-        profile = current_profile()
+    def _gather(self, node, fetch, engines) -> MemoryBackend:
+        """A coordinator-local store holding the fragments *fetch* names.
+
+        It prices its evaluation with this backend's statistics catalog,
+        the way clones do, so a profiled gather reports the planner's
+        estimates instead of re-measuring the fragments it fetched.  In a
+        profiled tree each fetched fragment is a ``shard-fragment``
+        operator under *node*, carrying its real cardinality.
+        """
         scratch = MemoryBackend()
-        for table, shards in decision.fetch_shards:
+        scratch._statistics_catalog = self._statistics_catalog
+        for table, shards in fetch:
             arity = self._require_table(table)
             scratch.create_table(table, arity, self._attributes[table])
-            fragments: List[Sequence[Row]] = []
             for shard in shards:
                 fragment_rows = engines[shard].rows(table)
-                if profile:
-                    fragment = profile.child(
+                if node.profiled:
+                    node.operator(
                         SHARD_FRAGMENT,
                         f"{table}@shard{shard}",
                         shard=shard,
                         relation=table,
-                    )
-                    fragment.finish(actual_rows=len(fragment_rows))
-                fragments.append(fragment_rows)
+                    ).finish(actual_rows=len(fragment_rows))
+                scratch.insert_many(table, fragment_rows)
             with self._stats_lock:
                 for shard in shards:
                     self._gather_fetches[shard] += 1
-            for fragment_rows in fragments:
-                scratch.insert_many(table, fragment_rows)
-        return scratch.execute(query, distinct=distinct)
+        return scratch
 
     def _execute_gather_union(
         self,
@@ -689,7 +660,7 @@ class ShardedBackend(StorageBackend):
         different shards.  The saved fetch count is recorded on the
         router's stats (``gather_unions_batched``/``fragment_fetches_saved``).
         """
-        profile = current_profile()
+        node = current_span()
         needed: Dict[str, set] = {}
         per_disjunct_fetches = 0
         for _disjunct, decision in plan.decisions:
@@ -701,43 +672,21 @@ class ShardedBackend(StorageBackend):
                     needed.setdefault(table, set(shards[:1]))
                 else:
                     needed.setdefault(table, set()).update(shards)
-        scratch = MemoryBackend()
-        fetched = 0
-        for table in sorted(needed):
-            shards = sorted(needed[table])
-            arity = self._require_table(table)
-            scratch.create_table(table, arity, self._attributes[table])
-            for shard in shards:
-                fragment_rows = engines[shard].rows(table)
-                if profile:
-                    fragment = profile.child(
-                        SHARD_FRAGMENT,
-                        f"{table}@shard{shard}",
-                        shard=shard,
-                        relation=table,
-                    )
-                    fragment.finish(actual_rows=len(fragment_rows))
-                scratch.insert_many(table, fragment_rows)
-            fetched += len(shards)
-            with self._stats_lock:
-                for shard in shards:
-                    self._gather_fetches[shard] += 1
-        self.router.note_union_batch(per_disjunct_fetches - fetched)
+        fetch = [(table, sorted(needed[table])) for table in sorted(needed)]
+        scratch = self._gather(node, fetch, engines)
+        self.router.note_union_batch(
+            per_disjunct_fetches - sum(len(shards) for _table, shards in fetch)
+        )
         per_disjunct = []
         for index, (disjunct, decision) in enumerate(plan.decisions):
-            if profile:
-                with profile.child(
-                    UNION_BRANCH,
-                    disjunct.name,
-                    disjunct=index,
-                    **decision.profile_attributes(),
-                ) as branch:
-                    result = scratch.execute(disjunct, distinct=distinct)
-                    branch.finish(actual_rows=len(result))
-            else:
+            attributes = decision.profile_attributes() if node.profiled else {}
+            with node.operator(
+                UNION_BRANCH, disjunct.name, disjunct=index, **attributes
+            ) as branch:
                 result = scratch.execute(disjunct, distinct=distinct)
+                branch.finish(actual_rows=len(result))
             per_disjunct.append((index, result))
-        union_merge = profile.child(MERGE, "union", inputs=len(per_disjunct))
+        union_merge = node.operator(MERGE, "union", inputs=len(per_disjunct))
         rows = merge_rows(per_disjunct, distinct)
         union_merge.finish(actual_rows=len(rows))
         return rows

@@ -25,12 +25,12 @@ class MemoryBackend(StorageBackend):
     the hash-join evaluator scans, so cost estimates derived from a memory
     backend describe exactly the data it will join.
 
-    When a query profile is active (``explain(analyze=True)`` or the
+    When the request is profiled (``explain(analyze=True)`` or the
     service's 1-in-N sampler), the evaluator emits one ``scan``/
     ``join-step`` operator node per hash-join step — carrying the
     :meth:`estimate_pipeline` figure :meth:`explain` prints, now paired
-    with the step's *actual* intermediate cardinality — into the ambient
-    :func:`repro.profile.current_profile` sink.
+    with the step's *actual* intermediate cardinality — under the
+    ambient :func:`repro.obs.current_span` node.
     """
 
     backend_name = "memory"

@@ -20,7 +20,8 @@ from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tupl
 from ...errors import EvaluationError, SchemaError, StorageError
 from ...logical.queries import ConjunctiveQuery, UnionQuery
 from ...logical.terms import Variable, is_variable
-from ...profile import SCAN, STATEMENT, UNION_BRANCH, current_profile
+from ...obs.trace import Span, current_span
+from ...profile import SCAN, STATEMENT, UNION_BRANCH
 from ..sql import SQLQuery, quote_identifier, render_sql_query, render_union_sql_query
 from .base import Query, Row, StorageBackend
 
@@ -389,13 +390,13 @@ class SQLiteBackend(StorageBackend):
         if self.auto_index:
             self.ensure_indexes(query)
         statement = self.compile_query(query, distinct=distinct)
-        profile = current_profile()
-        if profile:
+        span = current_span()
+        if span.profiled:
             # The engine is a black box below the statement, so the row
             # counter sits on the statement node (estimate vs. the rows
             # the cursor actually produced); per-atom ``scan`` children
             # carry the real table cardinalities the statement read.
-            node = profile.child(
+            node = span.operator(
                 STATEMENT, getattr(query, "name", "<query>"), engine="sqlite"
             )
             node.estimated_rows = self._attach_profile_scans(node, query)
@@ -423,7 +424,7 @@ class SQLiteBackend(StorageBackend):
             node.finish(actual_rows=len(result))
         return result
 
-    def _attach_profile_scans(self, node: "ProfileNode", query: Query) -> float:
+    def _attach_profile_scans(self, node: Span, query: Query) -> float:
         """Per-atom ``scan`` children (and ``union-branch`` grouping).
 
         Returns the planner's result estimate for *query* — the last
@@ -433,13 +434,13 @@ class SQLiteBackend(StorageBackend):
         if isinstance(query, UnionQuery):
             total = 0.0
             for position, disjunct in enumerate(query):
-                branch = node.child(UNION_BRANCH, disjunct.name, disjunct=position)
+                branch = node.operator(UNION_BRANCH, disjunct.name, disjunct=position)
                 branch.estimated_rows = self._attach_profile_scans(branch, disjunct)
                 total += branch.estimated_rows
                 branch.finish()
             return total
         for atom in query.normalize_equalities().relational_body:
-            scan = node.child(SCAN, atom.relation, relation=atom.relation)
+            scan = node.operator(SCAN, atom.relation, relation=atom.relation)
             scan.finish(actual_rows=self.cardinality(atom.relation))
         steps = self.estimate_pipeline(query)
         return steps[-1] if steps else 1.0

@@ -6,15 +6,15 @@ projects onto the head.  The same machinery is reused (over *symbolic*
 instances) by the set-oriented chase implementation; here it runs over real
 data to execute reformulations and to verify their equivalence in tests.
 
-When a query profile is active (:func:`repro.profile.current_profile`),
-each hash-join step emits one ``scan``/``join-step`` operator node with
-its intermediate binding count as ``actual_rows`` and, as
+When the ambient execution tree (:func:`repro.obs.current_span`) is
+profiled, each hash-join step emits one ``scan``/``join-step`` operator
+node with its intermediate binding count as ``actual_rows`` and, as
 ``estimated_rows``, the figure the caller's *estimator* gives for that
 step (:meth:`StorageBackend.estimate_pipeline` — the numbers
 :meth:`MemoryBackend.explain` prints); union evaluation wraps each
 disjunct in a ``union-branch`` node.  The estimator is only consulted
-while a profile is live, so unprofiled evaluation pays nothing beyond
-one ambient lookup per query.
+in a profiled tree, so unprofiled evaluation pays nothing beyond one
+ambient lookup per query.
 """
 
 from __future__ import annotations
@@ -25,7 +25,8 @@ from ..errors import EvaluationError
 from ..logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
 from ..logical.queries import ConjunctiveQuery, UnionQuery
 from ..logical.terms import Constant, Term, Variable, is_variable
-from ..profile import JOIN_STEP, SCAN, UNION_BRANCH, current_profile
+from ..obs.trace import current_span
+from ..profile import JOIN_STEP, SCAN, UNION_BRANCH
 from .relational_db import InMemoryDatabase, Row
 
 Binding = Dict[Variable, object]
@@ -75,8 +76,9 @@ def evaluate_query(
     giving hash-join behaviour without materializing intermediate tables.
     """
     query = query.normalize_equalities()
-    profile = current_profile()
-    estimates = estimator(query) if profile and estimator else ()
+    span = current_span()
+    profiled = span.profiled
+    estimates = estimator(query) if profiled and estimator else ()
     bindings: List[Binding] = [{}]
     bound_vars: List[Variable] = []
     for step, atom in enumerate(query.relational_body, start=1):
@@ -86,8 +88,8 @@ def evaluate_query(
             )
         rows = database.table(atom.relation).rows
         key_positions = _atom_join_key(atom, bound_vars)
-        if profile:
-            node = profile.child(
+        if profiled:
+            node = span.operator(
                 JOIN_STEP if key_positions else SCAN,
                 f"{atom.relation}[step {step}]",
                 estimated_rows=estimates[step - 1] if estimates else None,
@@ -169,18 +171,13 @@ def evaluate_union(
     estimator: Optional[PipelineEstimator] = None,
 ) -> List[Row]:
     """Evaluate a union of conjunctive queries (set semantics when *distinct*)."""
-    profile = current_profile()
+    span = current_span()
     results: List[Row] = []
     seen = set()
     for position, disjunct in enumerate(union):
-        if profile:
-            with profile.child(
-                UNION_BRANCH, disjunct.name, disjunct=position
-            ) as branch:
-                produced = evaluate_query(disjunct, database, distinct, estimator)
-                branch.finish(actual_rows=len(produced))
-        else:
+        with span.operator(UNION_BRANCH, disjunct.name, disjunct=position) as branch:
             produced = evaluate_query(disjunct, database, distinct, estimator)
+            branch.finish(actual_rows=len(produced))
         for row in produced:
             if distinct:
                 if row in seen:

@@ -45,6 +45,7 @@ from repro.obs import (
     timer,
     validate_metric_name,
 )
+from repro.profile import EXECUTE, MERGE, REPLICA_READ, SHARD_FRAGMENT
 from repro.replica import ChangeSet, ReplicatedBackend
 from repro.serve import PublishingService
 from repro.storage.backends.memory import MemoryBackend
@@ -1064,6 +1065,125 @@ class TestOneRequestRecord:
             assert service.trace_buffer.recent(1)[0]["request_id"] == 2
             assert service.stats().updates_applied == 1
             assert service.registry.get("mars_updates_total").value == 1
+
+
+def suite_service(backend, **options):
+    """A small xmark service on one deployment of the matrix."""
+    configuration = small_xmark()
+    configuration.backend = backend
+    configuration.shard_count = 3
+    configuration.replica_count = 2
+    return PublishingService(configuration, pool_size=2, **options)
+
+
+#: The span names of a warm xmark-suite publish, per deployment, in suite
+#: order — as they were before spans and profile operators became one tree.
+SCATTER = (
+    "publish plan_cache.lookup route pool.acquire pool.acquire pool.acquire "
+    "execute shard.execute shard.execute shard.execute merge"
+)
+GATHER = (
+    "publish plan_cache.lookup route pool.acquire pool.acquire pool.acquire "
+    "execute shard.gather"
+)
+WARM_SPAN_NAMES = {
+    "memory": ["publish plan_cache.lookup pool.acquire execute"] * 7,
+    "sqlite": ["publish plan_cache.lookup pool.acquire execute"] * 7,
+    "sharded": [SCATTER] * 4 + [GATHER] * 3,
+    "replicated": ["publish plan_cache.lookup pool.acquire execute replica.read"] * 7,
+}
+
+
+class TestOneExecutionTree:
+    """A span and a profile operator recording one event are one node;
+    ``/traces`` and ``/profiles`` are two views of the request's tree."""
+
+    #: Span name -> the operator kind the same node carries when profiled.
+    BOTH = {
+        "execute": EXECUTE,
+        "shard.execute": SHARD_FRAGMENT,
+        "replica.read": REPLICA_READ,
+        "merge": MERGE,
+    }
+
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    def test_layer_and_operator_of_one_event_are_one_node(self, backend):
+        with suite_service(backend, tracing=True, profile_sample=1) as service:
+            for query in xmark.query_suite():
+                service.publish(query)
+                trace, profile = service.last_trace, service.last_profile
+                operators = profile.operators()
+                spans = [span for span in trace.nodes() if span.name in self.BOTH]
+                for span in spans:
+                    assert span.kind == self.BOTH[span.name], span.name
+                    assert any(node is span for node in operators), span.name
+                (execute,) = [span for span in spans if span.name == "execute"]
+                assert profile.root is execute
+                # No second node for the same event: every operator of
+                # these kinds is a span too, except the fragment fetches
+                # and batched-union merge a gather records operator-only.
+                for node in operators:
+                    if node.kind in self.BOTH.values() and node.name is None:
+                        assert "relation" in node.attributes or (
+                            node.kind == MERGE and node.label == "union"
+                        ), node.describe()
+
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    @pytest.mark.parametrize("profile_sample", [0, 1])
+    def test_trace_view_keeps_the_span_names(self, backend, profile_sample):
+        with suite_service(
+            backend, tracing=True, profile_sample=profile_sample
+        ) as service:
+            names = []
+            for query in xmark.query_suite():
+                service.publish(query)
+                service.publish(query)
+                names.append(" ".join(service.last_trace.span_names()))
+                # /traces/recent exports the same view.
+                exported, pending = [], [service.trace_buffer.recent(1)[0]["trace"]]
+                while pending:
+                    entry = pending.pop()
+                    exported.append(entry["name"])
+                    pending.extend(reversed(entry.get("children", [])))
+                assert exported == service.last_trace.span_names()
+        assert names == WARM_SPAN_NAMES[backend]
+
+    @pytest.mark.parametrize("backend", DEPLOYMENTS)
+    def test_untraced_requests_still_profile(self, backend, tmp_path):
+        with suite_service(
+            backend, tracing=False, profile_sample=1,
+            audit_dir=str(tmp_path / "audit"),
+        ) as service:
+            rows = service.publish(xmark.query_item_names())
+            assert service.last_profile.actual_rows == len(rows)
+            assert service.last_profile.root.kind == EXECUTE
+            assert service.last_trace is NULL_TRACE
+            assert service.trace_buffer.recent() == []
+            (entry,) = service.audit.entries()
+            assert set(entry["phases"]) == {"reformulate", "execute"}
+
+
+class TestOneAmbientStack:
+    """One node class, one null node, one thread-local stack: a second
+    ambient sink under ``src/repro/`` fails here."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    RETIRED = ("current_profile", "ProfileNode", "NULL_PROFILE", "_NullProfileNode")
+
+    def test_source_scan(self):
+        paths = sorted(self.SRC.rglob("*.py"))
+        assert paths, f"nothing to scan under {self.SRC}"
+        locals_ = [
+            path.name
+            for path in paths
+            for line in path.read_text().splitlines()
+            if "threading.local(" in line
+        ]
+        assert locals_ == ["trace.py"], locals_
+        for path in paths:
+            source = path.read_text()
+            for name in self.RETIRED:
+                assert name not in source, f"{name} in {path}"
 
 
 class TestOneEmitSite:

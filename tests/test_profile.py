@@ -23,22 +23,21 @@ import pytest
 from repro.logical.atoms import RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Variable
+from repro.obs import NULL_SPAN, Span, current_span, operator_root
 from repro.obs.feedback import Q_ERROR_CAP, q_error
 from repro.profile import (
     JOIN_STEP,
     MERGE,
-    NULL_PROFILE,
     ProfileBuffer,
-    ProfileNode,
     QueryProfile,
     REPLICA_READ,
     SCAN,
     SHARD_FRAGMENT,
-    current_profile,
 )
 from repro.serve import PublishingService
 from repro.storage.backends import create_backend
-from repro.workloads import medical
+from repro.storage.backends.memory import MemoryBackend
+from repro.workloads import medical, xmark
 
 BACKENDS = ("memory", "sqlite", "sharded", "replicated")
 
@@ -180,7 +179,7 @@ class TestProfilingDoesNotChangeAnswers:
             backend.insert_many("r", [(1, 2), (1, 3)])
             backend.insert_many("s", [(2, 9), (3, 9)])
             plain = backend.execute(query, distinct=False)
-            with ProfileNode("execute", "bag"):
+            with operator_root("execute", "bag"):
                 profiled = backend.execute(query, distinct=False)
         assert sorted(plain) == [(1, 9), (1, 9)]
         assert sorted(profiled) == sorted(plain)
@@ -195,7 +194,7 @@ class TestEstimatesComeFromTheCatalog:
     def plan_estimate(backend, query):
         """The last estimate in the tree: memory's final join-step, SQLite's
         statement (its per-atom scans carry only actual rows)."""
-        with ProfileNode("execute", query.name) as root:
+        with operator_root("execute", query.name) as root:
             backend.execute(query)
         return [
             node.estimated_rows
@@ -232,6 +231,68 @@ class TestEstimatesComeFromTheCatalog:
         finally:
             for backend in backends:
                 backend.close()
+
+
+def sharded_service(configuration, **options):
+    configuration.backend = "sharded"
+    configuration.shard_count = 3
+    return PublishingService(configuration, pool_size=2, **options)
+
+
+class TestShardedProfilesCarryThePlannersNumbers:
+    def test_service_decision_nodes_carry_the_annotated_cost(self):
+        """Regression: the service routed without annotation, so a
+        profiled publish's forced-gather decision had no estimated cost
+        while ``ShardedBackend.execute`` had one."""
+        with sharded_service(medical.build_configuration()) as service:
+            query = medical.client_query()
+            profile = service.explain(query, analyze=True)
+            plan = service.plan_for(service.reformulate(query))
+            route = service.executor.backend.route_plan(plan, annotate=True)
+            expected = [
+                round(decision.estimated_cost, 3) for _q, decision in route.decisions
+            ]
+            decisions = [
+                node for node in profile.operators() if "mode" in node.attributes
+            ]
+            assert [node.attributes["mode"] for node in decisions] == ["gather"]
+            assert [
+                node.attributes.get("estimated_cost") for node in decisions
+            ] == expected
+
+    def test_profiled_gathers_price_with_the_templates_catalog(self, monkeypatch):
+        """Regression: a gather's scratch store had no catalog, so a
+        profiled gather swept its fetched fragments for statistics."""
+        calls = []
+        collect = MemoryBackend.collect_statistics
+
+        def spy(backend):
+            calls.append(backend)
+            return collect(backend)
+
+        configuration = xmark.build_configuration(
+            xmark.XMarkParameters(items_per_region=4, people=8, closed_auctions=12)
+        )
+        with sharded_service(configuration, profile_sample=1) as service:
+            monkeypatch.setattr(MemoryBackend, "collect_statistics", spy)
+            template = service.executor.backend
+            gathers = 0
+            for query in xmark.query_suite():
+                service.publish(query)
+                profile = service.last_profile
+                plan = service.plan_for(service.reformulate(query))
+                for node in profile.operators():
+                    if node.kind != "gather":
+                        continue
+                    gathers += 1
+                    steps = [
+                        child.estimated_rows
+                        for child in profile.children(node)
+                        if child.kind in (SCAN, JOIN_STEP)
+                    ]
+                    assert steps == list(template.estimate_pipeline(plan))
+            assert gathers
+        assert calls == []
 
 
 class TestExplainAnalyzeForcedWhenSamplingDisabled:
@@ -317,9 +378,9 @@ class TestProfileBufferConcurrency:
             try:
                 for index in range(per_thread):
                     buffer.should_sample()
-                    root = ProfileNode("execute", f"t{tag}q{index}")
+                    root = operator_root("execute", f"t{tag}q{index}")
                     with root:
-                        child = root.child(SCAN, "r", estimated_rows=2.0)
+                        child = root.operator(SCAN, "r", estimated_rows=2.0)
                         child.finish(actual_rows=4)
                     root.finish(actual_rows=4)
                     buffer.record(
@@ -377,27 +438,34 @@ class TestProfileBufferConcurrency:
 
 
 class TestAmbientSink:
-    def test_no_profile_means_null_profile(self):
-        assert current_profile() is NULL_PROFILE
-        assert not current_profile()
+    def test_no_tree_means_the_null_node(self):
+        assert current_span() is NULL_SPAN
+        assert not current_span().profiled
         # The null node absorbs instrumentation without allocating.
-        assert NULL_PROFILE.child(SCAN, "r") is NULL_PROFILE
-        NULL_PROFILE.finish(actual_rows=3)
-        NULL_PROFILE.annotate(anything=1)
-        assert NULL_PROFILE.actual_rows is None
-        assert NULL_PROFILE.to_dict() == {}
+        assert NULL_SPAN.operator(SCAN, "r") is NULL_SPAN
+        assert NULL_SPAN.child("span").as_operator(SCAN, "r") is NULL_SPAN
+        NULL_SPAN.finish(actual_rows=3)
+        NULL_SPAN.annotate(anything=1)
+        assert NULL_SPAN.actual_rows is None
+        assert NULL_SPAN.to_dict() == {}
 
     def test_nesting_restores_the_outer_node(self):
-        outer = ProfileNode("execute", "outer")
+        outer = operator_root("execute", "outer")
         with outer:
-            assert current_profile() is outer
-            with outer.child(MERGE, "inner") as inner:
-                assert current_profile() is inner
-            assert current_profile() is outer
-        assert current_profile() is NULL_PROFILE
+            assert current_span() is outer
+            with outer.operator(MERGE, "inner") as inner:
+                assert current_span() is inner
+            assert current_span() is outer
+        assert current_span() is NULL_SPAN
+
+    def test_unprofiled_tree_opens_no_operator(self):
+        root = Span("publish")
+        assert root.operator(SCAN, "r") is NULL_SPAN
+        assert root.child("execute").as_operator("execute", "q").kind is None
+        assert [child.name for child in root.children] == ["execute"]
 
     def test_exception_annotates_and_closes(self):
-        node = ProfileNode("execute", "boom")
+        node = operator_root("execute", "boom")
         with pytest.raises(RuntimeError):
             with node:
                 raise RuntimeError("kaput")
@@ -413,7 +481,9 @@ class TestQErrorGuards:
         assert q_error(0, 10.0) == 10.0
         assert q_error(0, 0) == 1.0
         assert q_error(1e12, 0) == Q_ERROR_CAP  # capped, never inf
-        node = ProfileNode("scan", "r", estimated_rows=10.0)
+        node = operator_root("execute", "q").operator(
+            "scan", "r", estimated_rows=10.0
+        )
         node.finish(actual_rows=0)
         assert node.q_error == 10.0
 

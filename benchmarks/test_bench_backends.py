@@ -115,7 +115,8 @@ class TestBackendComparison:
                 )
 
     def test_report_sqlite_plans(self):
-        """Show that SQLite actually uses the indexes built on join columns."""
+        """Show that SQLite actually uses the indexes built on join columns
+        (the ``engine_plan`` rows of the profiled run's statement node)."""
         configuration, query = xmark_case(1)
         system = MarsSystem(configuration)
         result = system.reformulate(query)

@@ -3,13 +3,14 @@
 Builds a replicated-over-sharded publishing service on the XMark
 workload and walks the structured-profile surface:
 
-* ``explain(query)`` — the *intent*: the routing decision rendered with
-  the chosen mode **and the rejected alternative's cost**;
-* ``explain(query, analyze=True)`` — the *reality*: one forced profiled
-  publish, returned as a :class:`~repro.profile.QueryProfile` operator
-  tree (replica reads, shard fragments with real cardinalities, merges,
-  hash-join steps with the planner's running estimates) rendered and
-  exported as JSON;
+* ``explain(query)`` — one forced profiled publish, rendered as text:
+  the routing decision with the chosen mode **and the rejected
+  alternative's cost**, the replica that served the read and its
+  failover order, each operator's estimate beside its actual rows;
+* ``explain(query, analyze=True)`` — the same kind of run returned as a
+  :class:`~repro.profile.QueryProfile` operator tree (replica reads,
+  shard fragments with real cardinalities, merges, hash-join steps with
+  the planner's running estimates) and exported as JSON;
 * always-on sampled profiling (``profile_sample=1/N``) filling the
   bounded profile buffer behind ``/profiles/recent`` and
   ``/profiles/worst``;
@@ -42,10 +43,10 @@ def main() -> None:
     ) as service:
         queries = [xmark.query_item_names(), *xmark.query_suite()[:3]]
 
-        banner("The plan as intended (explain): routing incl. rejected cost")
+        banner("The plan as run (explain): routing incl. rejected cost")
         print(service.explain(queries[0]))
 
-        banner("The plan as executed (explain analyze=True)")
+        banner("Another run, structured (explain analyze=True)")
         profile = service.explain(queries[0], analyze=True)
         print(profile.render())
         print(

@@ -25,7 +25,8 @@ from typing import List, Tuple, Type, Union
 from ..compile.view_compiler import RelationalView
 from ..logical.queries import ConjunctiveQuery, UnionQuery
 from ..obs.timer import timer
-from ..obs.trace import current_span
+from ..obs.trace import current_span, operator_root
+from ..profile import EXECUTE, QueryProfile
 from ..storage.backends import StorageBackend
 from ..xbind.evaluation import MixedStorage, evaluate_xbind
 from ..xbind.query import XBindQuery
@@ -188,8 +189,17 @@ class MarsExecutor:
         return self.backend.execute(query)
 
     def explain_reformulation(self, query: Union[ConjunctiveQuery, UnionQuery]) -> str:
-        """The backend's account of how it would run *query*."""
-        return self.backend.explain(query)
+        """Run *query* once, profiled, and render what it did.
+
+        The text is the run's :class:`~repro.profile.QueryProfile`: every
+        operator the backend recorded (routing decisions, replica reads,
+        shard fragments, SQL statements with the engine's plan, hash-join
+        steps), each estimate beside its actual rows.
+        """
+        with operator_root(EXECUTE, getattr(query, "name", "<query>")) as root:
+            rows = self.execute_reformulation(query)
+        root.finish(actual_rows=len(rows))
+        return QueryProfile(root).render()
 
     def compare(
         self, original: XBindQuery, reformulation: ConjunctiveQuery, repeat: int = 1

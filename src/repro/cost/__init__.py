@@ -15,7 +15,7 @@ that claim statistics-driven instead of heuristic.  Two halves:
   the only place a catalog turns into a number — System-R-style
   cardinality estimation and plan costs for ranking, the monotone
   ``lower_bound`` the backchase prunes with, the per-step ``pipeline``
-  backends explain and profile with, plus prices for the sharded
+  backends profile with, plus prices for the sharded
   execution modes (single / scatter / gather).
 
 Entry points: :meth:`repro.core.system.MarsSystem.attach_statistics` ranks

@@ -30,8 +30,8 @@ decisions, where non-monotonicity is harmless.
 — every scan, one unit per join — so it *is* monotone, never exceeds
 ``estimate().total``, and is what the backchase prunes with.
 :meth:`CostModel.pipeline` is the same per-step arithmetic as ``estimate``
-walked in textual order: the numbers backends print in ``explain`` and
-attach to profile nodes.
+walked in textual order: the numbers backends attach to profile nodes
+(``est=`` in ``explain``).
 
 >>> from repro.cost import CostModel, StatisticsCatalog
 >>> catalog = StatisticsCatalog.from_rows({

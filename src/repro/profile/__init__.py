@@ -1,9 +1,9 @@
 """Per-operator EXPLAIN ANALYZE: structured profiles of real executions.
 
-``explain()`` renders the planner's *intent* as a string; this package
-shows what execution actually *did*, operator by operator, so a
-cardinality misestimate can be localized to the join step, shard or
-replica that produced it rather than blamed on a whole fingerprint.
+This package shows what execution actually *did*, operator by operator,
+so a cardinality misestimate can be localized to the join step, shard or
+replica that produced it rather than blamed on a whole fingerprint — and
+``explain()`` prints exactly that, for one run of the plan.
 The operators are nodes of the request's one execution tree
 (:mod:`repro.obs.trace`), recorded when the tree is profiled:
 
@@ -20,8 +20,8 @@ The operators are nodes of the request's one execution tree
 
 Every storage backend opens operator nodes under the ambient node
 (``repro.obs.current_span()``) when its tree is profiled;
-``PublishingService.explain(query, analyze=True)`` forces one profiled
-execution and returns its :class:`QueryProfile`.  See the "Query
+``PublishingService.explain(query)`` forces one profiled execution and
+renders its :class:`QueryProfile` (``analyze=True`` returns it).  See the "Query
 profiling" section of ``docs/OBSERVABILITY.md``.
 """
 

@@ -1,13 +1,13 @@
 """The profile view: per-operator estimate-vs-actual records of one execution.
 
-``explain()`` tells you what the planner *intended*; a
-:class:`QueryProfile` shows what execution actually *did*, operator by
+A :class:`QueryProfile` shows what execution actually *did*, operator by
 operator — a base-table scan, one hash-join step, a union branch, a
 shard fragment, a replica read, a merge — each carrying the planner's
 ``estimated_rows``, the measured ``actual_rows``, the wall-clock
 ``elapsed_seconds``, and the resulting per-operator ``q_error``.  That
 is the signal whole-query feedback cannot give: which join, shard or
-atom the misestimate came from.
+atom the misestimate came from.  It is also the one description of a
+plan: ``explain()`` runs the plan and prints its profile's :meth:`render`.
 
 The operators are nodes of the request's one execution tree
 (:class:`~repro.obs.trace.Span`, recorded when the tree is
@@ -43,7 +43,7 @@ class QueryProfile(TreeView):
     The root is the topmost operator of *tree* and covers the whole
     execution (its ``actual_rows`` is the published row count); metadata
     carries the query name, strategy, whether the profile came from the
-    1-in-N sampler or a forced ``explain(analyze=True)`` run, and the
+    1-in-N sampler or a forced ``explain()`` run, and the
     ``request_id`` of the served request it belongs to.
     """
 

@@ -213,7 +213,8 @@ class ReplicatedBackend(StorageBackend):
             span = current_span().child(
                 "replica.read", replica=index, engine=replica.backend_name
             ).as_operator(
-                REPLICA_READ, f"replica{index}", selector=self.selector.name
+                REPLICA_READ, f"replica{index}", selector=self.selector.name,
+                order=order,
             )
             try:
                 with span:
@@ -287,44 +288,6 @@ class ReplicatedBackend(StorageBackend):
                 catalog = measured
         self._statistics_catalog = catalog
         return catalog
-
-    def explain(self, query: Query) -> str:
-        """Describe the read decision, then the serving replica's own plan.
-
-        The header names the replica the selector would actually route
-        this read to (the first live entry of the selector's current
-        order) rather than a generic "some replica" — the same decision
-        :meth:`_read` makes, rendered instead of re-derived by hand.
-        """
-        self._require_open()
-        with self._lock:
-            loads = tuple(self._loads)
-        order = self.selector.order(self.replica_count, loads)
-        serving = next(
-            (index for index in order if not self._replicas[index].closed), None
-        )
-        if serving is None:
-            raise StorageError("no live replica remains")
-        replica = self._replicas[serving]
-        fenced = [
-            index
-            for index in order
-            if self._replicas[index].closed
-        ]
-        header = (
-            f"replicated over {self.replica_count} replicas "
-            f"({self.selector.name} reads, failover on StorageError):"
-        )
-        decision = (
-            f"  read served by replica {serving} ({replica.backend_name}); "
-            f"failover order {list(order)}"
-        )
-        if fenced:
-            decision += f"; fenced replicas {fenced} skipped"
-        body = replica.explain(query)
-        return "\n".join(
-            [header, decision] + [f"  {line}" for line in body.splitlines()]
-        )
 
     # ------------------------------------------------------------------
     # Writes: every live replica, fencing on failure

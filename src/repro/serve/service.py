@@ -27,7 +27,7 @@ applies and logs on the template, or routes the change set and applies
 and logs unit by unit.
 
 What a served request leaves behind is decided in one place: every
-publish, every query of a batch, every ``explain(analyze=/trace=)`` run
+publish, every query of a batch, every ``explain()`` run
 and every update is described once, as a
 :class:`~repro.obs.request.RequestRecord`, and :meth:`PublishingService._emit`
 hands that record to the sinks — metrics, SLO, cost feedback, slow-query
@@ -385,8 +385,8 @@ class PublishingService:
         #: Per-operator query profiles: with ``profile_sample`` = N > 0,
         #: one publish in N executes with a structured profile attached
         #: and lands in this ring (served on /profiles/recent and
-        #: /profiles/worst).  0 disables sampling — ``explain(analyze=
-        #: True)`` still profiles its one forced publish.
+        #: /profiles/worst).  0 disables sampling — ``explain()`` still
+        #: profiles its one forced publish.
         self.profile_buffer: Optional[ProfileBuffer] = (
             ProfileBuffer(maxlen=profile_buffer_size, sample=profile_sample)
             if profile_sample > 0
@@ -1317,7 +1317,7 @@ class PublishingService:
         # captured up front so the audit entry records the guarantee made.
         barrier_lsn = self._write_lsn
         # The profiling decision is made *before* execution (forced by
-        # explain(analyze=True), else the buffer's deterministic 1-in-N
+        # explain(), else the buffer's deterministic 1-in-N
         # sampler): an unsampled publish's tree records no operator.
         sampler = self.profile_buffer
         flights = [
@@ -1845,50 +1845,30 @@ class PublishingService:
         trace: bool = False,
         analyze: bool = False,
     ):
-        """The plan the service would run for *query* — or what it *did*.
+        """Serve *query* once, profiled, and describe what ran.
 
-        Without *analyze*: the (possibly cached) reformulation, the
-        ranked candidate costs and the backend's own explanation, as
-        text.  With ``analyze=True`` the query is actually published
-        once with profiling forced on (regardless of ``profile_sample``)
-        and the structured :class:`~repro.profile.QueryProfile` is
-        returned instead — its root ``actual_rows`` is the published row
-        count, its operator nodes carry per-operator estimate-vs-actual
-        attribution, and it is also kept on :attr:`last_profile` (and in
-        the profile buffer when one is configured).  With *trace* the
-        query is published once with tracing forced on, and the
-        resulting span tree is appended to the text.
+        The query is published exactly like :meth:`publish` — counted,
+        fed to cost feedback, kept on :attr:`last_profile` and in the
+        profile buffer, audited — with profiling forced on regardless of
+        ``profile_sample``.  The text is that run's
+        :class:`~repro.profile.QueryProfile` rendered: the plan, strategy
+        and ranked candidate costs on the ``execute`` root, then every
+        operator the backends recorded (routing decisions with chosen and
+        rejected costs, the replica that served each read and its
+        failover order, shard fragments, SQL statements with the engine's
+        plan, hash-join steps with table sizes), each estimate beside its
+        actual rows.  With *trace* the span tree is appended; with
+        ``analyze=True`` the profile itself is returned instead of text.
         """
-        if self._closed:
-            raise StorageError("PublishingService is closed")
+        ((_rows, record),) = self._serve(
+            [query], distinct, strategy, trace, profile=True
+        )
         if analyze:
-            ((_rows, record),) = self._serve(
-                [query], distinct, strategy, trace, profile=True
-            )
             return record.profile
-        effective = self._check_strategy(strategy, distinct)
-        with self._gate.read():
-            reformulation = self.reformulate(query)
-            plan = self.plan_for(reformulation, strategy=effective)
-            lines = [
-                f"query {query.name}: plan "
-                f"{getattr(plan, 'name', '?')} (strategy={effective})"
-            ]
-            if reformulation.candidate_costs:
-                ranked = ", ".join(
-                    f"{name}={cost:.1f}"
-                    for name, cost in reformulation.candidate_costs
-                )
-                lines.append(f"  candidates: {ranked}")
-            lines.extend(
-                "  " + line
-                for line in self.executor.backend.explain(plan).splitlines()
-            )
+        text = record.profile.render()
         if trace:
-            ((_rows, record),) = self._serve([query], distinct, effective, True)
-            lines.append("")
-            lines.append(record.trace.render())
-        return "\n".join(lines)
+            text += "\n\n" + record.trace.render()
+        return text
 
     @property
     def closed(self) -> bool:

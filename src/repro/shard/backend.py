@@ -44,7 +44,6 @@ from .executor import ScatterGatherExecutor, merge_rows
 from .partitioner import HashPartitioner, Partitioner, PartitionSpec
 from .router import (
     MODE_GATHER,
-    MODE_SINGLE,
     RoutePlan,
     RouterStats,
     ShardRouter,
@@ -403,8 +402,8 @@ class ShardedBackend(StorageBackend):
         caps it at the merged row count.  Broadcast tables are complete on
         every shard — one child's statistics describe them.  Every entry
         records its per-shard ``fragment_rows``.  Each child keeps the
-        catalog it measured: it prices its own ``explain`` lines and
-        profile nodes from it (``estimate_pipeline``).
+        catalog it measured: it prices its own profile nodes from it
+        (``estimate_pipeline``).
         """
         from ..cost.statistics import StatisticsCatalog, TableStatistics
 
@@ -690,37 +689,6 @@ class ShardedBackend(StorageBackend):
         rows = merge_rows(per_disjunct, distinct)
         union_merge.finish(actual_rows=len(rows))
         return rows
-
-    def explain(self, query: Query) -> str:
-        """The actual routing decisions plus the first target shard's plan.
-
-        Every decision renders through
-        :meth:`~repro.shard.router.RoutingDecision.describe_lines`, the
-        same structured decision the serving path executes — so with a
-        cost model attached (:meth:`refresh_statistics`) the output shows
-        the chosen mode's estimate *and* the rejected alternative's cost,
-        and states whether a cost comparison or a fixed rule decided,
-        instead of re-deriving a rule-based story the cost model may have
-        overridden.
-        """
-        self._require_open()
-        plan = self.router.route_plan(query, annotate=True)
-        lines = [
-            f"sharded plan for {getattr(query, 'name', '<query>')} "
-            f"({self.shard_count} shards):"
-        ]
-        for disjunct, decision in plan.decisions:
-            described = decision.describe_lines()
-            lines.append(f"  {disjunct.name}: {described[0]}")
-            lines.extend(f"    {line}" for line in described[1:])
-            if decision.mode == MODE_GATHER:
-                continue
-            child_plan = self._children[decision.shards[0]].explain(disjunct)
-            lines.extend(
-                f"    [shard {decision.shards[0]}] {line}"
-                for line in child_plan.splitlines()
-            )
-        return "\n".join(lines)
 
     # ------------------------------------------------------------------
     # Statistics

@@ -41,9 +41,10 @@ fragments once and scans each broadcast table once.  With a
 :class:`~repro.cost.model.CostModel` attached (see
 ``ShardedBackend.refresh_statistics``) the router prices both modes from
 collected statistics and picks the cheaper one, recording the chosen and
-rejected estimates on the :class:`RoutingDecision` (surfaced by
-``explain`` and counted in :class:`RouterStats`).  Without a model the
-fixed rules apply unchanged.
+rejected estimates on the :class:`RoutingDecision` (carried onto its
+node in a profiled run, which is what ``explain`` renders, and counted
+in :class:`RouterStats`).  Without a model the fixed rules apply
+unchanged.
 """
 
 from __future__ import annotations
@@ -83,44 +84,6 @@ class RoutingDecision:
     alternative_cost: Optional[float] = None
     #: Whether a cost comparison (not a fixed rule) picked the mode.
     cost_based: bool = False
-
-    def cost_summary(self) -> str:
-        """One line of chosen-vs-alternative estimates; empty without a model."""
-        if self.estimated_cost is None:
-            return ""
-        summary = f"est. cost {self.estimated_cost:.1f} ({self.mode})"
-        if self.alternative_mode is not None:
-            summary += (
-                f" vs {self.alternative_cost:.1f} ({self.alternative_mode}, rejected)"
-            )
-        return summary
-
-    def describe_lines(self) -> Tuple[str, ...]:
-        """The decision as rendered lines — one source for every explain.
-
-        The first line is the chosen mode, its targets and the reason; a
-        second line (when a cost model priced the decision) carries the
-        chosen estimate and the rejected alternative's cost, flagging
-        whether the mode was picked by cost comparison or by a fixed
-        rule.  ``ShardedBackend.explain`` and ``ReplicatedBackend.explain``
-        both render decisions through this, so the explain output always
-        shows the *actual* decision the serving path would make.
-        """
-        if self.mode == MODE_GATHER:
-            fetch = ", ".join(
-                f"{table}<-shards{list(shards)}"
-                for table, shards in self.fetch_shards
-            )
-            head = f"gather at coordinator ({fetch}) [{self.reason}]"
-        elif self.mode == MODE_SINGLE:
-            head = f"single-shard -> shards {list(self.shards)} [{self.reason}]"
-        else:
-            head = f"scatter -> shards {list(self.shards)} [{self.reason}]"
-        lines = [head]
-        if self.estimated_cost is not None:
-            chooser = "cost comparison" if self.cost_based else "fixed rule"
-            lines.append(f"{self.cost_summary()} [decided by {chooser}]")
-        return tuple(lines)
 
     def profile_attributes(self) -> Dict[str, object]:
         """The decision as JSON-able profile-node attributes.
@@ -170,24 +133,6 @@ class RoutePlan:
         for _query, decision in self.decisions:
             touched.update(decision.needed_shards)
         return tuple(sorted(touched))
-
-    def describe(self) -> str:
-        lines = []
-        for query, decision in self.decisions:
-            target = (
-                f"shards {list(decision.shards)}"
-                if decision.mode != MODE_GATHER
-                else "coordinator (fetch "
-                + ", ".join(
-                    f"{table}<-{list(shards)}" for table, shards in decision.fetch_shards
-                )
-                + ")"
-            )
-            line = f"{query.name}: {decision.mode} -> {target} [{decision.reason}]"
-            if decision.cost_summary():
-                line += f" {decision.cost_summary()}"
-            lines.append(line)
-        return "\n".join(lines)
 
 
 @dataclass(frozen=True)
@@ -265,7 +210,7 @@ class ShardRouter:
         queries) are always computed; estimates that merely *describe* a
         rule-forced decision (single-shard, forced gather) are skipped on
         the serving hot path and filled in only when *annotate* is set
-        (``explain`` sets it).
+        (a profiled execution sets it).
         """
         decision = self._decide(query, annotate)
         with self._lock:
@@ -406,7 +351,7 @@ class ShardRouter:
         Scatter pays every broadcast scan once per shard; gather pays a
         per-row transfer of the partitioned fragments plus one coordinator
         evaluation.  The cheaper estimate wins; the loser's figure is kept
-        on the decision so ``explain`` can show why.
+        on the decision so a profile can show why.
         """
         partitioned = self._partitioned_positions()
         scatter = self.cost_model.scatter_estimate(

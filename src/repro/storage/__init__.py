@@ -10,7 +10,7 @@ rows:
   ``render_union_sql_query``) for real engines;
 * :mod:`repro.storage.backends` — the :class:`StorageBackend` protocol
   and registry (``memory`` / ``sqlite`` / ``sharded``); backends load
-  tables, execute queries, ``explain`` themselves, ``clone()`` for
+  tables, execute queries (recording operators when profiled), ``clone()`` for
   connection pooling and ``collect_statistics()`` for the cost model
   (statistics records and every estimate derived from them live in
   :mod:`repro.cost`).

@@ -7,9 +7,10 @@ the other engines) with shard-pruning routing and scatter/gather execution.
 Select one with ``create_backend("sqlite")`` or via
 ``MarsConfiguration.backend`` / ``MarsExecutor(configuration, backend=...)``.
 
-Beyond loading and executing, every backend can ``explain`` how it would
-run a plan and measure a statistics catalog of its own data
-(``collect_statistics()``, consumed by :mod:`repro.cost`).
+Beyond loading and executing, every backend can measure a statistics
+catalog of its own data (``collect_statistics()``, consumed by
+:mod:`repro.cost`).  A backend does not explain itself: it records
+operators into a profiled execution tree, and ``explain`` renders that.
 """
 
 from .base import (

@@ -193,8 +193,8 @@ class StorageBackend(abc.ABC):
 
         Textual order, priced by the ranking model over
         :attr:`statistics_catalog` — measured now if this backend was
-        never refreshed.  ``explain`` lines and profile nodes attach
-        these numbers; engines do no estimation arithmetic of their own.
+        never refreshed.  Profile nodes attach these numbers; engines do
+        no estimation arithmetic of their own.
         """
         catalog = self._statistics_catalog
         if catalog is None:
@@ -273,10 +273,6 @@ class StorageBackend(abc.ABC):
                     seen.add(row)
                 combined.append(row)
         return combined
-
-    @abc.abstractmethod
-    def explain(self, query: Query) -> str:
-        """A human-readable account of how the backend would run *query*."""
 
     def _check_relations(self, query: Query) -> None:
         """Raise :class:`EvaluationError` if *query* names a table not held."""

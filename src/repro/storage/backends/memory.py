@@ -11,8 +11,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...errors import StorageError
-from ...logical.queries import ConjunctiveQuery, UnionQuery
-from ...logical.terms import is_variable
+from ...logical.queries import UnionQuery
 from ..evaluation import evaluate_query, evaluate_union
 from ..relational_db import InMemoryDatabase
 from .base import Query, Row, StorageBackend
@@ -25,12 +24,12 @@ class MemoryBackend(StorageBackend):
     the hash-join evaluator scans, so cost estimates derived from a memory
     backend describe exactly the data it will join.
 
-    When the request is profiled (``explain(analyze=True)`` or the
-    service's 1-in-N sampler), the evaluator emits one ``scan``/
-    ``join-step`` operator node per hash-join step — carrying the
-    :meth:`estimate_pipeline` figure :meth:`explain` prints, now paired
-    with the step's *actual* intermediate cardinality — under the
-    ambient :func:`repro.obs.current_span` node.
+    When the request is profiled (``explain()`` or the service's 1-in-N
+    sampler), the evaluator emits one ``scan``/``join-step`` operator
+    node per hash-join step — the table's size, the probed positions,
+    the :meth:`estimate_pipeline` figure and the step's *actual*
+    intermediate cardinality — under the ambient
+    :func:`repro.obs.current_span` node.
     """
 
     backend_name = "memory"
@@ -110,44 +109,3 @@ class MemoryBackend(StorageBackend):
         clone = MemoryBackend(self.database.copy())
         clone._statistics_catalog = self._statistics_catalog
         return clone
-
-    def explain(self, query: Query) -> str:
-        """Describe the hash-join order with estimated cardinalities per step.
-
-        The estimates are :meth:`estimate_pipeline`'s — the planner's own
-        model over this backend's statistics catalog — so they are what a
-        profiled execution is scored against.
-        """
-        if isinstance(query, UnionQuery):
-            parts = [self.explain(disjunct) for disjunct in query]
-            return "\nUNION\n".join(parts)
-        self._check_relations(query)
-        query = query.normalize_equalities()
-        lines = [f"hash-join pipeline for {query.name}:"]
-        bound = set()
-        estimates = self.estimate_pipeline(query)
-        for step, (atom, estimate) in enumerate(
-            zip(query.relational_body, estimates), start=1
-        ):
-            probe_positions = [
-                index
-                for index, term in enumerate(atom.terms)
-                if not is_variable(term) or term in bound
-            ]
-            count = self.database.cardinality(atom.relation)
-            mode = (
-                f"probe on positions {probe_positions}" if probe_positions else "scan"
-            )
-            lines.append(
-                f"  {step}. {atom.relation} [{count} rows, {mode}] "
-                f"-> est. {estimate:.1f} rows"
-            )
-            bound.update(term for term in atom.terms if is_variable(term))
-        if not query.relational_body:
-            lines.append("  (no relational atoms: constant-only evaluation)")
-        else:
-            lines.append(
-                f"  estimated result: {estimates[-1]:.1f} rows "
-                "(before projection/dedup)"
-            )
-        return "\n".join(lines)

@@ -391,18 +391,25 @@ class SQLiteBackend(StorageBackend):
             self.ensure_indexes(query)
         statement = self.compile_query(query, distinct=distinct)
         span = current_span()
-        if span.profiled:
-            # The engine is a black box below the statement, so the row
-            # counter sits on the statement node (estimate vs. the rows
-            # the cursor actually produced); per-atom ``scan`` children
-            # carry the real table cardinalities the statement read.
-            node = span.operator(
-                STATEMENT, getattr(query, "name", "<query>"), engine="sqlite"
-            )
-            node.estimated_rows = self._attach_profile_scans(node, query)
-        else:
-            node = None
+        node = None
         try:
+            if span.profiled:
+                # The engine is a black box below the statement, so the row
+                # counter sits on the statement node (estimate vs. the rows
+                # the cursor actually produced) beside the engine's own plan,
+                # read before the node's clock starts; per-atom ``scan``
+                # children carry the real table cardinalities it read.
+                engine_plan = [
+                    row[-1]
+                    for row in self._connection.execute(
+                        "EXPLAIN QUERY PLAN " + statement.sql, statement.params
+                    )
+                ]
+                node = span.operator(
+                    STATEMENT, getattr(query, "name", "<query>"),
+                    engine="sqlite", engine_plan=engine_plan,
+                )
+                node.estimated_rows = self._attach_profile_scans(node, query)
             cursor = self._connection.execute(statement.sql, statement.params)
             result = [tuple(row) for row in cursor.fetchall()]
         except sqlite3.Error as error:
@@ -454,22 +461,6 @@ class SQLiteBackend(StorageBackend):
         instead of one ``execute`` per disjunct.
         """
         return self.execute(union, distinct=distinct)
-
-    @_uses_connection
-    def explain(self, query: Query) -> str:
-        """SQLite's EXPLAIN QUERY PLAN for the compiled statement."""
-        self._require_open()
-        self._check_relations(query)
-        if self.auto_index:
-            self.ensure_indexes(query)
-        statement = self.compile_query(query)
-        cursor = self._connection.execute(
-            "EXPLAIN QUERY PLAN " + statement.sql, statement.params
-        )
-        lines = [f"sqlite plan for {getattr(query, 'name', '<query>')}:"]
-        for row in cursor.fetchall():
-            lines.append(f"  {row[-1]}")
-        return "\n".join(lines)
 
     # -- indexing ------------------------------------------------------
     @_uses_connection

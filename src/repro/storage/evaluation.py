@@ -8,10 +8,10 @@ data to execute reformulations and to verify their equivalence in tests.
 
 When the ambient execution tree (:func:`repro.obs.current_span`) is
 profiled, each hash-join step emits one ``scan``/``join-step`` operator
-node with its intermediate binding count as ``actual_rows`` and, as
-``estimated_rows``, the figure the caller's *estimator* gives for that
-step (:meth:`StorageBackend.estimate_pipeline` — the numbers
-:meth:`MemoryBackend.explain` prints); union evaluation wraps each
+node with its intermediate binding count as ``actual_rows``, the
+scanned table's size as ``table_rows`` and, as ``estimated_rows``, the
+figure the caller's *estimator* gives for that step
+(:meth:`StorageBackend.estimate_pipeline`); union evaluation wraps each
 disjunct in a ``union-branch`` node.  The estimator is only consulted
 in a profiled tree, so unprofiled evaluation pays nothing beyond one
 ambient lookup per query.
@@ -95,6 +95,7 @@ def evaluate_query(
                 estimated_rows=estimates[step - 1] if estimates else None,
                 relation=atom.relation,
                 probe_positions=tuple(key_positions),
+                table_rows=len(rows),
             )
         else:
             node = None

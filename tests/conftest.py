@@ -1,6 +1,6 @@
 """Shared fixtures: backend-matrix plumbing and the random-query generator.
 
-Two pieces live here because several test modules need them:
+Three pieces live here because several test modules need them:
 
 * ``mars_backend`` — the storage-backend name the suite's *default*
   configurations run on.  ``MarsConfiguration`` reads the ``MARS_BACKEND``
@@ -13,6 +13,11 @@ Two pieces live here because several test modules need them:
   randomized differential tests as a cross-backend oracle.  No hypothesis
   dependency: a seeded :class:`random.Random` makes every failure
   reproducible from the test id alone.
+
+* ``explain`` — ``explain(backend, query)`` is the text ``explain`` shows
+  for one profiled run of *query* on a bare backend (backends do not
+  explain themselves; ``MarsExecutor.explain_reformulation`` renders the
+  same tree).
 """
 
 import random
@@ -23,6 +28,8 @@ import pytest
 from repro.logical.atoms import InequalityAtom, RelationalAtom
 from repro.logical.queries import ConjunctiveQuery, UnionQuery
 from repro.logical.terms import Constant, Variable
+from repro.obs import operator_root
+from repro.profile import EXECUTE, QueryProfile
 from repro.storage.backends import StorageBackend, default_backend_name
 
 
@@ -151,3 +158,17 @@ def query_generator():
         return RandomQueryGenerator(backend, seed, **kwargs)
 
     return build
+
+
+@pytest.fixture
+def explain():
+    """Factory fixture: ``explain(backend, query)`` -> one profiled run of
+    *query* on *backend*, rendered."""
+
+    def render(backend: StorageBackend, query) -> str:
+        with operator_root(EXECUTE, query.name) as root:
+            rows = backend.execute(query)
+        root.finish(actual_rows=len(rows))
+        return QueryProfile(root).render()
+
+    return render

@@ -471,12 +471,13 @@ class TestCostBasedRouting:
         assert executed == 1
         backend.close()
 
-    def test_explain_surfaces_chosen_vs_alternative_costs(self):
+    def test_explain_surfaces_chosen_vs_alternative_costs(self, explain):
         backend = broadcast_heavy_backend()
         backend.refresh_statistics()
-        explain = backend.explain(co_partitioned_query())
-        assert "est. cost" in explain
-        assert "(scatter, rejected)" in explain
+        text = explain(backend, co_partitioned_query())
+        assert "estimated_cost=" in text
+        assert "rejected_mode='scatter'" in text
+        assert "rejected_cost=" in text
         backend.close()
 
     def test_clone_inherits_the_cost_model(self):

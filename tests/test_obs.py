@@ -1232,3 +1232,68 @@ class TestOneEmitSite:
         )
         assert self.call_sites(source, ".audit.record(") == ["a", "inner"]
         assert self.call_sites(source, "slo.observe(") == []
+
+
+class TestOneExplainPath:
+    """A plan is described once — by rendering its profiled run: a backend
+    that explains itself again, or a revived hand-written decision
+    renderer, fails here."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    #: The packages holding storage backends (under ``src/repro/``).
+    BACKEND_PACKAGES = ("storage", "shard", "replica")
+    RETIRED = ("describe_lines", "cost_summary")
+
+    def test_source_scan(self):
+        paths = sorted(self.SRC.rglob("*.py"))
+        assert paths, f"nothing to scan under {self.SRC}"
+        for path in paths:
+            source = path.read_text()
+            if path.relative_to(self.SRC).parts[1] in self.BACKEND_PACKAGES:
+                assert "def explain" not in source, path
+            for name in self.RETIRED:
+                assert name not in source, f"{name} in {path}"
+            for node in ast.walk(ast.parse(source)):
+                if isinstance(node, ast.ClassDef) and node.name == "RoutePlan":
+                    methods = {
+                        item.name
+                        for item in node.body
+                        if isinstance(item, ast.FunctionDef)
+                    }
+                    assert "describe" not in methods, path
+
+    def test_no_backend_class_explains_itself(self):
+        from repro.storage.backends import StorageBackend
+
+        pending, seen = [StorageBackend], []
+        while pending:
+            cls = pending.pop()
+            seen.append(cls.__name__)
+            assert "explain" not in vars(cls), cls
+            pending.extend(cls.__subclasses__())
+        for shipped in ("MemoryBackend", "SQLiteBackend", "ShardedBackend",
+                        "ReplicatedBackend"):
+            assert shipped in seen
+
+    def test_explain_bodies_only_render_a_view(self):
+        """The service and executor build no text from plan data: no
+        f-string, no join or format, and a ``render()`` call."""
+        for module, name in (
+            ("serve/service.py", "explain"),
+            ("core/executor.py", "explain_reformulation"),
+        ):
+            tree = ast.parse((self.SRC / "repro" / module).read_text())
+            (function,) = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.FunctionDef) and node.name == name
+            ]
+            calls = {
+                node.func.attr
+                for node in ast.walk(function)
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            }
+            assert "render" in calls and not calls & {"join", "format"}, calls
+            assert not any(
+                isinstance(node, ast.JoinedStr) for node in ast.walk(function)
+            ), name

@@ -16,10 +16,12 @@ counts) exactly the way CI's tier-1 legs do, so every invariant is
 checked on ``memory``, ``sqlite``, ``sharded`` and ``replicated``.
 """
 
+import re
 import threading
 
 import pytest
 
+from repro.core import MarsExecutor, MarsSystem
 from repro.logical.atoms import RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Variable
@@ -34,6 +36,7 @@ from repro.profile import (
     SCAN,
     SHARD_FRAGMENT,
 )
+from repro.replica import ReplicatedBackend
 from repro.serve import PublishingService
 from repro.storage.backends import create_backend
 from repro.storage.backends.memory import MemoryBackend
@@ -515,12 +518,8 @@ class TestExplainDecisionRendering:
         )
         try:
             text = service.explain(medical.client_query())
-            assert "decided by" in text  # cost comparison vs fixed rule
-            assert (
-                "gather at coordinator" in text
-                or "single-shard" in text
-                or "scatter" in text
-            )
+            assert "cost_based=" in text  # cost comparison vs fixed rule
+            assert re.search(r"mode='(single|scatter|gather)'", text)
         finally:
             service.close()
 
@@ -532,7 +531,61 @@ class TestExplainDecisionRendering:
         )
         try:
             text = service.explain(medical.client_query())
-            assert "read served by replica" in text
-            assert "failover order" in text
+            # The serving replica heads its own preference order.
+            (served, first) = re.search(
+                r"replica-read replica(\d): .*order=\[(\d), \d\]", text
+            ).groups()
+            assert served == first
         finally:
             service.close()
+
+
+class TestExplainRunsWhatItNames:
+    """Regression: explain re-derived each decision instead of running it,
+    and asking the selector or the router moved their state."""
+
+    def test_each_explain_names_the_replica_that_served_its_read(self):
+        configuration = medical.build_configuration()
+        backend = ReplicatedBackend(
+            replicas=2, child="memory", selector="round_robin"
+        )
+        executor = MarsExecutor(configuration, backend=backend)
+        plan = MarsSystem(configuration).reformulate(medical.client_query()).best
+        try:
+            for _ in range(3):
+                before = backend.stats().reads_per_replica
+                text = executor.explain_reformulation(plan)
+                after = backend.stats().reads_per_replica
+                moved = [
+                    index
+                    for index, (old, new) in enumerate(zip(before, after))
+                    if new != old
+                ]
+                named = [int(i) for i in re.findall(r"replica-read replica(\d)", text)]
+                assert len(moved) == 1 and named == moved, (text, before, after)
+        finally:
+            backend.close()
+
+    def test_explain_counts_only_the_routes_it_runs(self):
+        with sharded_service(xmark.build_configuration()) as service:
+            template = service.executor.backend
+            query = xmark.query_item_prices()
+            service.publish(query)  # compile outside the measured window
+            before = template.stats()
+            text = service.explain(query)
+            after = template.stats()
+            # The router counted one scatter route, and that route ran on
+            # every shard; the text shows the same one decision node.
+            moved = [
+                new - old
+                for old, new in zip(
+                    before.executions_per_shard, after.executions_per_shard
+                )
+            ]
+            assert after.router.scatter - before.router.scatter == 1
+            assert moved == [1, 1, 1]
+            decisions = re.findall(r"\bmode='(\w+)'", text)
+            assert decisions == ["scatter"]
+            assert after.router.queries - before.router.queries == len(decisions)
+            for shard in range(3):
+                assert f"@shard{shard}" in text

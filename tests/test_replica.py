@@ -12,6 +12,7 @@ Acceptance-critical coverage:
   the oracle.
 """
 
+import re
 import threading
 
 import pytest
@@ -307,10 +308,14 @@ class TestReplicatedBackend:
         with pytest.raises(StorageError):
             ReplicatedBackend(replicas=2, child="replicated")
 
-    def test_explain_names_the_replication(self):
+    def test_explain_names_the_replication(self, explain):
         with writable_backend("replicated") as backend:
-            text = backend.explain(simple_query())
-            assert "replicated over 2 replicas" in text
+            text = explain(backend, simple_query())
+            assert re.search(
+                r"replica-read replica\d: .*order=\[\d, \d\], .*"
+                r"selector='round_robin'",
+                text,
+            )
 
     def test_query_errors_do_not_fail_over(self):
         """EvaluationError is deterministic: no point asking another copy."""

@@ -7,6 +7,8 @@ through the backend's per-shard execution counters, not just the routing
 decision.
 """
 
+import re
+
 import pytest
 
 from repro.core import MarsConfiguration, MarsExecutor
@@ -588,19 +590,19 @@ class TestLifecycle:
         backend.execute(query)  # template still live
         backend.close()
 
-    def test_explain_reports_routing(self):
+    def test_explain_reports_routing(self, explain):
         backend, *_ = build_backend()
         i, q = Variable("i"), Variable("q")
         bound = ConjunctiveQuery(
             "point", (i,), (RelationalAtom("orders", (Constant("c3"), i, q)),)
         )
-        plan = backend.explain(bound)
-        assert "single-shard" in plan and "orders.customer" in plan
+        plan = explain(backend, bound)
+        assert re.search(r"mode='single'.*reason=.*orders\.customer", plan)
         c = Variable("c")
         scan = ConjunctiveQuery(
             "scan", (c,), (RelationalAtom("orders", (c, i, q)),)
         )
-        assert "scatter" in backend.explain(scan)
+        assert "mode='scatter'" in explain(backend, scan)
         backend.close()
 
 
@@ -686,10 +688,10 @@ class TestShardedExecutor:
 
 
 # ----------------------------------------------------------------------
-# MemoryBackend.explain cardinality estimates (satellite)
+# Memory per-step cardinality estimates in the explain text
 # ----------------------------------------------------------------------
 class TestMemoryExplainEstimates:
-    def test_estimates_per_join_step(self):
+    def test_estimates_per_join_step(self, explain):
         backend = MemoryBackend()
         backend.create_table("r", 2, ("a", "b"))
         backend.insert_many("r", [(i, i % 3) for i in range(12)])
@@ -701,12 +703,17 @@ class TestMemoryExplainEstimates:
             (x, z),
             (RelationalAtom("r", (x, y)), RelationalAtom("s", (y, z))),
         )
-        plan = backend.explain(query)
+        plan = explain(backend, query)
         # step 1 scans r (12 rows); step 2 probes s on b (3 distinct values):
-        # 12 * 6 / 3 = 24 estimated rows
-        assert "est. 12.0 rows" in plan
-        assert "est. 24.0 rows" in plan
-        assert "estimated result: 24.0 rows" in plan
+        # 12 * 6 / 3 = 24 estimated rows, the plan's result estimate
+        assert re.search(
+            r"scan r\[step 1\]: est=12, .*probe_positions=\(\), .*table_rows=12\}",
+            plan,
+        )
+        assert re.search(
+            r"join-step s\[step 2\]: est=24, .*probe_positions=\(0,\), .*table_rows=6\}",
+            plan,
+        )
         # the numbers are the planner's, not a recount of the backend's own
         steps = CostModel(backend.statistics_catalog).pipeline(query)
         assert steps == (12.0, 24.0)

@@ -67,7 +67,7 @@ class TestStressChase:
         )
 
     def test_report_relative_factors(self):
-        """Print the table reproduced for EXPERIMENTS.md."""
+        """Print the E1 table: chase time per strategy and chain depth."""
         rows = []
         for label, depth, strategy, shortcut in [
             ("naive (original style), depth 5", 5, "naive", False),

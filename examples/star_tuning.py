@@ -1,9 +1,9 @@
 """Operational tuning with redundant views: the XML star scenario.
 
-This is the synthetic configuration behind the paper's scalability and
-specialization experiments (Figures 5 and 8): a star document published from
-shredded relational storage, plus redundant materialized views joining the
-hub with pairs of corners.  Thanks to the key constraint on the hub, MARS
+This is the synthetic configuration behind the paper's scalability
+experiment (Figure 5): a star document published from shredded relational
+storage, plus redundant materialized views joining the hub with pairs of
+corners.  Thanks to the key constraint on the hub, MARS
 can rewrite the client star query using any subset of the views; the cost
 model picks the cheapest combination.
 

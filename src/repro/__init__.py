@@ -32,7 +32,6 @@ from .errors import (
     ParseError,
     ReformulationError,
     SchemaError,
-    SpecializationError,
     StorageError,
 )
 from .serve import ConnectionPool, PlanCache, PoolExhaustedError, PublishingService
@@ -58,7 +57,6 @@ __all__ = [
     "ReformulationError",
     "SchemaError",
     "ShardedBackend",
-    "SpecializationError",
     "StatisticsCatalog",
     "StorageError",
     "__version__",

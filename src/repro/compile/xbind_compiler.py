@@ -79,8 +79,8 @@ class GrexCompiler:
         """Compile a mixed body (path / relational / filter atoms) to GReX atoms.
 
         Returns the compiled atoms and the mapping from element-valued
-        variables to the document they navigate, which callers such as the
-        specializer and the view compiler need.
+        variables to the document they navigate, which the view compiler
+        needs.
         """
         factory = VariableFactory(prefix="_n", used=used_names)
         documents: Dict[Variable, str] = dict(variable_documents or {})

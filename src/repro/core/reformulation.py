@@ -25,6 +25,11 @@ class MarsReformulation:
     carries the structured estimate of the chosen plan and
     ``candidate_costs`` the ``(name, cost)`` of every ranked candidate,
     cheapest first — both travel with the plan through the plan cache.
+
+    ``complete`` is ``False`` when the backchase stopped at its
+    ``max_inspected`` cap with subqueries left to inspect: ``minimal`` may
+    then miss reformulations, and the plan is never persisted to a
+    :class:`~repro.plan.PlanStore`.
     """
 
     query: XBindQuery
@@ -42,6 +47,7 @@ class MarsReformulation:
     subqueries_inspected: int
     cost_estimate: Optional[object] = None
     candidate_costs: Tuple[Tuple[str, float], ...] = ()
+    complete: bool = True
 
     @property
     def found(self) -> bool:
@@ -79,4 +85,5 @@ class MarsReformulation:
             time_to_best=result.time_to_best,
             chase_steps=getattr(result.chase_statistics, "steps_applied", 0),
             subqueries_inspected=result.subqueries_inspected,
+            complete=result.complete,
         )

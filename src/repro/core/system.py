@@ -311,9 +311,11 @@ class MarsSystem:
         mode) addresses a canonical artifact that decodes into the same
         plan a fresh compile would produce — re-ranked under the current
         cost model, with freshly rendered SQL, and without entering the
-        C&B engine (:attr:`engine_invocations` does not move).  Fresh
-        compiles are written back; stale or damaged artifacts fall back
-        to compilation.
+        C&B engine (:attr:`engine_invocations` does not move).  Fresh,
+        complete compiles are written back (a search truncated at
+        ``max_inspected`` is cached in memory but never persisted as the
+        normative plan); stale or damaged artifacts fall back to
+        compilation.
         """
         if self.configuration.version != self._compiled_version:
             self._recompile()
@@ -368,7 +370,7 @@ class MarsSystem:
         reformulation.best_cost = best_cost
         reformulation.cost_estimate = cost_estimate
         reformulation.candidate_costs = candidate_costs
-        if identity is not None:
+        if identity is not None and reformulation.complete:
             self._save_to_store(identity, reformulation, effective_minimize)
         if cache_key is not None:
             # Negative results are cached too: "no reformulation exists" is

@@ -70,6 +70,9 @@ class BackchaseResult:
     # The atoms every reformulation must keep; ``None`` while the search never
     # earned the core test (see :meth:`BackchaseEngine.backchase`).
     mandatory_core: Optional[Tuple[RelationalAtom, ...]] = None
+    # False when the search stopped at ``max_inspected`` with subsets still
+    # to inspect: the minimal set may then miss reformulations.
+    complete: bool = True
 
     @property
     def found(self) -> bool:
@@ -240,11 +243,12 @@ class BackchaseEngine:
                 prepared = {subset: materialize(subset) for subset in level}
                 level.sort(key=lambda subset: prepared[subset][2])
             for subset in level:
-                if result.subqueries_inspected >= self.config.max_inspected:
-                    result.elapsed_seconds = clock.elapsed
-                    return result
                 if any(found <= subset for found in found_sets):
                     continue  # supersets of reformulations are never minimal
+                if result.subqueries_inspected >= self.config.max_inspected:
+                    result.complete = False
+                    result.elapsed_seconds = clock.elapsed
+                    return result
                 atoms, subquery, cost = prepared.get(subset) or materialize(subset)
                 result.subqueries_inspected += 1
                 # Cost-based pruning applies to every candidate (safe or not):

@@ -55,6 +55,8 @@ class CBResult:
     time_to_best: float
     pruned_descendant_atoms: int = 0
     mandatory_core: Optional[Tuple[RelationalAtom, ...]] = None
+    # False when the backchase stopped at its ``max_inspected`` cap.
+    complete: bool = True
 
     @property
     def total_time(self) -> float:
@@ -179,4 +181,5 @@ class CBEngine:
             time_to_best=time_best,
             pruned_descendant_atoms=pruned_count,
             mandatory_core=backchase_result.mandatory_core,
+            complete=backchase_result.complete,
         )

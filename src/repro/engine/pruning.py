@@ -136,9 +136,8 @@ class SubqueryLegality:
     Implements the directed reachability graph of paper section 3.2: the
     backchase starts candidate subqueries at *entry* atoms (roots of the
     graph) and only ever adds an atom whose context node is already covered
-    by the candidate.  Non-GReX atoms (views, relational storage,
-    specialized relations) are always entry points and cover all their
-    variables.
+    by the candidate.  Non-GReX atoms (views and relational storage) are
+    always entry points and cover all their variables.
 
     Each candidate atom is classified once, at construction: whether it is
     an entry point and which terms it makes available.  The backchase asks

@@ -47,7 +47,3 @@ class StorageError(EvaluationError):
 
     Subclasses :class:`EvaluationError` so callers that treat backend
     failures uniformly keep working."""
-
-
-class SpecializationError(MarsError):
-    """Raised for invalid schema-specialization mappings."""

@@ -43,6 +43,7 @@ schema and operational endpoints.
 
 from .audit import AuditError, AuditLog, AuditStats
 from .events import (
+    COMPILE_TRUNCATED,
     Event,
     EventLog,
     LOG_CHECKPOINT,
@@ -105,6 +106,7 @@ __all__ = [
     "AuditError",
     "AuditLog",
     "AuditStats",
+    "COMPILE_TRUNCATED",
     "CheckResult",
     "Counter",
     "CostFeedback",

@@ -49,6 +49,8 @@ LOG_CHECKPOINT = "log.checkpoint"
 PLAN_LOADED = "plan_store.loaded"
 PLAN_STALE = "plan_store.stale"
 PLAN_CORRUPT = "plan_store.corrupt"
+# A compile whose backchase stopped at its ``max_inspected`` cap.
+COMPILE_TRUNCATED = "compile.truncated"
 
 
 @dataclass(frozen=True)

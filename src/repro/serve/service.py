@@ -57,6 +57,7 @@ from ..obs import (
     AdminServer,
     AuditLog,
     AuditStats,
+    COMPILE_TRUNCATED,
     CheckResult,
     CostFeedback,
     DEGRADED,
@@ -1143,11 +1144,23 @@ class PublishingService:
                 max(0.0, reformulation.time_to_initial - chase_seconds),
                 offset=overhead + chase_seconds,
             )
+            minimize_attributes = {}
+            if not reformulation.complete:
+                # Only a truncated search says so: complete compiles keep
+                # the trace payload they always had.
+                minimize_attributes["truncated"] = True
+                self.events.record(
+                    COMPILE_TRUNCATED,
+                    query=query.name,
+                    subqueries_inspected=reformulation.subqueries_inspected,
+                    minimal=len(reformulation.minimal),
+                )
             span.add_phase(
                 "backchase.minimize",
                 reformulation.minimization_time,
                 offset=overhead + reformulation.time_to_initial,
                 subqueries_inspected=reformulation.subqueries_inspected,
+                **minimize_attributes,
             )
             self._m_reformulations.inc()
         else:

@@ -11,8 +11,10 @@ profiled, each hash-join step emits one ``scan``/``join-step`` operator
 node with its intermediate binding count as ``actual_rows``, the
 scanned table's size as ``table_rows`` and, as ``estimated_rows``, the
 figure the caller's *estimator* gives for that step
-(:meth:`StorageBackend.estimate_pipeline`); union evaluation wraps each
-disjunct in a ``union-branch`` node.  The estimator is only consulted
+(:meth:`StorageBackend.estimate_pipeline`).  Evaluation stops at the
+first step that leaves no bindings; a profiled tree still gets a node,
+with ``actual_rows=0``, for every step after it.  Union evaluation wraps
+each disjunct in a ``union-branch`` node.  The estimator is only consulted
 in a profiled tree, so unprofiled evaluation pays nothing beyond one
 ambient lookup per query.
 """
@@ -89,14 +91,7 @@ def evaluate_query(
         rows = database.table(atom.relation).rows
         key_positions = _atom_join_key(atom, bound_vars)
         if profiled:
-            node = span.operator(
-                JOIN_STEP if key_positions else SCAN,
-                f"{atom.relation}[step {step}]",
-                estimated_rows=estimates[step - 1] if estimates else None,
-                relation=atom.relation,
-                probe_positions=tuple(key_positions),
-                table_rows=len(rows),
-            )
+            node = _step_node(span, step, atom, key_positions, estimates, len(rows))
         else:
             node = None
         index: Dict[Tuple[object, ...], List[Row]] = {}
@@ -123,6 +118,8 @@ def evaluate_query(
             if is_variable(term) and term not in bound_vars:
                 bound_vars.append(term)
         if not bindings:
+            if profiled:
+                _profile_unreached_steps(span, query, step, database, estimates, bound_vars)
             break
 
     results: List[Row] = []
@@ -137,6 +134,41 @@ def evaluate_query(
             seen.add(row)
         results.append(row)
     return results
+
+
+def _step_node(span, step, atom, key_positions, estimates, table_rows):
+    """The profile node of one hash-join step."""
+    return span.operator(
+        JOIN_STEP if key_positions else SCAN,
+        f"{atom.relation}[step {step}]",
+        estimated_rows=estimates[step - 1] if estimates else None,
+        relation=atom.relation,
+        probe_positions=tuple(key_positions),
+        table_rows=table_rows,
+    )
+
+
+def _profile_unreached_steps(span, query, empty_step, database, estimates, bound_vars):
+    """Emit the nodes of the steps after *empty_step*, which never run.
+
+    Each reads ``actual_rows=0`` with the estimate, table size and probe
+    positions it would have had; no hash index is built.  A relation the
+    database lacks gets no ``table_rows``: unprofiled evaluation never
+    reaches it, so profiling does not raise for it either.
+    """
+    bound = set(bound_vars)
+    atoms = query.relational_body[empty_step:]
+    for step, atom in enumerate(atoms, start=empty_step + 1):
+        key_positions = _atom_join_key(atom, bound)
+        table_rows = (
+            len(database.table(atom.relation).rows)
+            if database.has_table(atom.relation)
+            else None
+        )
+        _step_node(span, step, atom, key_positions, estimates, table_rows).finish(
+            actual_rows=0
+        )
+        bound.update(term for term in atom.terms if is_variable(term))
 
 
 def _satisfies_filters(query: ConjunctiveQuery, binding: Binding) -> bool:

@@ -11,11 +11,10 @@ Proprietary schema: a relational shredding of the document (the hub table
 materialized star views ``V_l`` joining the hub with corners ``l`` and
 ``l+1`` and projecting on ``K`` and the two ``B`` values.  The document is
 *published* from this storage; the shredding and the views are LAV views of
-the published document.  (The paper materializes the views as XML; storing
-them relationally is the substitution documented in DESIGN.md -- the
-reformulation search space, which is what the experiments measure, is the
-same: any subset of the views can be combined with base accesses thanks to
-the key constraint on ``R``.)
+the published document.  (The paper materializes the views as XML; here they
+are stored relationally.  The reformulation search space, which is what the
+experiments measure, is the same: any subset of the views can be combined
+with base accesses thanks to the key constraint on ``R``.)
 
 The client query joins ``R`` with all ``NC`` corners and returns ``K`` and
 every corner's ``B``; with the key XIC it can be rewritten using any subset
@@ -48,7 +47,7 @@ class StarParameters:
     views: Optional[int] = None  # NV; defaults to NC - 1
     hub_count: int = 20  # number of R elements in the generated instance
     corner_size: int = 20  # number of Si elements per corner
-    include_base_storage: bool = True  # False for the Figure 8 scenario
+    include_base_storage: bool = True  # False for the views-only scenario
     seed: int = 7
 
     @property
@@ -190,8 +189,8 @@ def build_configuration(
 
     With ``parameters.include_base_storage`` the proprietary schema contains
     the shredded base tables *and* the views (the Figure 5 scenario: maximal
-    redundancy); without it only the views are stored (the Figure 8 /
-    specialization scenario).
+    redundancy); without it only the views are stored (the views-only
+    scenario).
     """
     configuration = MarsConfiguration(f"star_nc{parameters.corners}")
     instance = build_star_document(parameters) if with_instance else None

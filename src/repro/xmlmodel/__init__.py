@@ -1,6 +1,5 @@
-"""XML substrate: document model, parsing, serialization, XPath and DTDs."""
+"""XML substrate: document model, parsing, serialization and XPath."""
 
-from .dtd import DocumentType, ElementDecl, Occurrence
 from .model import XMLDocument, XMLNode, build_document
 from .parser import parse_xml
 from .serialize import serialize, serialize_node
@@ -8,10 +7,7 @@ from .xpath import Axis, NodeTestKind, Step, XPath, evaluate_xpath, parse_xpath
 
 __all__ = [
     "Axis",
-    "DocumentType",
-    "ElementDecl",
     "NodeTestKind",
-    "Occurrence",
     "Step",
     "XMLDocument",
     "XMLNode",

@@ -242,13 +242,15 @@ class BackchaseOracle:
     asks a checker of its own about subsets of the target atoms.
     """
 
-    def __init__(self, configuration, query, prune_by_cost):
+    def __init__(self, configuration, query, prune_by_cost, **backchase):
         self.system = MarsSystem(configuration)
         self.specs = configuration.closure_specs()
         self.original = self.system.compile_query(query)
         self.dependencies = self.system.dependencies
         self.engine = CBEngine(
-            config=CBConfig(backchase=BackchaseConfig(prune_by_cost=prune_by_cost)),
+            config=CBConfig(
+                backchase=BackchaseConfig(prune_by_cost=prune_by_cost, **backchase)
+            ),
             estimator=self.system.estimator,
             specs=self.specs,
         )
@@ -317,6 +319,7 @@ class TestBackchaseOracle:
         minimal = oracle.minimal_among(oracle.all_subsets())
         assert minimal, "the case must have a reformulation"
         assert oracle.found() == minimal
+        assert oracle.result.complete
         core = oracle.result.mandatory_core
         if core is not None:
             assert set(core) == oracle.core()
@@ -328,6 +331,18 @@ class TestBackchaseOracle:
         assert (pruned.result.mandatory_core is not None) == earns_core
         assert pruned.result.best_cost == oracle.cheapest(minimal)
         assert frozenset(pruned.result.best.relational_body) in minimal
+
+    def test_capped_search_is_a_flagged_subset_of_brute_force(self):
+        """Stopped at ``max_inspected`` with subsets pending, the search
+        returns only true minimal reformulations, but not all of them, and
+        says it is incomplete."""
+        configuration, query = _star(3)
+        capped = BackchaseOracle(configuration, query, prune_by_cost=False, max_inspected=25)
+        minimal = capped.minimal_among(capped.all_subsets())
+        found = capped.found()
+        assert capped.result.subqueries_inspected == 25
+        assert found and found < minimal
+        assert not capped.result.complete
 
     def test_region_items_matches_brute_force_above_its_core(self):
         """RegionItems keeps atoms *beyond* its core, so the search must
@@ -451,3 +466,37 @@ class TestCoreTrigger:
             )
 
         assert compile_fresh() == compile_fresh()
+
+
+class TestTruncation:
+    """A search stopped at ``max_inspected`` with subsets pending says so."""
+
+    @staticmethod
+    def diag_price(**backchase):
+        system = MarsSystem(
+            medical.build_configuration(),
+            cb_config=CBConfig(backchase=BackchaseConfig(**backchase)),
+        )
+        return system.reformulate(medical.client_query())
+
+    def test_uncapped_workload_compiles_are_complete(self):
+        for configuration, query in _workload_cases():
+            reformulation = MarsSystem(configuration).reformulate(query)
+            assert reformulation.found, query.name
+            assert reformulation.complete, query.name
+
+    def test_capped_compile_is_incomplete(self):
+        assert self.diag_price().subqueries_inspected == 29
+        capped = self.diag_price(max_inspected=5)
+        assert capped.subqueries_inspected == 5
+        assert not capped.complete
+        # The verified initial reformulation still serves.
+        assert capped.found
+
+    def test_cap_reached_on_the_last_subset_is_complete(self):
+        assert self.diag_price(max_inspected=29).complete
+
+    def test_stop_at_first_is_not_truncation(self):
+        first = self.diag_price(stop_at_first=True)
+        assert len(first.minimal) == 1
+        assert first.complete

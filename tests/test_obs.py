@@ -403,6 +403,9 @@ class TestServiceTracing:
                 minimize.attributes["subqueries_inspected"]
                 == compiled.subqueries_inspected
             )
+            # a complete search adds nothing else to the span
+            assert compiled.complete
+            assert "truncated" not in minimize.attributes
             service.publish(query)
             warm = service.last_trace.span_names()
             assert "chase" not in warm  # cache hit: no C&B phases

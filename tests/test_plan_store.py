@@ -11,7 +11,9 @@ canonical round-trip and live execution:
 * a view/constraint edit makes every old artifact unreachable (and
   pruned) — a stale plan is never served;
 * torn bytes, wrong identities and undecodable bodies are quarantined
-  and degrade to a recompile, never to an error or a wrong plan.
+  and degrade to a recompile, never to an error or a wrong plan;
+* a compile whose backchase stopped at ``max_inspected`` is served but
+  never persisted as the normative plan.
 """
 
 import json
@@ -20,6 +22,7 @@ import os
 import pytest
 
 from repro.core.system import MarsSystem
+from repro.engine import BackchaseConfig, CBConfig
 from repro.errors import StorageError
 from repro.plan import (
     ARTIFACT_FORMAT,
@@ -31,6 +34,7 @@ from repro.plan import (
     stable_dumps,
     stable_loads,
 )
+from repro.obs import COMPILE_TRUNCATED
 from repro.serve import PublishingService
 from repro.workloads import medical
 
@@ -287,3 +291,34 @@ class TestStoreHygiene:
         assert system_b.engine_invocations == 0  # served from A's artifact
         assert store_b.stats().hits == 1
         assert (tmp_path / "plans" / f"{identity}.json").read_text() == text_before
+
+
+class TestTruncatedCompile:
+    def test_capped_compile_is_served_but_never_persisted(self, tmp_path):
+        plan_dir = tmp_path / "plans"
+        configuration = medical.build_configuration()
+        system = MarsSystem(
+            configuration,
+            cb_config=CBConfig(backchase=BackchaseConfig(max_inspected=5)),
+        )
+        with PublishingService(
+            configuration, system=system, plan_dir=str(plan_dir)
+        ) as service:
+            query = medical.client_query()
+            rows = service.publish(query)
+            (minimize,) = [
+                span for span in service.last_trace.root.walk()
+                if span.name == "backchase.minimize"
+            ]
+            assert minimize.attributes["truncated"] is True
+            assert minimize.attributes["subqueries_inspected"] == 5
+            # The in-memory cache keeps it: a recompile gives the same result.
+            assert sorted(service.publish(query)) == sorted(rows)
+            reformulation = service.reformulate(query)
+            assert not reformulation.complete
+            assert service.system.engine_invocations == 1
+            assert service.stats().plan_store.writes == 0
+            (event,) = service.events.events(COMPILE_TRUNCATED)
+            assert event.details["query"] == "DiagPrice"
+            assert event.details["subqueries_inspected"] == 5
+        assert list(plan_dir.glob("*.json")) == []

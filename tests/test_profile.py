@@ -236,6 +236,64 @@ class TestEstimatesComeFromTheCatalog:
                 backend.close()
 
 
+
+class TestUnreachedStepsStayInTheProfile:
+    """Memory evaluation stops at the first empty step; a profiled tree
+    still shows every step, the unreached ones with zero actual rows."""
+
+    def test_empty_first_step_keeps_one_node_per_atom(self):
+        a, b, c, d = Variable("a"), Variable("b"), Variable("c"), Variable("d")
+        query = ConjunctiveQuery(
+            "chain",
+            (a, d),
+            (
+                RelationalAtom("r", (a, b)),
+                RelationalAtom("s", (b, c)),
+                RelationalAtom("t", (c, d)),
+            ),
+        )
+        backend = MemoryBackend()
+        try:
+            for name in ("r", "s", "t"):
+                backend.create_table(name, 2, ("x", "y"))
+            backend.insert_many("s", [(i, i) for i in range(4)])
+            backend.insert_many("t", [(i, i) for i in range(6)])
+            backend.refresh_statistics()
+            assert backend.execute(query) == []
+            with operator_root("execute", query.name) as root:
+                assert backend.execute(query) == []
+        finally:
+            backend.close()
+        steps = [node for node in root.walk() if node.kind in (SCAN, JOIN_STEP)]
+        assert [node.label for node in steps] == ["r[step 1]", "s[step 2]", "t[step 3]"]
+        assert [node.kind for node in steps] == [SCAN, JOIN_STEP, JOIN_STEP]
+        assert [node.actual_rows for node in steps] == [0, 0, 0]
+        assert [node.attributes["table_rows"] for node in steps] == [0, 4, 6]
+        assert [node.attributes["probe_positions"] for node in steps] == [(), (0,), (0,)]
+        assert all(node.estimated_rows is not None for node in steps)
+        assert all(node.end is not None for node in steps)
+
+    def test_unknown_relation_after_an_empty_step_does_not_raise(self):
+        """Unprofiled evaluation never reaches the missing table, so the
+        profiled run must not raise for it either."""
+        a, b, c = Variable("a"), Variable("b"), Variable("c")
+        query = ConjunctiveQuery(
+            "dangling",
+            (a, c),
+            (RelationalAtom("r", (a, b)), RelationalAtom("missing", (b, c))),
+        )
+        backend = MemoryBackend()
+        try:
+            backend.create_table("r", 2, ("x", "y"))
+            assert backend.execute(query) == []
+            with operator_root("execute", query.name) as root:
+                assert backend.execute(query) == []
+        finally:
+            backend.close()
+        (unreached,) = [node for node in root.walk() if node.label == "missing[step 2]"]
+        assert unreached.actual_rows == 0
+        assert unreached.attributes["table_rows"] is None
+
 def sharded_service(configuration, **options):
     configuration.backend = "sharded"
     configuration.shard_count = 3

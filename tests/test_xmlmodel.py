@@ -1,4 +1,4 @@
-"""Unit tests for the XML document model, parser, serializer, XPath and DTDs."""
+"""Unit tests for the XML document model, parser, serializer and XPath."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -6,9 +6,7 @@ from hypothesis import given, strategies as st
 from repro.errors import ParseError
 from repro.xmlmodel import (
     Axis,
-    DocumentType,
     NodeTestKind,
-    Occurrence,
     XMLDocument,
     XMLNode,
     build_document,
@@ -152,30 +150,6 @@ class TestXPath:
     def test_descendant_or_self_semantics(self, books):
         # //library matches the root element itself (descendant-or-self).
         assert evaluate_xpath("//library", books) == [books.root]
-
-
-class TestDocumentType:
-    def test_infer_occurrences(self, books):
-        document_type = DocumentType.infer(books)
-        library = document_type.element("library")
-        book = document_type.element("book")
-        assert library.children["book"] is Occurrence.MANY
-        assert book.children["title"] is Occurrence.ONE
-        assert "category" in book.attributes
-
-    def test_validate_accepts_instance(self, books):
-        document_type = DocumentType.infer(books)
-        assert document_type.validate(books) == []
-
-    def test_validate_reports_violations(self, books):
-        document_type = DocumentType.infer(books)
-        bad_root = XMLNode("library")
-        bad_book = bad_root.add("book")
-        bad_book.add("title", "one")
-        bad_book.add("title", "two")
-        bad = XMLDocument("books.xml", bad_root)
-        problems = document_type.validate(bad)
-        assert any("exactly one" in p for p in problems)
 
 
 @given(st.lists(st.sampled_from(["alpha", "beta", "gamma"]), min_size=1, max_size=8))

@@ -3,7 +3,8 @@
 The paper's MARS ships its reformulations to an RDBMS; this benchmark
 measures what that buys.  For the star and XMark workloads at increasing
 scale factors we reformulate once, then execute the best reformulation on
-the ``memory`` backend (naive hash joins over Python lists) and on the
+the ``memory`` backend (the chase's compiled hash-join plan over Python
+lists) and on the
 ``sqlite`` backend (parameterized SQL on real tables with indexes on the
 join columns), reporting per-backend load and execution times.
 """

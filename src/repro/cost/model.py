@@ -30,8 +30,9 @@ decisions, where non-monotonicity is harmless.
 — every scan, one unit per join — so it *is* monotone, never exceeds
 ``estimate().total``, and is what the backchase prunes with.
 :meth:`CostModel.pipeline` is the same per-step arithmetic as ``estimate``
-walked in textual order: the numbers backends attach to profile nodes
-(``est=`` in ``explain``).
+walked in body order: the numbers backends attach to profile nodes
+(``est=`` in ``explain``).  The memory backend passes the body in the
+order it executes, the chase's compiled join order; SQLite's stays textual.
 
 >>> from repro.cost import CostModel, StatisticsCatalog
 >>> catalog = StatisticsCatalog.from_rows({
@@ -246,11 +247,13 @@ class CostModel:
         return scan_cost + (len(atoms) - 1)
 
     def pipeline(self, query: ConjunctiveQuery) -> Tuple[float, ...]:
-        """Estimated running cardinality after each atom, in textual order.
+        """Estimated running cardinality after each atom, in body order.
 
         The per-step function is the one :meth:`estimate`'s greedy order
-        search uses, so when the textual order *is* the greedy order the
-        last entry equals ``estimate(query).cardinality``.
+        search uses, so when the body order *is* the greedy order the
+        last entry equals ``estimate(query).cardinality``.  The memory
+        evaluator asks with its body in the executed (compiled join) order,
+        SQLite in textual order.
         """
         atoms, effective, selectivities = self._step_inputs(query, None)
         if not atoms:

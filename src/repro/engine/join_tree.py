@@ -12,6 +12,10 @@ The extension check of a chase step ("does the homomorphism extend to the
 conclusion?") is performed with the same machinery: the conclusion is also
 compiled, and the candidate homomorphisms that extend are computed as a
 semijoin of the premise result with the conclusion result.
+
+The steps are the only join kernel of the system: the memory storage
+backend (:mod:`repro.storage.evaluation`) runs them over real tables,
+where the chase runs them over ``Inst(Q)``.
 """
 
 from __future__ import annotations
@@ -19,28 +23,60 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from ..logical.atoms import Atom, EqualityAtom, InequalityAtom, RelationalAtom
-from ..logical.terms import Constant, Term, Variable, is_variable
+from ..logical.atoms import Atom, RelationalAtom
+from ..logical.terms import Term, Variable, is_variable
 from .homomorphism import Homomorphism, _filters_hold
 from .symbolic_instance import SymbolicInstance
 
 
+#: Marks a variable no earlier step or seed has bound.
+_UNBOUND = object()
+
+
 @dataclass(frozen=True)
-class _JoinStep:
+class JoinStep:
     """One step of the compiled plan: probe *atom* using *key_positions*.
 
     ``key_positions`` are the positions of the atom whose value is known
     before the step runs (constants or variables bound by earlier steps);
-    they form the hash key used to probe the symbolic instance's index.
-    ``new_variables`` lists the variables first bound by this step, together
-    with the positions they are read from.
+    they form the hash key used to probe the row source's index.
+    ``bind_positions`` are all the other positions with their variables:
+    the first occurrence of an unbound variable binds it, any other
+    occurrence (a repeat within the atom, a seeded variable) is checked.
     """
 
     atom: RelationalAtom
     key_positions: Tuple[int, ...]
     key_terms: Tuple[Term, ...]
-    check_positions: Tuple[Tuple[int, Term], ...]
-    new_variables: Tuple[Tuple[Variable, int], ...]
+    bind_positions: Tuple[Tuple[int, Variable], ...]
+
+    def extend(self, source, bindings: Sequence[Homomorphism]) -> List[Homomorphism]:
+        """Every extension of *bindings* by a row of *source* matching the atom.
+
+        *source* is the symbolic instance or a set of tables: it answers
+        ``index(relation, positions)`` and ``row_form(terms)``, the terms
+        with each :class:`Constant` as the value it takes in its rows.
+        """
+        index = source.index(self.atom.relation, self.key_positions)
+        key_terms = source.row_form(self.key_terms)
+        bind_positions, unbound = self.bind_positions, _UNBOUND
+        extended_bindings: List[Homomorphism] = []
+        for binding in bindings:
+            key = tuple(
+                binding[term] if isinstance(term, Variable) else term
+                for term in key_terms
+            )
+            for row in index.get(key, ()):  # hash probe
+                extended = dict(binding)
+                for position, variable in bind_positions:
+                    bound = extended.get(variable, unbound)
+                    if bound is unbound:
+                        extended[variable] = row[position]
+                    elif bound != row[position]:
+                        break
+                else:
+                    extended_bindings.append(extended)
+        return extended_bindings
 
 
 class CompiledConjunction:
@@ -52,23 +88,15 @@ class CompiledConjunction:
         seed_variables: Sequence[Variable] = (),
     ):
         self.atoms = tuple(atoms)
-        self.relational = [a for a in atoms if isinstance(a, RelationalAtom)]
         self.filters = [a for a in atoms if not isinstance(a, RelationalAtom)]
-        self._steps = self._compile(tuple(seed_variables))
-        self.variables = self._collect_variables()
+        #: The relational atoms' probes, in execution order.
+        self.steps = self._compile(tuple(seed_variables))
 
-    def _collect_variables(self) -> Tuple[Variable, ...]:
-        seen: Dict[Variable, None] = {}
-        for atom in self.atoms:
-            for variable in atom.variables():
-                seen.setdefault(variable, None)
-        return tuple(seen)
-
-    def _compile(self, seed_variables: Tuple[Variable, ...]) -> List[_JoinStep]:
+    def _compile(self, seed_variables: Tuple[Variable, ...]) -> Tuple[JoinStep, ...]:
         """Choose a join order greedily (most-bound atom first) and plan each probe."""
-        remaining = list(self.relational)
+        remaining = [a for a in self.atoms if isinstance(a, RelationalAtom)]
         bound: set = set(seed_variables)
-        steps: List[_JoinStep] = []
+        steps: List[JoinStep] = []
         while remaining:
             best_index = 0
             best_score = -1
@@ -90,34 +118,22 @@ class CompiledConjunction:
             for term in atom.terms:
                 if is_variable(term):
                     bound.add(term)
-        return steps
+        return tuple(steps)
 
     @staticmethod
-    def _plan_step(atom: RelationalAtom, bound: set) -> _JoinStep:
+    def _plan_step(atom: RelationalAtom, bound: set) -> JoinStep:
         key_positions: List[int] = []
-        key_terms: List[Term] = []
-        check_positions: List[Tuple[int, Term]] = []
-        new_variables: List[Tuple[Variable, int]] = []
-        seen_new: Dict[Variable, int] = {}
+        bind_positions: List[Tuple[int, Variable]] = []
         for position, term in enumerate(atom.terms):
-            if not is_variable(term):
+            if not is_variable(term) or term in bound:
                 key_positions.append(position)
-                key_terms.append(term)
-            elif term in bound:
-                key_positions.append(position)
-                key_terms.append(term)
-            elif term in seen_new:
-                # Repeated fresh variable within the same atom: selection.
-                check_positions.append((position, term))
             else:
-                seen_new[term] = position
-                new_variables.append((term, position))
-        return _JoinStep(
+                bind_positions.append((position, term))
+        return JoinStep(
             atom=atom,
             key_positions=tuple(key_positions),
-            key_terms=tuple(key_terms),
-            check_positions=tuple(check_positions),
-            new_variables=tuple(new_variables),
+            key_terms=tuple(atom.terms[position] for position in key_positions),
+            bind_positions=tuple(bind_positions),
         )
 
     # ------------------------------------------------------------------
@@ -137,50 +153,10 @@ class CompiledConjunction:
         (used for existence checks).
         """
         current: List[Homomorphism] = [dict(s) for s in seeds] if seeds else [{}]
-        for step in self._steps:
+        for step in self.steps:
             if not current:
                 return []
-            next_bindings: List[Homomorphism] = []
-            index = instance.index(step.atom.relation, step.key_positions)
-            for binding in current:
-                key = tuple(
-                    term if isinstance(term, Constant) else binding[term]
-                    for term in step.key_terms
-                )
-                for row in index.get(key, ()):  # hash probe
-                    ok = True
-                    for position, variable in step.check_positions:
-                        expected = binding.get(variable)
-                        if expected is None:
-                            # repeated within-atom variable: compare against its
-                            # first occurrence in this row
-                            first_position = dict(step.new_variables).get(variable)
-                            expected = row[first_position] if first_position is not None else None
-                        if expected is not None and row[position] != expected:
-                            ok = False
-                            break
-                    if not ok:
-                        continue
-                    extended = dict(binding)
-                    clash = False
-                    for variable, position in step.new_variables:
-                        value = row[position]
-                        previous = extended.get(variable)
-                        if previous is not None and previous != value:
-                            clash = True
-                            break
-                        extended[variable] = value
-                    if clash:
-                        continue
-                    # validate within-atom repeats against newly bound values
-                    valid = True
-                    for position, variable in step.check_positions:
-                        if extended.get(variable) != row[position]:
-                            valid = False
-                            break
-                    if valid:
-                        next_bindings.append(extended)
-            current = next_bindings
+            current = step.extend(instance, current)
         if self.filters:
             current = [
                 binding

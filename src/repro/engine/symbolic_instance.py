@@ -84,6 +84,11 @@ class SymbolicInstance:
         self._indexes[key] = index
         return index
 
+    @staticmethod
+    def row_form(terms: Tuple[Term, ...]) -> Tuple[Term, ...]:
+        """A pattern's constants are themselves values of ``Inst(Q)``."""
+        return terms
+
     def __len__(self) -> int:
         return sum(len(rows) for rows in self._relations.values())
 

@@ -191,7 +191,8 @@ class StorageBackend(abc.ABC):
     def estimate_pipeline(self, query: ConjunctiveQuery) -> Tuple[float, ...]:
         """The planner's running row estimate after each atom of *query*.
 
-        Textual order, priced by the ranking model over
+        In *query*'s body order (the memory evaluator passes the order it
+        executes), priced by the ranking model over
         :attr:`statistics_catalog` — measured now if this backend was
         never refreshed.  Profile nodes attach these numbers; engines do
         no estimation arithmetic of their own.

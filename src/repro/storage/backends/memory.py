@@ -1,4 +1,4 @@
-"""The in-memory backend: the original hash-join evaluator behind the API.
+"""The in-memory backend: the compiled hash-join evaluator behind the API.
 
 This wraps :class:`~repro.storage.relational_db.InMemoryDatabase` and
 :func:`~repro.storage.evaluation.evaluate_query` without changing their
@@ -18,7 +18,7 @@ from .base import Query, Row, StorageBackend
 
 
 class MemoryBackend(StorageBackend):
-    """Executes queries with the naive hash-join evaluator over Python lists.
+    """Executes queries with the chase's compiled hash joins over Python lists.
 
     Statistics (``collect_statistics``, inherited) profile the same lists
     the hash-join evaluator scans, so cost estimates derived from a memory
@@ -72,6 +72,7 @@ class MemoryBackend(StorageBackend):
 
     # -- execution -----------------------------------------------------
     def execute(self, query: Query, distinct: bool = True) -> List[Row]:
+        self._check_relations(query)
         evaluate = evaluate_union if isinstance(query, UnionQuery) else evaluate_query
         return evaluate(
             query, self.database, distinct=distinct, estimator=self.estimate_pipeline

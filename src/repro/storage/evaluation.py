@@ -1,16 +1,18 @@
 """Evaluation of conjunctive queries over the in-memory database.
 
-The evaluator performs a left-to-right sequence of hash joins over the
-relational atoms of the query body, then filters with inequality atoms and
-projects onto the head.  The same machinery is reused (over *symbolic*
-instances) by the set-oriented chase implementation; here it runs over real
-data to execute reformulations and to verify their equivalence in tests.
+The evaluator compiles the relational atoms of the query body into the
+set-oriented chase's :class:`~repro.engine.join_tree.CompiledConjunction`
+and runs its hash-join steps over the tables, then filters with
+inequality atoms and projects onto the head.  The same machinery is
+reused: the chase runs those steps over *symbolic* instances, here they
+run over real data to execute reformulations and to verify their
+equivalence in tests.
 
 When the ambient execution tree (:func:`repro.obs.current_span`) is
 profiled, each hash-join step emits one ``scan``/``join-step`` operator
 node with its intermediate binding count as ``actual_rows``, the
 scanned table's size as ``table_rows`` and, as ``estimated_rows``, the
-figure the caller's *estimator* gives for that step
+figure the caller's *estimator* gives for that step of the executed order
 (:meth:`StorageBackend.estimate_pipeline`).  Evaluation stops at the
 first step that leaves no bindings; a profiled tree still gets a node,
 with ``actual_rows=0``, for every step after it.  Union evaluation wraps
@@ -21,10 +23,11 @@ ambient lookup per query.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..engine.join_tree import CompiledConjunction
 from ..errors import EvaluationError
-from ..logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
+from ..logical.atoms import EqualityAtom, InequalityAtom
 from ..logical.queries import ConjunctiveQuery, UnionQuery
 from ..logical.terms import Constant, Term, Variable, is_variable
 from ..obs.trace import current_span
@@ -32,37 +35,36 @@ from ..profile import JOIN_STEP, SCAN, UNION_BRANCH
 from .relational_db import InMemoryDatabase, Row
 
 Binding = Dict[Variable, object]
-#: Per-atom running row estimates of a query, in textual order.
+RowIndex = Dict[Tuple[object, ...], List[Row]]
+#: Per-atom running row estimates of a query, in body order.
 PipelineEstimator = Callable[[ConjunctiveQuery], Sequence[float]]
 
 
-def _match_atom(atom: RelationalAtom, row: Row, binding: Binding) -> Optional[Binding]:
-    """Try to extend *binding* so the atom's terms match *row*; return None on clash."""
-    extended = dict(binding)
-    for term, value in zip(atom.terms, row):
-        if is_variable(term):
-            bound = extended.get(term, _MISSING)
-            if bound is _MISSING:
-                extended[term] = value
-            elif bound != value:
-                return None
-        else:
-            if term.value != value:
-                return None
-    return extended
+class _TableSource:
+    """The tables of a database as the row source of compiled join steps.
 
+    Rows hold plain values, so a query constant matches through its
+    ``value``.  Each hash index is built once per evaluation, straight
+    from the table's rows.
+    """
 
-_MISSING = object()
+    def __init__(self, database: InMemoryDatabase):
+        self.database = database
+        self._indexes: Dict[Tuple[str, Tuple[int, ...]], RowIndex] = {}
 
+    def index(self, relation: str, positions: Tuple[int, ...]) -> RowIndex:
+        index = self._indexes.get((relation, positions))
+        if index is None:
+            index = self._indexes[relation, positions] = {}
+            for row in self.database.table(relation):
+                index.setdefault(tuple(row[p] for p in positions), []).append(row)
+        return index
 
-def _atom_join_key(atom: RelationalAtom, bound_vars: Iterable[Variable]) -> List[int]:
-    """Positions of the atom's terms that are already bound (or constants)."""
-    bound = set(bound_vars)
-    positions = []
-    for index, term in enumerate(atom.terms):
-        if not is_variable(term) or term in bound:
-            positions.append(index)
-    return positions
+    @staticmethod
+    def row_form(terms: Tuple[Term, ...]) -> Tuple[object, ...]:
+        return tuple(
+            term.value if isinstance(term, Constant) else term for term in terms
+        )
 
 
 def evaluate_query(
@@ -73,53 +75,34 @@ def evaluate_query(
 ) -> List[Row]:
     """Evaluate *query* over *database* and return the list of head tuples.
 
-    The join order is the textual order of the body atoms; for each atom a
-    hash index is built on the positions already bound by earlier atoms,
-    giving hash-join behaviour without materializing intermediate tables.
+    The join order and the probes are the chase's: most-bound atom first,
+    each atom probed through a hash index on the positions that constants
+    and earlier atoms bind, without materializing intermediate tables.
     """
     query = query.normalize_equalities()
-    span = current_span()
-    profiled = span.profiled
-    estimates = estimator(query) if profiled and estimator else ()
-    bindings: List[Binding] = [{}]
-    bound_vars: List[Variable] = []
-    for step, atom in enumerate(query.relational_body, start=1):
+    for atom in query.relational_body:
         if not database.has_table(atom.relation):
             raise EvaluationError(
                 f"query {query.name} references unknown table {atom.relation!r}"
             )
-        rows = database.table(atom.relation).rows
-        key_positions = _atom_join_key(atom, bound_vars)
-        if profiled:
-            node = _step_node(span, step, atom, key_positions, estimates, len(rows))
-        else:
-            node = None
-        index: Dict[Tuple[object, ...], List[Row]] = {}
-        for row in rows:
-            key = tuple(row[position] for position in key_positions)
-            index.setdefault(key, []).append(row)
-        new_bindings: List[Binding] = []
-        for binding in bindings:
-            key_values = []
-            for position in key_positions:
-                term = atom.terms[position]
-                if is_variable(term):
-                    key_values.append(binding[term])
-                else:
-                    key_values.append(term.value)
-            for row in index.get(tuple(key_values), ()):  # hash probe
-                extended = _match_atom(atom, row, binding)
-                if extended is not None:
-                    new_bindings.append(extended)
-        bindings = new_bindings
+    steps = CompiledConjunction(query.relational_body).steps
+    span = current_span()
+    profiled = span.profiled
+    estimates = (
+        estimator(query.with_body([step.atom for step in steps]))
+        if profiled and estimator
+        else ()
+    )
+    source = _TableSource(database)
+    bindings: List[Binding] = [{}]
+    for number, step in enumerate(steps, start=1):
+        node = _step_node(span, number, step, estimates, database) if profiled else None
+        bindings = step.extend(source, bindings)
         if node is not None:
             node.finish(actual_rows=len(bindings))
-        for term in atom.terms:
-            if is_variable(term) and term not in bound_vars:
-                bound_vars.append(term)
         if not bindings:
             if profiled:
-                _profile_unreached_steps(span, query, step, database, estimates, bound_vars)
+                _profile_unreached_steps(span, steps, number, estimates, database)
             break
 
     results: List[Row] = []
@@ -136,39 +119,27 @@ def evaluate_query(
     return results
 
 
-def _step_node(span, step, atom, key_positions, estimates, table_rows):
+def _step_node(span, number, step, estimates, database):
     """The profile node of one hash-join step."""
+    relation = step.atom.relation
     return span.operator(
-        JOIN_STEP if key_positions else SCAN,
-        f"{atom.relation}[step {step}]",
-        estimated_rows=estimates[step - 1] if estimates else None,
-        relation=atom.relation,
-        probe_positions=tuple(key_positions),
-        table_rows=table_rows,
+        JOIN_STEP if step.key_positions else SCAN,
+        f"{relation}[step {number}]",
+        estimated_rows=estimates[number - 1] if estimates else None,
+        relation=relation,
+        probe_positions=step.key_positions,
+        table_rows=len(database.table(relation)),
     )
 
 
-def _profile_unreached_steps(span, query, empty_step, database, estimates, bound_vars):
-    """Emit the nodes of the steps after *empty_step*, which never run.
+def _profile_unreached_steps(span, steps, empty_step, estimates, database):
+    """Emit the nodes of the compiled steps after *empty_step*, which never run.
 
     Each reads ``actual_rows=0`` with the estimate, table size and probe
-    positions it would have had; no hash index is built.  A relation the
-    database lacks gets no ``table_rows``: unprofiled evaluation never
-    reaches it, so profiling does not raise for it either.
+    positions it would have had; no hash index is built.
     """
-    bound = set(bound_vars)
-    atoms = query.relational_body[empty_step:]
-    for step, atom in enumerate(atoms, start=empty_step + 1):
-        key_positions = _atom_join_key(atom, bound)
-        table_rows = (
-            len(database.table(atom.relation).rows)
-            if database.has_table(atom.relation)
-            else None
-        )
-        _step_node(span, step, atom, key_positions, estimates, table_rows).finish(
-            actual_rows=0
-        )
-        bound.update(term for term in atom.terms if is_variable(term))
+    for number, step in enumerate(steps[empty_step:], start=empty_step + 1):
+        _step_node(span, number, step, estimates, database).finish(actual_rows=0)
 
 
 def _satisfies_filters(query: ConjunctiveQuery, binding: Binding) -> bool:

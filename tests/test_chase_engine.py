@@ -1,7 +1,7 @@
 """Unit tests for homomorphism search, the chase and containment."""
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.engine import (
     ChaseConfig,
@@ -28,6 +28,8 @@ from repro.logical import (
     var,
     view_inclusion_dependencies,
 )
+from repro.logical.terms import Constant
+from repro.storage import InMemoryDatabase, evaluate_query
 
 
 def R(*terms):
@@ -43,6 +45,25 @@ def T(*terms):
 
 
 x, y, z, u, v, w = (var(n) for n in "xyzuvw")
+
+#: Cell values of the generated rows; ``None`` must bind like any value.
+VALUES = (0, 1, 2, None)
+_TERMS = st.one_of(
+    st.sampled_from((x, y, z, u)), st.sampled_from(VALUES[:3]).map(const)
+)
+PATTERNS = st.lists(
+    st.builds(
+        lambda name, first, second: RelationalAtom(name, (first, second)),
+        st.sampled_from("RS"), _TERMS, _TERMS,
+    ),
+    min_size=1,
+    max_size=4,
+)
+ROWS = st.lists(
+    st.tuples(st.sampled_from("RS"), st.sampled_from(VALUES), st.sampled_from(VALUES)),
+    max_size=10,
+)
+SEEDS = st.none() | st.tuples(st.sampled_from((x, y, z, u)), st.sampled_from(VALUES))
 
 
 class TestHomomorphismFinders:
@@ -97,17 +118,21 @@ class TestHomomorphismFinders:
         results = finder.find_all(pattern, target)
         assert len(results) == 1
 
-    @given(
-        st.lists(
-            st.tuples(st.integers(0, 3), st.integers(0, 3)), min_size=1, max_size=8
-        )
-    )
-    @settings(max_examples=30, deadline=None)
-    def test_property_finders_agree(self, edges):
-        target = [R(const(a), const(b)) for a, b in edges]
-        pattern = [R(x, y), R(y, z)]
-        naive = NaiveHomomorphismFinder().find_all(pattern, target)
-        join_tree = JoinTreeHomomorphismFinder().find_all(pattern, target)
+    @given(PATTERNS, ROWS, SEEDS)
+    @example([R(x, x)], [("R", None, None), ("R", None, 1)], None)
+    @example([R(x, y), S(y, x)], [("R", 0, None), ("S", None, 0)], (y, None))
+    @settings(max_examples=150, deadline=None)
+    def test_property_finders_agree(self, pattern, rows, seed):
+        """One oracle for both users of the compiled kernel: the join-tree
+        finder over ``Inst(Q)`` and the memory evaluator over tables, on
+        generated patterns (1-4 atoms, constants, repeated variables, an
+        optional seed) and rows that may hold ``None``."""
+        target = [
+            RelationalAtom(name, (Constant(a), Constant(b))) for name, a, b in rows
+        ]
+        seed_map = {seed[0]: Constant(seed[1])} if seed else None
+        naive = NaiveHomomorphismFinder().find_all(pattern, target, seed_map)
+        join_tree = JoinTreeHomomorphismFinder().find_all(pattern, target, seed_map)
 
         def canonical(results):
             # Compare as sets: duplicate target atoms may yield the same
@@ -118,6 +143,25 @@ class TestHomomorphismFinders:
             }
 
         assert canonical(naive) == canonical(join_tree)
+
+        # The memory evaluator answers the same pattern, seeded by
+        # substitution, over the rows as concrete tables.
+        variables = ConjunctiveQuery("p", (), pattern).variables()
+        substitution = dict(seed_map or {})
+        query = ConjunctiveQuery(
+            "p",
+            [substitution.get(term, term) for term in variables],
+            [atom.substitute(substitution) for atom in pattern],
+        )
+        database = InMemoryDatabase()
+        for name in "RS":
+            database.create_table(name, 2)
+        for name, a, b in rows:
+            database.insert(name, (a, b))
+        projected = {
+            tuple(mapping[term].value for term in variables) for mapping in naive
+        }
+        assert set(evaluate_query(query, database)) == projected
 
 
 class TestSymbolicInstance:

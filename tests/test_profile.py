@@ -22,6 +22,9 @@ import threading
 import pytest
 
 from repro.core import MarsExecutor, MarsSystem
+from repro.cost import CostModel
+from repro.engine import CompiledConjunction
+from repro.errors import EvaluationError
 from repro.logical.atoms import RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Variable
@@ -273,26 +276,74 @@ class TestUnreachedStepsStayInTheProfile:
         assert all(node.estimated_rows is not None for node in steps)
         assert all(node.end is not None for node in steps)
 
-    def test_unknown_relation_after_an_empty_step_does_not_raise(self):
-        """Unprofiled evaluation never reaches the missing table, so the
-        profiled run must not raise for it either."""
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_unknown_relation_after_an_empty_step_raises(self, name):
+        """Whether a missing table raises depends neither on the backend,
+        on the join order nor on earlier steps' rows: every backend
+        raises, profiled or not."""
         a, b, c = Variable("a"), Variable("b"), Variable("c")
         query = ConjunctiveQuery(
             "dangling",
             (a, c),
             (RelationalAtom("r", (a, b)), RelationalAtom("missing", (b, c))),
         )
-        backend = MemoryBackend()
+        backend = create_backend(name)
         try:
             backend.create_table("r", 2, ("x", "y"))
-            assert backend.execute(query) == []
-            with operator_root("execute", query.name) as root:
-                assert backend.execute(query) == []
+            with pytest.raises(EvaluationError, match="missing"):
+                backend.execute(query)
+            with operator_root("execute", query.name):
+                with pytest.raises(EvaluationError, match="missing"):
+                    backend.execute(query)
         finally:
             backend.close()
-        (unreached,) = [node for node in root.walk() if node.label == "missing[step 2]"]
-        assert unreached.actual_rows == 0
-        assert unreached.attributes["table_rows"] is None
+
+
+class TestProfileFollowsTheExecutedOrder:
+    """Regression: the memory evaluator joined in textual order, so a body
+    whose text opens with a cross product ran one; it now runs the chase's
+    compiled order, and the profile's labels and estimates follow it."""
+
+    def test_steps_labels_and_estimates_follow_the_compiled_order(self):
+        a, b, c, d = (Variable(name) for name in "abcd")
+        query = ConjunctiveQuery(
+            "crossed",
+            (a, d),
+            (
+                RelationalAtom("r", (a, b)),
+                RelationalAtom("s", (c, d)),
+                RelationalAtom("t", (b, c)),
+            ),
+        )
+        with create_backend("memory") as backend:
+            for name in ("r", "s", "t"):
+                backend.create_table(name, 2, ("x", "y"))
+            backend.insert_many("r", [(i, i % 4) for i in range(8)])
+            backend.insert_many("s", [(i % 4, i) for i in range(8)])
+            backend.insert_many("t", [(i, i) for i in range(4)])
+            with operator_root("execute", query.name) as root:
+                rows = backend.execute(query)
+            model = CostModel(backend.statistics_catalog)
+        assert len(rows) == 16
+        steps = [node for node in root.walk() if node.kind in (SCAN, JOIN_STEP)]
+        assert [node.label for node in steps] == ["r[step 1]", "t[step 2]", "s[step 3]"]
+        assert all(node.attributes["probe_positions"] for node in steps[1:])
+        assert [node.actual_rows for node in steps] == [8, 8, 16]
+        executed = query.with_body(
+            [query.body[0], query.body[2], query.body[1]]
+        )
+        assert [node.estimated_rows for node in steps] == list(
+            model.pipeline(executed)
+        )
+
+
+def executed_order(query):
+    """*query* with its relational body in the order the memory evaluator
+    runs it: the chase's compiled join order."""
+    query = query.normalize_equalities()
+    steps = CompiledConjunction(query.relational_body).steps
+    return query.with_body([step.atom for step in steps])
+
 
 def sharded_service(configuration, **options):
     configuration.backend = "sharded"
@@ -351,7 +402,9 @@ class TestShardedProfilesCarryThePlannersNumbers:
                         for child in profile.children(node)
                         if child.kind in (SCAN, JOIN_STEP)
                     ]
-                    assert steps == list(template.estimate_pipeline(plan))
+                    assert steps == list(
+                        template.estimate_pipeline(executed_order(plan))
+                    )
             assert gathers
         assert calls == []
 

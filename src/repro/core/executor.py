@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from typing import List, Tuple, Type, Union
 
 from ..compile.view_compiler import RelationalView
-from ..logical.queries import ConjunctiveQuery, UnionQuery
+from ..logical.queries import ConjunctiveQuery
 from ..obs.timer import timer
 from ..obs.trace import current_span, operator_root
 from ..profile import EXECUTE, QueryProfile
@@ -44,10 +44,6 @@ class ExecutionComparison:
     reformulated_rows: List[Row]
     original_seconds: float
     reformulated_seconds: float
-
-    @property
-    def net_saving_seconds(self) -> float:
-        return self.original_seconds - self.reformulated_seconds
 
     @property
     def speedup(self) -> float:
@@ -168,27 +164,14 @@ class MarsExecutor:
         )
         return evaluate_xbind(query, storage)
 
-    def execute_reformulation(
-        self, query: Union[ConjunctiveQuery, UnionQuery]
-    ) -> List[Row]:
-        """Execute a reformulation over the proprietary storage backend.
-
-        A whole :class:`UnionQuery` is pushed through the backend's batch
-        entry point, which real engines run as a single ``UNION`` statement
-        (one round trip) rather than one execution per disjunct.
-        """
+    def execute_reformulation(self, query: ConjunctiveQuery) -> List[Row]:
+        """Execute a reformulation over the proprietary storage backend."""
         span = current_span()
         if span.profiled:
-            span.annotate(
-                plan=getattr(query, "name", "<query>"),
-                engine=self.backend.backend_name,
-                disjuncts=len(tuple(query)) if isinstance(query, UnionQuery) else 1,
-            )
-        if isinstance(query, UnionQuery):
-            return self.backend.execute_union(query)
+            span.annotate(plan=query.name, engine=self.backend.backend_name)
         return self.backend.execute(query)
 
-    def explain_reformulation(self, query: Union[ConjunctiveQuery, UnionQuery]) -> str:
+    def explain_reformulation(self, query: ConjunctiveQuery) -> str:
         """Run *query* once, profiled, and render what it did.
 
         The text is the run's :class:`~repro.profile.QueryProfile`: every
@@ -196,7 +179,7 @@ class MarsExecutor:
         shard fragments, SQL statements with the engine's plan, hash-join
         steps), each estimate beside its actual rows.
         """
-        with operator_root(EXECUTE, getattr(query, "name", "<query>")) as root:
+        with operator_root(EXECUTE, query.name) as root:
             rows = self.execute_reformulation(query)
         root.finish(actual_rows=len(rows))
         return QueryProfile(root).render()

@@ -14,7 +14,7 @@ live backend), unless the caller injects its own estimator.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..cost.model import CostModel
 from ..cost.statistics import StatisticsCatalog
@@ -387,12 +387,6 @@ class MarsSystem:
             )
         return reformulation
 
-    def reformulate_all(
-        self, queries: Sequence[XBindQuery]
-    ) -> List[MarsReformulation]:
-        """Reformulate a batch of decorrelated XBind queries (one client XQuery)."""
-        return [self.reformulate(query) for query in queries]
-
     # ------------------------------------------------------------------
     def executor(self, backend: Optional[object] = None) -> "MarsExecutor":
         """Build a :class:`MarsExecutor` for this configuration.
@@ -410,7 +404,7 @@ class MarsSystem:
 
         The service reuses this system (and attaches a plan cache to it if
         none is present); keyword arguments are forwarded — ``backend``,
-        ``pool_size``, ``cache_size``, ``strategy``, ...
+        ``pool_size``, ``cache_size``, ``admin_port``, ...
         """
         from ..serve import PublishingService
 

@@ -1,8 +1,7 @@
 """The cost model: cardinality and cost estimates for reformulation plans.
 
 Built on a :class:`~repro.cost.statistics.StatisticsCatalog`, the
-:class:`CostModel` prices a conjunctive query (or a union, per disjunct)
-with the textbook System-R-style model:
+:class:`CostModel` prices a conjunctive query with the textbook System-R-style model:
 
 * **cardinality** — the product of the relation row counts, reduced by one
   selectivity factor per constant selection (``1/distinct`` of the bound
@@ -45,14 +44,12 @@ order it executes, the chase's compiled join order; SQLite's stays textual.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..logical.atoms import RelationalAtom
-from ..logical.queries import ConjunctiveQuery, UnionQuery
+from ..logical.queries import ConjunctiveQuery
 from ..logical.terms import Variable, is_variable
 from .statistics import StatisticsCatalog, TableStatistics
-
-Query = Union[ConjunctiveQuery, UnionQuery]
 
 MODE_LOCAL = "local"
 MODE_SINGLE = "single"
@@ -185,28 +182,19 @@ class CostModel:
     # Estimation
     # ------------------------------------------------------------------
     def cardinality(
-        self, query: Query, scale: Optional[Mapping[str, float]] = None
+        self, query: ConjunctiveQuery, scale: Optional[Mapping[str, float]] = None
     ) -> float:
         """Estimated result rows of *query* (before projection/dedup)."""
         return self.estimate(query, scale=scale).cardinality
 
     def estimate(
-        self, query: Query, scale: Optional[Mapping[str, float]] = None
+        self, query: ConjunctiveQuery, scale: Optional[Mapping[str, float]] = None
     ) -> CostEstimate:
         """Price *query* as a local (coordinator/unsharded) execution.
 
         *scale* maps relation names to a fragment fraction in ``(0, 1]``;
         the routing estimates use it to reason about per-shard fragments.
         """
-        if isinstance(query, UnionQuery):
-            parts = [self.estimate(disjunct, scale=scale) for disjunct in query]
-            return CostEstimate(
-                mode=MODE_LOCAL,
-                cardinality=sum(part.cardinality for part in parts),
-                scan_cost=sum(part.scan_cost for part in parts),
-                join_cost=sum(part.join_cost for part in parts),
-                detail=tuple(part.describe() for part in parts),
-            )
         atoms, effective, selectivities = self._step_inputs(query, scale)
         if not atoms:
             return CostEstimate(
@@ -352,7 +340,7 @@ class CostModel:
     # ------------------------------------------------------------------
     def single_shard_estimate(
         self,
-        query: Query,
+        query: ConjunctiveQuery,
         shard_count: int,
         partitioned: Mapping[str, int],
     ) -> CostEstimate:
@@ -369,7 +357,7 @@ class CostModel:
 
     def scatter_estimate(
         self,
-        query: Query,
+        query: ConjunctiveQuery,
         shard_count: int,
         partitioned: Mapping[str, int],
     ) -> CostEstimate:
@@ -391,7 +379,7 @@ class CostModel:
 
     def gather_estimate(
         self,
-        query: Query,
+        query: ConjunctiveQuery,
         fetch_shards: Sequence[Tuple[str, Tuple[int, ...]]],
         shard_count: int,
         partitioned: Mapping[str, int],

@@ -59,10 +59,6 @@ class CBResult:
     complete: bool = True
 
     @property
-    def total_time(self) -> float:
-        return self.time_to_best
-
-    @property
     def minimization_time(self) -> float:
         """Extra time spent past the initial reformulation ("delta" in Figure 5)."""
         return max(0.0, self.time_to_best - self.time_to_initial)

@@ -151,8 +151,6 @@ class ChaseEngine:
                 frontier = []
         statistics.branches = max(1, len(finished))
         statistics.elapsed_seconds = clock.elapsed
-        if not finished:
-            finished = []
         return ChaseResult(original=query, branches=finished, statistics=statistics)
 
     # ------------------------------------------------------------------

@@ -174,8 +174,6 @@ class ShortcutChaseEngine:
                     )
                 next_branches.extend(result.branches)
             current_branches = next_branches
-            if chase_added == 0 and closure_added == 0:
-                break
             if chase_added == 0:
                 # The chase phase added nothing, so the closure is already stable.
                 break

@@ -11,7 +11,7 @@ from .atoms import (
     relational_atoms,
 )
 from .dependencies import DED, Disjunct, egd, tgd, view_inclusion_dependencies
-from .queries import ConjunctiveQuery, UnionQuery, make_query
+from .queries import ConjunctiveQuery, make_query
 from .schema import ForeignKey, Key, Relation, RelationalSchema
 from .terms import Constant, Term, Variable, VariableFactory, const, is_constant, is_variable, var
 
@@ -29,7 +29,6 @@ __all__ = [
     "RelationalAtom",
     "RelationalSchema",
     "Term",
-    "UnionQuery",
     "Variable",
     "VariableFactory",
     "atom_variables",

@@ -1,4 +1,4 @@
-"""Conjunctive queries and unions of conjunctive queries.
+"""Conjunctive queries.
 
 A :class:`ConjunctiveQuery` is the workhorse object of the whole system: the
 compilation of XBind queries produces one, the chase rewrites one, the
@@ -242,41 +242,6 @@ class ConjunctiveQuery:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return str(self)
-
-
-@dataclass(frozen=True)
-class UnionQuery:
-    """A union of conjunctive queries sharing the same head arity."""
-
-    name: str
-    disjuncts: Tuple[ConjunctiveQuery, ...]
-
-    def __init__(self, name: str, disjuncts: Sequence[ConjunctiveQuery]):
-        disjuncts = tuple(disjuncts)
-        if not disjuncts:
-            raise SchemaError("a union query needs at least one disjunct")
-        arity = len(disjuncts[0].head)
-        for query in disjuncts:
-            if len(query.head) != arity:
-                raise SchemaError(
-                    f"union {name}: head arity mismatch "
-                    f"({len(query.head)} vs {arity})"
-                )
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "disjuncts", disjuncts)
-
-    @property
-    def arity(self) -> int:
-        return len(self.disjuncts[0].head)
-
-    def __iter__(self):
-        return iter(self.disjuncts)
-
-    def __len__(self) -> int:
-        return len(self.disjuncts)
-
-    def __str__(self) -> str:
-        return " UNION ".join(str(query) for query in self.disjuncts)
 
 
 def make_query(

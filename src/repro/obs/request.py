@@ -36,9 +36,8 @@ class RequestRecord(NamedTuple):
     query: str = ""
     #: ``XBindQuery.fingerprint_digest()`` — the spelling plan artifacts use.
     fingerprint: str = ""
-    strategy: str = ""
     plan: str = ""
-    #: Routing modes, one per disjunct, from the routing decision itself.
+    #: The plan's routing mode, from the routing decision itself.
     route: Tuple[str, ...] = ()
     rows: int = 0
     #: Changes in an update's change set.
@@ -58,7 +57,7 @@ class RequestRecord(NamedTuple):
         else:
             entry.update(
                 query=self.query, fingerprint=self.fingerprint,
-                strategy=self.strategy, route=list(self.route),
+                route=list(self.route),
                 lsn=self.lsn, rows=self.rows,
             )
         entry.update(seconds=self.seconds, phases=self.phases)

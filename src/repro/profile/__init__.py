@@ -8,7 +8,7 @@ The operators are nodes of the request's one execution tree
 (:mod:`repro.obs.trace`), recorded when the tree is profiled:
 
 * :mod:`repro.profile.view` — the operator kinds (``scan`` /
-  ``join-step`` / ``union-branch`` / ``shard-fragment`` /
+  ``join-step`` / ``shard-fragment`` /
   ``replica-read`` / ``merge`` / ``statement``) and the
   :class:`QueryProfile` view of a tree (each operator with
   ``estimated_rows``, ``actual_rows``, ``elapsed_seconds`` and a
@@ -34,7 +34,6 @@ from .view import (
     SCAN,
     SHARD_FRAGMENT,
     STATEMENT,
-    UNION_BRANCH,
     QueryProfile,
 )
 
@@ -48,5 +47,4 @@ __all__ = [
     "SCAN",
     "SHARD_FRAGMENT",
     "STATEMENT",
-    "UNION_BRANCH",
 ]

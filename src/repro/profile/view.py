@@ -1,8 +1,8 @@
 """The profile view: per-operator estimate-vs-actual records of one execution.
 
 A :class:`QueryProfile` shows what execution actually *did*, operator by
-operator — a base-table scan, one hash-join step, a union branch, a
-shard fragment, a replica read, a merge — each carrying the planner's
+operator — a base-table scan, one hash-join step, a shard fragment, a
+replica read, a merge — each carrying the planner's
 ``estimated_rows``, the measured ``actual_rows``, the wall-clock
 ``elapsed_seconds``, and the resulting per-operator ``q_error``.  That
 is the signal whole-query feedback cannot give: which join, shard or
@@ -23,11 +23,10 @@ from typing import Any, Dict, List, Optional
 from ..obs.trace import NULL_SPAN, Span, TreeView, format_attributes
 
 #: Canonical operator kinds.  Backends may introduce engine-specific
-#: kinds (the SQLite backend's ``statement``), but these six are the
+#: kinds (the SQLite backend's ``statement``), but these five are the
 #: vocabulary the docs, the admin endpoints and the tests speak.
 SCAN = "scan"
 JOIN_STEP = "join-step"
-UNION_BRANCH = "union-branch"
 SHARD_FRAGMENT = "shard-fragment"
 REPLICA_READ = "replica-read"
 MERGE = "merge"
@@ -42,7 +41,7 @@ class QueryProfile(TreeView):
 
     The root is the topmost operator of *tree* and covers the whole
     execution (its ``actual_rows`` is the published row count); metadata
-    carries the query name, strategy, whether the profile came from the
+    carries the query name, whether the profile came from the
     1-in-N sampler or a forced ``explain()`` run, and the
     ``request_id`` of the served request it belongs to.
     """

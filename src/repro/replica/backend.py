@@ -42,9 +42,10 @@ from typing import (
 
 from ..errors import StorageError
 from ..obs.events import EventLog, REPLICA_FAILOVER, REPLICA_FENCED
+from ..logical.queries import ConjunctiveQuery
 from ..obs.trace import current_span
 from ..profile import REPLICA_READ
-from ..storage.backends.base import Query, Row, StorageBackend, create_backend
+from ..storage.backends.base import Row, StorageBackend, create_backend
 from .changeset import ChangeSet
 from .selector import ReplicaSelector, create_selector
 
@@ -253,13 +254,8 @@ class ReplicatedBackend(StorageBackend):
             ) from last_error
         raise StorageError("no live replica remains")
 
-    def execute(self, query: Query, distinct: bool = True) -> List[Row]:
+    def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:
         return self._read(lambda replica: replica.execute(query, distinct=distinct))
-
-    def execute_union(self, union: Query, distinct: bool = True) -> List[Row]:
-        return self._read(
-            lambda replica: replica.execute_union(union, distinct=distinct)
-        )
 
     def rows(self, name: str) -> Sequence[Row]:
         return self._read(lambda replica: replica.rows(name))

@@ -12,10 +12,10 @@ thread-safe ``publish(query) -> rows`` API combining
   :class:`PoolExhaustedError` carrying the stats snapshot) — one pool per
   shard on a sharded deployment, so a partition-key-bound query occupies
   exactly one shard's connection;
-* single-round-trip union execution (``strategy="union"``) and
-  cost-based planning: at startup the service profiles the built backend
-  and attaches the statistics catalog to its
-  :class:`~repro.core.system.MarsSystem`;
+* cost-based planning: at startup the service profiles the built
+  backend and attaches the statistics catalog to its
+  :class:`~repro.core.system.MarsSystem`, whose cheapest minimal
+  reformulation is the one plan each request executes;
 * a live write path: ``update(changeset)`` applies a
   :class:`~repro.replica.ChangeSet` to the template backend and appends
   it to per-pool :class:`~repro.replica.MutationLog`\\ s, pooled snapshot
@@ -42,12 +42,7 @@ statistics refreshes, rebalances).
 
 from .cache import CacheStats, PlanCache
 from .pool import ConnectionPool, PoolExhaustedError, PoolStats
-from .service import (
-    STRATEGY_BEST,
-    STRATEGY_UNION,
-    PublishingService,
-    ServiceStats,
-)
+from .service import PublishingService, ServiceStats
 
 __all__ = [
     "CacheStats",
@@ -56,7 +51,5 @@ __all__ = [
     "PoolExhaustedError",
     "PoolStats",
     "PublishingService",
-    "STRATEGY_BEST",
-    "STRATEGY_UNION",
     "ServiceStats",
 ]

@@ -21,10 +21,9 @@ checkpoint, repair, health, stats and teardown all walk the unit tuple.
 Only the request paths differ.  ``publish(query)`` — the batch of one of
 ``publish_many`` — does cache-aware reformulation, checks one connection
 out — or routes the plan and checks out only the units the router names —
-runs the plan (optionally the whole union of minimal reformulations as a
-single ``UNION`` round trip) and returns the rows; ``update(changeset)``
-applies and logs on the template, or routes the change set and applies
-and logs unit by unit.
+runs the plan (the cost-ranked best reformulation) and returns the
+rows; ``update(changeset)`` applies and logs on the template, or routes
+the change set and applies and logs unit by unit.
 
 What a served request leaves behind is decided in one place: every
 publish, every query of a batch, every ``explain()`` run
@@ -50,7 +49,7 @@ from ..core.executor import MarsExecutor
 from ..core.reformulation import MarsReformulation
 from ..core.system import MarsSystem
 from ..errors import ReformulationError, StorageError
-from ..logical.queries import ConjunctiveQuery, UnionQuery
+from ..logical.queries import ConjunctiveQuery
 from ..plan import PlanStore, PlanStoreStats
 from ..profile import EXECUTE, ProfileBuffer, QueryProfile
 from ..obs import (
@@ -104,11 +103,6 @@ from .cache import CacheStats, PlanCache
 from .pool import ConnectionPool, PoolStats
 
 Row = Tuple[object, ...]
-
-#: Execute only the cost-ranked best reformulation.
-STRATEGY_BEST = "best"
-#: Execute the union of every minimal reformulation in one round trip.
-STRATEGY_UNION = "union"
 
 
 def _setting(value, default):
@@ -338,7 +332,6 @@ class PublishingService:
         cache_size: Optional[int] = None,
         plan_cache: Optional[PlanCache] = None,
         system: Optional[MarsSystem] = None,
-        strategy: str = STRATEGY_BEST,
         checkout_timeout: Optional[float] = 30.0,
         max_waiters: Optional[int] = None,
         refresh_statistics: bool = True,
@@ -358,15 +351,12 @@ class PublishingService:
         profile_sample: int = 0,
         profile_buffer_size: int = 64,
     ):
-        if strategy not in (STRATEGY_BEST, STRATEGY_UNION):
-            raise ValueError(f"unknown execution strategy {strategy!r}")
         if profile_sample < 0:
             raise ValueError(
                 f"profile_sample must be >= 0 (0 disables profiling), "
                 f"got {profile_sample}"
             )
         self.configuration = configuration
-        self.strategy = strategy
         self.checkout_timeout = checkout_timeout
         self.drift_threshold = drift_threshold
         # Observability: the tracer hands each publish/update a span tree
@@ -1180,37 +1170,18 @@ class PublishingService:
     # ------------------------------------------------------------------
     # Serving
     # ------------------------------------------------------------------
-    def _check_strategy(self, strategy: Optional[str], distinct: bool) -> str:
-        effective = strategy or self.strategy
-        if effective not in (STRATEGY_BEST, STRATEGY_UNION):
-            raise ValueError(f"unknown execution strategy {effective!r}")
-        if effective == STRATEGY_UNION and not distinct:
-            raise ValueError(
-                "the union strategy executes all minimal reformulations, "
-                "which only agree under set semantics; distinct=False is "
-                "limited to the best-plan strategy"
-            )
-        return effective
-
-    def plan_for(
-        self, reformulation: MarsReformulation, strategy: Optional[str] = None
-    ):
-        """The executable plan for *reformulation* under *strategy*."""
+    def plan_for(self, reformulation: MarsReformulation) -> ConjunctiveQuery:
+        """The executable plan for *reformulation*: its cost-ranked best."""
         if not reformulation.found:
             raise ReformulationError(
                 f"no reformulation of {reformulation.query.name} against the "
                 "proprietary schema exists"
             )
-        strategy = self._check_strategy(strategy, distinct=True)
-        if strategy == STRATEGY_UNION and len(reformulation.minimal) > 1:
-            return UnionQuery(
-                f"{reformulation.query.name}_union", reformulation.minimal
-            )
         return reformulation.best
 
     def _run_plan(
         self,
-        plan,
+        plan: ConjunctiveQuery,
         distinct: bool,
         backend: Optional[StorageBackend] = None,
         flight: Optional[_Flight] = None,
@@ -1226,10 +1197,7 @@ class PublishingService:
         """
         if backend is not None:
             with self._execute_span(flight, engine=backend.backend_name) as span:
-                if isinstance(plan, UnionQuery):
-                    rows = backend.execute_union(plan, distinct=True)
-                else:
-                    rows = backend.execute(plan, distinct=distinct)
+                rows = backend.execute(plan, distinct=distinct)
                 span.produced(len(rows))
                 return rows, ("single",)
         template = self.executor.backend
@@ -1237,7 +1205,6 @@ class PublishingService:
             route = template.route_plan(plan)
             modes = tuple(str(decision.mode) for _q, decision in route.decisions)
             route_span.annotate(
-                disjuncts=len(modes),
                 modes=list(modes),
                 shards=sorted(route.needed_shards),
             )
@@ -1265,10 +1232,7 @@ class PublishingService:
         root operator of *flight*'s profile."""
         span = current_span().child("execute", **attributes)
         if span.profiled and flight is not None:
-            span.as_operator(
-                EXECUTE, flight.query.name,
-                strategy=flight.trace.metadata["strategy"],
-            )
+            span.as_operator(EXECUTE, flight.query.name)
             costs = flight.reformulation.candidate_costs
             if costs:
                 # The planner's rejected alternatives, priced:
@@ -1283,7 +1247,6 @@ class PublishingService:
         self,
         query: XBindQuery,
         distinct: bool = True,
-        strategy: Optional[str] = None,
         trace: bool = False,
     ) -> List[Row]:
         """Reformulate (or hit the plan cache) and execute *query*; return rows.
@@ -1293,14 +1256,13 @@ class PublishingService:
         (or *trace* forcing it for this call) the span tree is kept on
         :attr:`last_trace`.
         """
-        ((rows, _record),) = self._serve([query], distinct, strategy, trace)
+        ((rows, _record),) = self._serve([query], distinct, trace)
         return rows
 
     def publish_many(
         self,
         queries: Sequence[XBindQuery],
         distinct: bool = True,
-        strategy: Optional[str] = None,
     ) -> List[List[Row]]:
         """Serve a batch of queries on this thread, reusing one connection.
 
@@ -1311,13 +1273,12 @@ class PublishingService:
         routes (and checks out connections) independently, so a batch of
         pruned queries never pins every unit at once.
         """
-        return [rows for rows, _record in self._serve(queries, distinct, strategy)]
+        return [rows for rows, _record in self._serve(queries, distinct)]
 
     def _serve(
         self,
         queries: Sequence[XBindQuery],
         distinct: bool,
-        strategy: Optional[str],
         trace: bool = False,
         profile: bool = False,
     ) -> List[Tuple[List[Row], RequestRecord]]:
@@ -1325,7 +1286,6 @@ class PublishingService:
         record — the one path a query is served on."""
         if self._closed:
             raise StorageError("PublishingService is closed")
-        effective = self._check_strategy(strategy, distinct)
         # The LSN barrier these requests are served at (read-your-writes):
         # captured up front so the audit entry records the guarantee made.
         barrier_lsn = self._write_lsn
@@ -1341,7 +1301,7 @@ class PublishingService:
                     profiled=profile or (
                         sampler is not None and sampler.should_sample()
                     ),
-                    query=query.name, strategy=effective,
+                    query=query.name,
                 ),
             )
             for query in queries
@@ -1354,9 +1314,7 @@ class PublishingService:
                     flight.reformulation = self.reformulate(
                         flight.query, parent=flight.trace.root
                     )
-                    flight.plan = self.plan_for(
-                        flight.reformulation, strategy=effective
-                    )
+                    flight.plan = self.plan_for(flight.reformulation)
                     flight.coarse["reformulate"] = clock.stop()
                 self._execute(flights, distinct)
         except Exception:
@@ -1365,7 +1323,7 @@ class PublishingService:
         wall_seconds = wall.stop()
         served = []
         for flight in flights:
-            query, plan_name = flight.query, getattr(flight.plan, "name", "")
+            query, plan_name = flight.query, flight.plan.name
             estimate = flight.reformulation.cost_estimate
             if estimate is not None:
                 estimate = (
@@ -1375,7 +1333,7 @@ class PublishingService:
             query_profile = None
             if flight.trace.root.profiled:
                 query_profile = QueryProfile(
-                    flight.trace.root, query=query.name, strategy=effective,
+                    flight.trace.root, query=query.name,
                     plan=plan_name, forced=profile,
                 )
             record = self._record(
@@ -1392,7 +1350,6 @@ class PublishingService:
                 # structure, so the same digest, memoized across requests
                 # even when clients build a fresh query object each time.
                 fingerprint=flight.reformulation.query.fingerprint_digest(),
-                strategy=effective,
                 plan=plan_name,
                 route=flight.route,
                 rows=len(flight.rows),
@@ -1854,7 +1811,6 @@ class PublishingService:
         self,
         query: XBindQuery,
         distinct: bool = True,
-        strategy: Optional[str] = None,
         trace: bool = False,
         analyze: bool = False,
     ):
@@ -1864,8 +1820,8 @@ class PublishingService:
         fed to cost feedback, kept on :attr:`last_profile` and in the
         profile buffer, audited — with profiling forced on regardless of
         ``profile_sample``.  The text is that run's
-        :class:`~repro.profile.QueryProfile` rendered: the plan, strategy
-        and ranked candidate costs on the ``execute`` root, then every
+        :class:`~repro.profile.QueryProfile` rendered: the plan and
+        ranked candidate costs on the ``execute`` root, then every
         operator the backends recorded (routing decisions with chosen and
         rejected costs, the replica that served each read and its
         failover order, shard fragments, SQL statements with the engine's
@@ -1874,7 +1830,7 @@ class PublishingService:
         ``analyze=True`` the profile itself is returned instead of text.
         """
         ((_rows, record),) = self._serve(
-            [query], distinct, strategy, trace, profile=True
+            [query], distinct, trace, profile=True
         )
         if analyze:
             return record.profile

@@ -17,8 +17,7 @@ that binds a partition key to a constant executes on exactly one shard (no
 fan-out), co-partitioned joins scatter across all shards on the
 :class:`~repro.shard.executor.ScatterGatherExecutor` thread pool and merge
 under set/bag semantics, and arbitrary cross-shard joins fall back to
-fetching pruned fragments into a coordinator-local scratch store.  Unions
-route per disjunct.
+fetching pruned fragments into a coordinator-local scratch store.
 
 Select it like any other engine: ``create_backend("sharded", shards=4,
 children=("memory", "sqlite", "sqlite", "memory"), partition_keys={...})``,
@@ -35,10 +34,10 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import EvaluationError, SchemaError, StorageError
-from ..logical.queries import UnionQuery
+from ..logical.queries import ConjunctiveQuery
 from ..obs.trace import current_span
-from ..profile import MERGE, SHARD_FRAGMENT, UNION_BRANCH
-from ..storage.backends.base import Query, Row, StorageBackend, create_backend
+from ..profile import MERGE, SHARD_FRAGMENT
+from ..storage.backends.base import Row, StorageBackend, create_backend
 from ..storage.backends.memory import MemoryBackend
 from .executor import ScatterGatherExecutor, merge_rows
 from .partitioner import HashPartitioner, Partitioner, PartitionSpec
@@ -492,8 +491,10 @@ class ShardedBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def route_plan(self, plan: Query, annotate: Optional[bool] = None) -> RoutePlan:
-        """The routing decisions for *plan* (one per union disjunct).
+    def route_plan(
+        self, plan: ConjunctiveQuery, annotate: Optional[bool] = None
+    ) -> RoutePlan:
+        """The routing decision for *plan*.
 
         *annotate* defaults to whether the ambient tree is profiled: a
         profiled execution pays for the describe-only cost annotations
@@ -505,24 +506,19 @@ class ShardedBackend(StorageBackend):
             annotate = current_span().profiled
         return self.router.route_plan(plan, annotate=annotate)
 
-    def execute(self, query: Query, distinct: bool = True) -> List[Row]:
+    def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:
         with current_span().child("route") as span:
             plan = self.route_plan(query)
             span.annotate(
-                disjuncts=len(plan.decisions),
                 modes=[decision.mode for _q, decision in plan.decisions],
                 shards=sorted(plan.needed_shards),
             )
         return self.execute_routed(plan, query, distinct)
 
-    def execute_union(self, union: Query, distinct: bool = True) -> List[Row]:
-        """Unions route per disjunct; see :meth:`execute`."""
-        return self.execute(union, distinct=distinct)
-
     def execute_routed(
         self,
         plan: RoutePlan,
-        query: Query,
+        query: ConjunctiveQuery,
         distinct: bool = True,
         children: Optional[Mapping[int, StorageBackend]] = None,
     ) -> List[Row]:
@@ -541,77 +537,49 @@ class ShardedBackend(StorageBackend):
         # closures below can parent their per-shard nodes from the
         # scatter/gather worker threads.
         parent = current_span()
-        is_union = isinstance(query, UnionQuery)
-        if (
-            is_union
-            and len(plan.decisions) > 1
-            and all(
-                decision.mode == MODE_GATHER for _q, decision in plan.decisions
-            )
-        ):
-            # Routed-union batching: every disjunct gathers, so the pruned
-            # fragments are fetched once into one shared scratch store and
-            # each disjunct evaluates there, instead of re-fetching a
-            # fragment per disjunct that mentions it.
-            return self._execute_gather_union(plan, distinct, engines)
-        per_disjunct: List[List[Row]] = []
-        for position, (disjunct, decision) in enumerate(plan.decisions):
-            # The routing decision as an operator — mode, reason, and (when
-            # a cost model priced it) the chosen and rejected-alternative
-            # costs.  A gather *is* that node; a scatter's shard fragments
-            # and merge nest under it.
-            kind = UNION_BRANCH if is_union else decision.mode
-            attributes = decision.profile_attributes() if parent.profiled else {}
-            if decision.mode == MODE_GATHER:
-                with parent.child(
-                    "shard.gather", shards=sorted(decision.shards)
-                ).as_operator(
-                    kind, disjunct.name, disjunct=position, **attributes
-                ) as node:
-                    scratch = self._gather(node, decision.fetch_shards, engines)
-                    rows = scratch.execute(disjunct, distinct=distinct)
-                    node.finish(actual_rows=len(rows))
-            else:
-                node = parent.operator(
-                    kind, disjunct.name, disjunct=position, **attributes
-                )
-                host = node if parent.profiled else parent
-                tasks = [
-                    (
-                        shard,
-                        lambda shard=shard: self._traced_shard_execute(
-                            host, shard, engines[shard], disjunct, distinct
-                        ),
-                    )
-                    for shard in decision.shards
-                ]
-                results = self._sg.run(tasks)
-                with self._stats_lock:
-                    for shard in decision.shards:
-                        self._executions[shard] += 1
-                with host.child("merge", inputs=len(results)).as_operator(
-                    MERGE, f"{disjunct.name}[merge]"
-                ) as merge:
-                    rows = merge_rows(results, distinct)
-                    merge.produced(len(rows))
+        ((_query, decision),) = plan.decisions
+        # The routing decision as an operator — mode, reason, and (when a
+        # cost model priced it) the chosen and rejected-alternative costs.
+        # A gather *is* that node; a scatter's shard fragments and merge
+        # nest under it.
+        attributes = decision.profile_attributes() if parent.profiled else {}
+        if decision.mode == MODE_GATHER:
+            with parent.child(
+                "shard.gather", shards=sorted(decision.shards)
+            ).as_operator(decision.mode, query.name, **attributes) as node:
+                scratch = self._gather(node, decision.fetch_shards, engines)
+                rows = scratch.execute(query, distinct=distinct)
                 node.finish(actual_rows=len(rows))
-            per_disjunct.append(rows)
-        if not is_union:
-            return per_disjunct[0]
-        # Same set/bag semantics as the per-shard merge, across disjuncts.
-        with parent.child(
-            "merge", inputs=len(per_disjunct), union=True
-        ).as_operator(MERGE, "union") as merge:
-            rows = merge_rows(list(enumerate(per_disjunct)), distinct)
+            return rows
+        node = parent.operator(decision.mode, query.name, **attributes)
+        host = node if parent.profiled else parent
+        tasks = [
+            (
+                shard,
+                lambda shard=shard: self._traced_shard_execute(
+                    host, shard, engines[shard], query, distinct
+                ),
+            )
+            for shard in decision.shards
+        ]
+        results = self._sg.run(tasks)
+        with self._stats_lock:
+            for shard in decision.shards:
+                self._executions[shard] += 1
+        with host.child("merge", inputs=len(results)).as_operator(
+            MERGE, f"{query.name}[merge]"
+        ) as merge:
+            rows = merge_rows(results, distinct)
             merge.produced(len(rows))
+        node.finish(actual_rows=len(rows))
         return rows
 
     @staticmethod
-    def _traced_shard_execute(parent, shard, engine, disjunct, distinct):
+    def _traced_shard_execute(parent, shard, engine, query, distinct):
         with parent.child(
             "shard.execute", shard=shard, engine=engine.backend_name
-        ).as_operator(SHARD_FRAGMENT, f"{disjunct.name}@shard{shard}") as span:
-            rows = engine.execute(disjunct, distinct=distinct)
+        ).as_operator(SHARD_FRAGMENT, f"{query.name}@shard{shard}") as span:
+            rows = engine.execute(query, distinct=distinct)
             span.produced(len(rows))
             return rows
 
@@ -643,52 +611,6 @@ class ShardedBackend(StorageBackend):
                 for shard in shards:
                     self._gather_fetches[shard] += 1
         return scratch
-
-    def _execute_gather_union(
-        self,
-        plan: RoutePlan,
-        distinct: bool,
-        engines: Mapping[int, StorageBackend],
-    ) -> List[Row]:
-        """Gather-only unions share one fragment-fetch pass across disjuncts.
-
-        Partitioned fragments named by several disjuncts are fetched once
-        (their shard sets are unioned — fragments are disjoint, so the
-        merge is exact); broadcast tables are complete on any shard, so
-        one copy is fetched even when different disjuncts' rotations named
-        different shards.  The saved fetch count is recorded on the
-        router's stats (``gather_unions_batched``/``fragment_fetches_saved``).
-        """
-        node = current_span()
-        needed: Dict[str, set] = {}
-        per_disjunct_fetches = 0
-        for _disjunct, decision in plan.decisions:
-            for table, shards in decision.fetch_shards:
-                per_disjunct_fetches += len(shards)
-                if self._specs.get(table) is None:
-                    # One broadcast copy is enough; keep the first shard
-                    # any disjunct named.
-                    needed.setdefault(table, set(shards[:1]))
-                else:
-                    needed.setdefault(table, set()).update(shards)
-        fetch = [(table, sorted(needed[table])) for table in sorted(needed)]
-        scratch = self._gather(node, fetch, engines)
-        self.router.note_union_batch(
-            per_disjunct_fetches - sum(len(shards) for _table, shards in fetch)
-        )
-        per_disjunct = []
-        for index, (disjunct, decision) in enumerate(plan.decisions):
-            attributes = decision.profile_attributes() if node.profiled else {}
-            with node.operator(
-                UNION_BRANCH, disjunct.name, disjunct=index, **attributes
-            ) as branch:
-                result = scratch.execute(disjunct, distinct=distinct)
-                branch.finish(actual_rows=len(result))
-            per_disjunct.append((index, result))
-        union_merge = node.operator(MERGE, "union", inputs=len(per_disjunct))
-        rows = merge_rows(per_disjunct, distinct)
-        union_merge.finish(actual_rows=len(rows))
-        return rows
 
     # ------------------------------------------------------------------
     # Statistics

@@ -2,8 +2,7 @@
 
 Every horizontal-partitioning system needs an argument for why executing a
 query per shard and merging is *correct*; the router encodes that argument
-as three execution modes, picked per conjunctive query (per disjunct of a
-union — each disjunct routes independently):
+as three execution modes, picked per conjunctive query:
 
 ``single``
     The whole query runs on one shard.  Sound in two cases: (a) the query
@@ -52,13 +51,11 @@ from __future__ import annotations
 import itertools
 import threading
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from ..logical.queries import ConjunctiveQuery, UnionQuery
+from ..logical.queries import ConjunctiveQuery
 from ..logical.terms import Constant, Term
 from .partitioner import PartitionSpec
-
-Query = Union[ConjunctiveQuery, UnionQuery]
 
 MODE_SINGLE = "single"
 MODE_SCATTER = "scatter"
@@ -123,7 +120,7 @@ class RoutingDecision:
 
 @dataclass(frozen=True)
 class RoutePlan:
-    """The routing decisions for a whole plan (one per disjunct)."""
+    """The routing decision for a plan, as its one ``(query, decision)`` pair."""
 
     decisions: Tuple[Tuple[ConjunctiveQuery, RoutingDecision], ...]
 
@@ -149,12 +146,6 @@ class RouterStats:
     #: Cost-based decisions that overturned the rule-based default
     #: (gather chosen where the fixed rules would scatter).
     cost_overrides: int = 0
-    #: Unions whose disjuncts all gathered and were executed as one batch
-    #: over a shared scratch store (each pruned fragment fetched once).
-    gather_unions_batched: int = 0
-    #: Fragment fetches avoided by those batched gathers, relative to
-    #: fetching per disjunct.
-    fragment_fetches_saved: int = 0
 
 
 class ShardRouter:
@@ -183,8 +174,6 @@ class ShardRouter:
         self._gather = 0
         self._cost_based = 0
         self._cost_overrides = 0
-        self._union_batches = 0
-        self._fetches_saved = 0
 
     def set_cost_model(self, cost_model: Optional[object]) -> None:
         """Attach (or detach, with ``None``) the routing cost model.
@@ -227,30 +216,11 @@ class ShardRouter:
                     self._cost_overrides += 1
         return decision
 
-    def route_plan(self, plan: Query, annotate: bool = False) -> RoutePlan:
-        """Routing decisions for a conjunctive query or a whole union.
-
-        Union disjuncts route independently, so a union whose disjuncts all
-        bind their partition keys fans out only to the shards actually
-        named by the constants.
-        """
-        disjuncts = plan if isinstance(plan, UnionQuery) else (plan,)
-        return RoutePlan(
-            decisions=tuple(
-                (disjunct, self.route(disjunct, annotate)) for disjunct in disjuncts
-            )
-        )
-
-    def note_union_batch(self, fetches_saved: int) -> None:
-        """Record that a gather-only union shared one fragment fetch pass.
-
-        Called by the sharded backend's batched union execution; the saved
-        count is the per-disjunct fetch total minus the fetches the shared
-        pass actually performed.
-        """
-        with self._lock:
-            self._union_batches += 1
-            self._fetches_saved += max(0, fetches_saved)
+    def route_plan(
+        self, plan: ConjunctiveQuery, annotate: bool = False
+    ) -> RoutePlan:
+        """The routing decision for *plan*, wrapped as a :class:`RoutePlan`."""
+        return RoutePlan(decisions=((plan, self.route(plan, annotate)),))
 
     def stats(self) -> RouterStats:
         with self._lock:
@@ -261,8 +231,6 @@ class ShardRouter:
                 gather=self._gather,
                 cost_based=self._cost_based,
                 cost_overrides=self._cost_overrides,
-                gather_unions_batched=self._union_batches,
-                fragment_fetches_saved=self._fetches_saved,
             )
 
     # ------------------------------------------------------------------

@@ -6,8 +6,7 @@ rows:
 * :mod:`repro.storage.relational_db` / :mod:`repro.storage.evaluation` —
   the original in-memory tables and hash-join evaluator;
 * :mod:`repro.storage.sql` — display SQL (``render_sql``) and
-  parameterized executable SQL (``render_sql_query`` /
-  ``render_union_sql_query``) for real engines;
+  parameterized executable SQL (``render_sql_query``) for real engines;
 * :mod:`repro.storage.backends` — the :class:`StorageBackend` protocol
   and registry (``memory`` / ``sqlite`` / ``sharded``); backends load
   tables, execute queries (recording operators when profiled), ``clone()`` for
@@ -28,15 +27,9 @@ from .backends import (
     create_backend,
     register_backend,
 )
-from .evaluation import evaluate_query, evaluate_union, materialize_view
+from .evaluation import evaluate_query, materialize_view
 from .relational_db import InMemoryDatabase, Table
-from .sql import (
-    SQLQuery,
-    render_sql,
-    render_sql_query,
-    render_union_sql,
-    render_union_sql_query,
-)
+from .sql import SQLQuery, render_sql, render_sql_query
 
 __all__ = [
     "InMemoryDatabase",
@@ -49,11 +42,8 @@ __all__ = [
     "available_backends",
     "create_backend",
     "evaluate_query",
-    "evaluate_union",
     "materialize_view",
     "register_backend",
     "render_sql",
     "render_sql_query",
-    "render_union_sql",
-    "render_union_sql_query",
 ]

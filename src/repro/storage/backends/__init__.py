@@ -14,7 +14,6 @@ operators into a profiled execution tree, and ``explain`` renders that.
 """
 
 from .base import (
-    Query,
     Row,
     StorageBackend,
     available_backends,
@@ -41,7 +40,6 @@ register_backend("replicated", ReplicatedBackend)
 
 __all__ = [
     "MemoryBackend",
-    "Query",
     "ReplicatedBackend",
     "Row",
     "SQLiteBackend",

@@ -5,7 +5,7 @@ ships them to whatever engine holds the proprietary storage.  A
 :class:`StorageBackend` is the reproduction's model of such an engine — a
 relational store that can be loaded with the proprietary tables (base
 relations, GReX encodings of stored XML documents, materialized view
-extents) and asked to execute conjunctive queries or unions thereof.
+extents) and asked to execute conjunctive queries.
 
 Two implementations ship with the reproduction:
 
@@ -29,10 +29,9 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Typ
 
 from ...cost.model import CostModel
 from ...errors import EvaluationError, StorageError
-from ...logical.queries import ConjunctiveQuery, UnionQuery
+from ...logical.queries import ConjunctiveQuery
 
 Row = Tuple[object, ...]
-Query = Union[ConjunctiveQuery, UnionQuery]
 
 
 def default_backend_name() -> str:
@@ -251,39 +250,16 @@ class StorageBackend(abc.ABC):
 
     # -- execution -----------------------------------------------------
     @abc.abstractmethod
-    def execute(self, query: Query, distinct: bool = True) -> List[Row]:
-        """Execute a conjunctive query or a union and return the head tuples."""
+    def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:
+        """Execute a conjunctive query and return the head tuples."""
 
-    def execute_union(self, union: Query, distinct: bool = True) -> List[Row]:
-        """Execute a whole :class:`UnionQuery` as one batch.
-
-        Backends that can push the union through the engine in a single
-        round trip (one SQL ``UNION`` statement) override this; the default
-        runs one :meth:`execute` per disjunct and combines the answers,
-        de-duplicating across disjuncts when *distinct* is set.
-        """
-        if isinstance(union, ConjunctiveQuery):
-            return self.execute(union, distinct=distinct)
-        combined: List[Row] = []
-        seen: set = set()
-        for disjunct in union:
-            for row in self.execute(disjunct, distinct=distinct):
-                if distinct:
-                    if row in seen:
-                        continue
-                    seen.add(row)
-                combined.append(row)
-        return combined
-
-    def _check_relations(self, query: Query) -> None:
+    def _check_relations(self, query: ConjunctiveQuery) -> None:
         """Raise :class:`EvaluationError` if *query* names a table not held."""
-        disjuncts = query if isinstance(query, UnionQuery) else (query,)
-        for disjunct in disjuncts:
-            for relation in disjunct.relation_names():
-                if not self.has_table(relation):
-                    raise EvaluationError(
-                        f"query {disjunct.name} references unknown table {relation!r}"
-                    )
+        for relation in query.relation_names():
+            if not self.has_table(relation):
+                raise EvaluationError(
+                    f"query {query.name} references unknown table {relation!r}"
+                )
 
     # -- lifecycle -----------------------------------------------------
     @property

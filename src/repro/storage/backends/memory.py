@@ -11,10 +11,10 @@ from __future__ import annotations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ...errors import StorageError
-from ...logical.queries import UnionQuery
-from ..evaluation import evaluate_query, evaluate_union
+from ...logical.queries import ConjunctiveQuery
+from ..evaluation import evaluate_query
 from ..relational_db import InMemoryDatabase
-from .base import Query, Row, StorageBackend
+from .base import Row, StorageBackend
 
 
 class MemoryBackend(StorageBackend):
@@ -71,16 +71,11 @@ class MemoryBackend(StorageBackend):
         return self.database.cardinality(name)
 
     # -- execution -----------------------------------------------------
-    def execute(self, query: Query, distinct: bool = True) -> List[Row]:
+    def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:
         self._check_relations(query)
-        evaluate = evaluate_union if isinstance(query, UnionQuery) else evaluate_query
-        return evaluate(
+        return evaluate_query(
             query, self.database, distinct=distinct, estimator=self.estimate_pipeline
         )
-
-    def execute_union(self, union: Query, distinct: bool = True) -> List[Row]:
-        """One batch through :func:`evaluate_union` rather than per-disjunct."""
-        return self.execute(union, distinct=distinct)
 
     # -- lifecycle -----------------------------------------------------
     @property

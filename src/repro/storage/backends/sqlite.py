@@ -18,12 +18,12 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...errors import EvaluationError, SchemaError, StorageError
-from ...logical.queries import ConjunctiveQuery, UnionQuery
+from ...logical.queries import ConjunctiveQuery
 from ...logical.terms import Variable, is_variable
 from ...obs.trace import Span, current_span
-from ...profile import SCAN, STATEMENT, UNION_BRANCH
-from ..sql import SQLQuery, quote_identifier, render_sql_query, render_union_sql_query
-from .base import Query, Row, StorageBackend
+from ...profile import SCAN, STATEMENT
+from ..sql import SQLQuery, quote_identifier, render_sql_query
+from .base import Row, StorageBackend
 
 
 def _uses_connection(method):
@@ -377,14 +377,12 @@ class SQLiteBackend(StorageBackend):
         return catalog
 
     # -- execution -----------------------------------------------------
-    def compile_query(self, query: Query, distinct: bool = True) -> SQLQuery:
+    def compile_query(self, query: ConjunctiveQuery, distinct: bool = True) -> SQLQuery:
         """The parameterized SQL the backend will run for *query*."""
-        if isinstance(query, UnionQuery):
-            return render_union_sql_query(query, self._schema, distinct=distinct)
         return render_sql_query(query, self._schema, distinct=distinct)
 
     @_uses_connection
-    def execute(self, query: Query, distinct: bool = True) -> List[Row]:
+    def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:
         self._require_open()
         self._check_relations(query)
         if self.auto_index:
@@ -406,7 +404,7 @@ class SQLiteBackend(StorageBackend):
                     )
                 ]
                 node = span.operator(
-                    STATEMENT, getattr(query, "name", "<query>"),
+                    STATEMENT, query.name,
                     engine="sqlite", engine_plan=engine_plan,
                 )
                 node.estimated_rows = self._attach_profile_scans(node, query)
@@ -431,40 +429,21 @@ class SQLiteBackend(StorageBackend):
             node.finish(actual_rows=len(result))
         return result
 
-    def _attach_profile_scans(self, node: Span, query: Query) -> float:
-        """Per-atom ``scan`` children (and ``union-branch`` grouping).
+    def _attach_profile_scans(self, node: Span, query: ConjunctiveQuery) -> float:
+        """Per-atom ``scan`` children.
 
         Returns the planner's result estimate for *query* — the last
-        :meth:`estimate_pipeline` step, summed over disjuncts — which the
-        caller attaches to *node*.
+        :meth:`estimate_pipeline` step — which the caller attaches to *node*.
         """
-        if isinstance(query, UnionQuery):
-            total = 0.0
-            for position, disjunct in enumerate(query):
-                branch = node.operator(UNION_BRANCH, disjunct.name, disjunct=position)
-                branch.estimated_rows = self._attach_profile_scans(branch, disjunct)
-                total += branch.estimated_rows
-                branch.finish()
-            return total
         for atom in query.normalize_equalities().relational_body:
             scan = node.operator(SCAN, atom.relation, relation=atom.relation)
             scan.finish(actual_rows=self.cardinality(atom.relation))
         steps = self.estimate_pipeline(query)
         return steps[-1] if steps else 1.0
 
-    def execute_union(self, union: Query, distinct: bool = True) -> List[Row]:
-        """Run a whole union reformulation as one SQL statement (one round trip).
-
-        :func:`~repro.storage.sql.render_union_sql_query` joins the disjuncts
-        with ``UNION`` (set semantics) or ``UNION ALL`` (*distinct=False*, bag
-        semantics), so the engine sees the entire reformulation at once
-        instead of one ``execute`` per disjunct.
-        """
-        return self.execute(union, distinct=distinct)
-
     # -- indexing ------------------------------------------------------
     @_uses_connection
-    def ensure_indexes(self, query: Query) -> List[str]:
+    def ensure_indexes(self, query: ConjunctiveQuery) -> List[str]:
         """Create indexes on the join/selection columns *query* touches.
 
         A column is worth indexing when its term is a constant (selection)
@@ -474,43 +453,41 @@ class SQLiteBackend(StorageBackend):
         """
         self._require_open()
         created: List[str] = []
-        disjuncts = query if isinstance(query, UnionQuery) else (query,)
-        for disjunct in disjuncts:
-            normalized = disjunct.normalize_equalities()
-            occurrences: Dict[Variable, int] = {}
-            for atom in normalized.relational_body:
-                for term in atom.terms:
-                    if is_variable(term):
-                        occurrences[term] = occurrences.get(term, 0) + 1
-            for atom in normalized.relational_body:
-                attributes = self._attributes.get(atom.relation)
-                if attributes is None:
+        normalized = query.normalize_equalities()
+        occurrences: Dict[Variable, int] = {}
+        for atom in normalized.relational_body:
+            for term in atom.terms:
+                if is_variable(term):
+                    occurrences[term] = occurrences.get(term, 0) + 1
+        for atom in normalized.relational_body:
+            attributes = self._attributes.get(atom.relation)
+            if attributes is None:
+                continue
+            for position, term in enumerate(atom.terms):
+                joinish = (not is_variable(term)) or occurrences[term] > 1
+                if not joinish:
                     continue
-                for position, term in enumerate(atom.terms):
-                    joinish = (not is_variable(term)) or occurrences[term] > 1
-                    if not joinish:
-                        continue
-                    column = attributes[position]
-                    key = (atom.relation, column)
-                    if key in self._indexed:
-                        continue
-                    index_name = self._index_name(atom.relation, column)
-                    try:
-                        self._connection.execute(
-                            f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
-                            f"ON {quote_identifier(atom.relation)} "
-                            f"({quote_identifier(column)})"
-                        )
-                    except sqlite3.Error as error:
-                        if self._closed:
-                            raise StorageError(
-                                f"SQLiteBackend was closed during execution: {error}"
-                            ) from error
-                        raise EvaluationError(
-                            f"could not index {atom.relation}.{column}: {error}"
+                column = attributes[position]
+                key = (atom.relation, column)
+                if key in self._indexed:
+                    continue
+                index_name = self._index_name(atom.relation, column)
+                try:
+                    self._connection.execute(
+                        f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
+                        f"ON {quote_identifier(atom.relation)} "
+                        f"({quote_identifier(column)})"
+                    )
+                except sqlite3.Error as error:
+                    if self._closed:
+                        raise StorageError(
+                            f"SQLiteBackend was closed during execution: {error}"
                         ) from error
-                    self._indexed.add(key)
-                    created.append(index_name)
+                    raise EvaluationError(
+                        f"could not index {atom.relation}.{column}: {error}"
+                    ) from error
+                self._indexed.add(key)
+                created.append(index_name)
         if created:
             self._connection.commit()
         return created

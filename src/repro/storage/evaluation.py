@@ -15,8 +15,7 @@ scanned table's size as ``table_rows`` and, as ``estimated_rows``, the
 figure the caller's *estimator* gives for that step of the executed order
 (:meth:`StorageBackend.estimate_pipeline`).  Evaluation stops at the
 first step that leaves no bindings; a profiled tree still gets a node,
-with ``actual_rows=0``, for every step after it.  Union evaluation wraps
-each disjunct in a ``union-branch`` node.  The estimator is only consulted
+with ``actual_rows=0``, for every step after it.  The estimator is only consulted
 in a profiled tree, so unprofiled evaluation pays nothing beyond one
 ambient lookup per query.
 """
@@ -28,10 +27,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..engine.join_tree import CompiledConjunction
 from ..errors import EvaluationError
 from ..logical.atoms import EqualityAtom, InequalityAtom
-from ..logical.queries import ConjunctiveQuery, UnionQuery
+from ..logical.queries import ConjunctiveQuery
 from ..logical.terms import Constant, Term, Variable, is_variable
 from ..obs.trace import current_span
-from ..profile import JOIN_STEP, SCAN, UNION_BRANCH
+from ..profile import JOIN_STEP, SCAN
 from .relational_db import InMemoryDatabase, Row
 
 Binding = Dict[Variable, object]
@@ -166,29 +165,6 @@ def _project_head(query: ConjunctiveQuery, binding: Binding) -> Row:
     for term in query.head:
         values.append(_term_value(term, binding))
     return tuple(values)
-
-
-def evaluate_union(
-    union: UnionQuery,
-    database: InMemoryDatabase,
-    distinct: bool = True,
-    estimator: Optional[PipelineEstimator] = None,
-) -> List[Row]:
-    """Evaluate a union of conjunctive queries (set semantics when *distinct*)."""
-    span = current_span()
-    results: List[Row] = []
-    seen = set()
-    for position, disjunct in enumerate(union):
-        with span.operator(UNION_BRANCH, disjunct.name, disjunct=position) as branch:
-            produced = evaluate_query(disjunct, database, distinct, estimator)
-            branch.finish(actual_rows=len(produced))
-        for row in produced:
-            if distinct:
-                if row in seen:
-                    continue
-                seen.add(row)
-            results.append(row)
-    return results
 
 
 def materialize_view(

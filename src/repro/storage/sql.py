@@ -15,6 +15,10 @@ paper's Figure 2.  Two renderings are provided:
 
 Queries with no relational atoms (the FROM clause would be empty) and
 queries whose heads are constant-only both render valid SQL.
+
+Equalities render as ``IS`` and inequalities as ``IS NOT``, so ``NULL``
+compares like any other value: a ``NULL`` join key matches a ``NULL``,
+as it does in the in-memory evaluator.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
-from ..logical.queries import ConjunctiveQuery, UnionQuery
+from ..logical.queries import ConjunctiveQuery
 from ..logical.schema import RelationalSchema
 from ..logical.terms import Term, Variable, is_variable
 
@@ -113,24 +117,24 @@ class _SQLBuilder:
                 if is_variable(term):
                     if term in self.variable_columns:
                         predicates.append(
-                            f"{self.variable_columns[term]} = {column}"
+                            f"{self.variable_columns[term]} IS {column}"
                         )
                     else:
                         self.variable_columns[term] = column
                 else:
                     predicates.append(
-                        f"{column} = {self._value(term.value, self.predicate_params)}"
+                        f"{column} IS {self._value(term.value, self.predicate_params)}"
                     )
 
         for atom in query.body:
             if isinstance(atom, InequalityAtom):
                 predicates.append(
-                    f"{self._term(atom.left, self.predicate_params)} <> "
+                    f"{self._term(atom.left, self.predicate_params)} IS NOT "
                     f"{self._term(atom.right, self.predicate_params)}"
                 )
             elif isinstance(atom, EqualityAtom):
                 predicates.append(
-                    f"{self._term(atom.left, self.predicate_params)} = "
+                    f"{self._term(atom.left, self.predicate_params)} IS "
                     f"{self._term(atom.right, self.predicate_params)}"
                 )
 
@@ -161,8 +165,8 @@ def render_sql(
     """Render *query* as a SQL SELECT statement for display.
 
     Each relational atom becomes an aliased table in the FROM clause;
-    repeated variables become equality predicates in the WHERE clause;
-    constants become equality predicates against literals; the head becomes
+    repeated variables become ``IS`` predicates in the WHERE clause;
+    constants become ``IS`` predicates against literals; the head becomes
     the SELECT list.  Queries with no relational atoms omit the FROM clause
     entirely, so constant-only queries still render valid SQL.
     """
@@ -177,40 +181,6 @@ def render_sql_query(
 ) -> SQLQuery:
     """Render *query* as executable parameterized SQL (``qmark`` placeholders)."""
     sql, params = _SQLBuilder(query, schema, parameterize=True).build(distinct=distinct)
-    return SQLQuery(sql, params)
-
-
-def render_union_sql(
-    union: UnionQuery, schema: Optional[RelationalSchema] = None
-) -> str:
-    """Render a union of conjunctive queries as SQL with UNION."""
-    return "\nUNION\n".join(render_sql(disjunct, schema) for disjunct in union)
-
-
-def render_union_sql_query(
-    union: UnionQuery,
-    schema: Optional[RelationalSchema] = None,
-    distinct: bool = True,
-) -> SQLQuery:
-    """Render a union as one executable statement (UNION / UNION ALL).
-
-    Parameters are concatenated in disjunct order, so the statement executes
-    the whole reformulation in a single round trip.  With *distinct* the
-    disjuncts are joined by ``UNION``, whose set semantics already
-    de-duplicate across (and within) branches, so the per-disjunct
-    ``DISTINCT`` is skipped as redundant; without it the branches keep bag
-    semantics and are joined by ``UNION ALL``.
-    """
-    if len(union) == 1:
-        return render_sql_query(union.disjuncts[0], schema, distinct=distinct)
-    rendered = [
-        render_sql_query(disjunct, schema, distinct=False) for disjunct in union
-    ]
-    connector = "\nUNION\n" if distinct else "\nUNION ALL\n"
-    sql = connector.join(part.sql for part in rendered)
-    params: Tuple[object, ...] = ()
-    for part in rendered:
-        params += part.params
     return SQLQuery(sql, params)
 
 

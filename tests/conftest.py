@@ -8,8 +8,8 @@ Three pieces live here because several test modules need them:
   (``memory`` and ``sqlite``) by flipping one env value; the fixture simply
   exposes the active name to tests that want to log or assert it.
 
-* :class:`RandomQueryGenerator` — seeded random conjunctive queries (and
-  unions) over the tables a built backend actually holds, used by the
+* :class:`RandomQueryGenerator` — seeded random conjunctive queries
+  over the tables a built backend actually holds, used by the
   randomized differential tests as a cross-backend oracle.  No hypothesis
   dependency: a seeded :class:`random.Random` makes every failure
   reproducible from the test id alone.
@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import pytest
 
 from repro.logical.atoms import InequalityAtom, RelationalAtom
-from repro.logical.queries import ConjunctiveQuery, UnionQuery
+from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
 from repro.obs import operator_root
 from repro.profile import EXECUTE, QueryProfile
@@ -111,18 +111,6 @@ class RandomQueryGenerator:
             left, right = rng.sample(variables, 2)
             body.append(InequalityAtom(left, right))
         return ConjunctiveQuery(name, head, tuple(body))
-
-    def union(self, name: str, disjuncts: Optional[int] = None) -> UnionQuery:
-        """A union of 2-3 random conjunctive queries with one head arity."""
-        count = disjuncts or self.rng.randint(2, 3)
-        arity = self.rng.randint(1, 2)
-        return UnionQuery(
-            name,
-            tuple(
-                self.conjunctive(f"{name}_d{index}", head_arity=arity)
-                for index in range(count)
-            ),
-        )
 
     def key_bound_conjunctive(
         self, name: str, table: str, position: int

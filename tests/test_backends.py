@@ -3,7 +3,8 @@
 The cross-backend suite is the end-to-end validation of the SQL generation:
 for every reformulation produced by the medical, star and XMark example
 configurations, the SQLite backend must return exactly the row multiset the
-in-memory evaluator returns.
+in-memory evaluator returns, and every minimal plan must answer the client
+query on every engine.
 """
 
 import ast
@@ -25,8 +26,10 @@ from repro.xquery import (
     xquery,
 )
 from repro.errors import EvaluationError, SchemaError
-from repro.logical.atoms import RelationalAtom
-from repro.logical.queries import ConjunctiveQuery, UnionQuery
+from repro.engine.backchase import BackchaseConfig
+from repro.engine.cb import CBConfig
+from repro.logical.atoms import InequalityAtom, RelationalAtom
+from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
 from repro.storage.backends import (
     MemoryBackend,
@@ -113,14 +116,40 @@ class TestBackendProtocol:
         )
         assert multiset(backend.execute(selective)) == multiset([(1,), (3,)])
 
-    def test_execute_union_and_distinct(self, backend):
+    def test_execute_distinct_and_bag(self, backend):
         backend.create_table("r", 1)
         backend.insert_many("r", [(1,), (1,), (2,)])
         x = Variable("x")
         query = ConjunctiveQuery("q", (x,), (RelationalAtom("r", (x,)),))
-        union = UnionQuery("u", (query, query))
-        assert multiset(backend.execute(union)) == multiset([(1,), (2,)])
-        assert len(backend.execute(query, distinct=False)) == 3
+        assert multiset(backend.execute(query)) == multiset([(1,), (2,)])
+        assert multiset(backend.execute(query, distinct=False)) == multiset(
+            [(1,), (1,), (2,)]
+        )
+
+    def test_none_join_keys_and_inequalities_match_like_values(self, backend):
+        """``None`` is a value like any other: it joins with ``None`` and
+        differs from every non-``None`` value, on every engine."""
+        backend.create_table("r", 2, ("a", "b"))
+        backend.create_table("s", 2, ("b", "c"))
+        backend.insert_many("r", [("k1", None), ("k2", "v")])
+        backend.insert_many("s", [(None, "n"), ("v", "w")])
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        join = ConjunctiveQuery(
+            "q", (x, z), (RelationalAtom("r", (x, y)), RelationalAtom("s", (y, z)))
+        )
+        assert multiset(backend.execute(join)) == multiset(
+            [("k1", "n"), ("k2", "w")]
+        )
+        selection = ConjunctiveQuery(
+            "q_null", (x,), (RelationalAtom("r", (x, Constant(None))),)
+        )
+        assert backend.execute(selection) == [("k1",)]
+        differs = ConjunctiveQuery(
+            "q_ne",
+            (x, y),
+            (RelationalAtom("r", (x, y)), InequalityAtom(y, Constant("v"))),
+        )
+        assert backend.execute(differs) == [("k1", None)]
 
     def test_execute_unknown_relation_raises(self, backend):
         x = Variable("x")
@@ -311,6 +340,12 @@ class TestSQLiteBackend:
 # ----------------------------------------------------------------------
 # Cross-backend equivalence on the paper workloads (end-to-end SQL check)
 # ----------------------------------------------------------------------
+#: Star NC 3 with cost pruning off: the backchase keeps several minimal
+#: plans, so every one of them (not just the best) is executed.
+MULTI_PLAN = "star-unpruned"
+CB_CONFIGS = {MULTI_PLAN: CBConfig(backchase=BackchaseConfig(prune_by_cost=False))}
+
+
 def equivalence_cases():
     medical_configuration = medical.build_configuration()
     yield "medical", medical_configuration, [
@@ -321,6 +356,10 @@ def equivalence_cases():
     yield "star", star.build_configuration(star_parameters, with_instance=True), [
         star.client_query(star_parameters)
     ]
+    unpruned_parameters = StarParameters(corners=3, hub_count=10, corner_size=6)
+    yield MULTI_PLAN, star.build_configuration(
+        unpruned_parameters, with_instance=True
+    ), [star.client_query(unpruned_parameters)]
     xmark_configuration = xmark.build_configuration(
         xmark.XMarkParameters(items_per_region=6, people=10, closed_auctions=12)
     )
@@ -336,7 +375,7 @@ class TestCrossBackendEquivalence:
     def test_backends_agree_on_every_reformulation(
         self, name, configuration, queries
     ):
-        system = MarsSystem(configuration)
+        system = MarsSystem(configuration, cb_config=CB_CONFIGS.get(name))
         memory_executor = MarsExecutor(configuration, backend="memory")
         sqlite_executor = MarsExecutor(configuration, backend="sqlite")
         # the sharded executor picks up the workload's partition-key hints
@@ -369,18 +408,30 @@ class TestCrossBackendEquivalence:
         sharded_executor.backend.close()
         sqlite_executor.close()
 
-    def test_sqlite_matches_original_answers(self, name, configuration, queries):
-        """Every minimal reformulation answers the client query, on memory
-        and on SQLite: its rows equal the original query's over the
-        published documents (``MarsExecutor.execute_original``)."""
-        system = MarsSystem(configuration)
+    def test_every_minimal_plan_matches_original_answers(
+        self, name, configuration, queries
+    ):
+        """Every minimal reformulation answers the client query, on every
+        engine: its rows equal the original query's over the published
+        documents (``MarsExecutor.execute_original``)."""
+        system = MarsSystem(configuration, cb_config=CB_CONFIGS.get(name))
         executors = [
             MarsExecutor(configuration, backend=engine) for engine in BACKEND_NAMES
+        ] + [
+            MarsExecutor(configuration, backend=composite)
+            for composite in (
+                configuration.create_backend(
+                    "sharded", shards=2, children=("memory", "sqlite")
+                ),
+                configuration.create_backend("replicated", replicas=2),
+            )
         ]
         try:
             for query in queries:
                 result = system.reformulate(query)
                 assert result.best in result.minimal
+                if name == MULTI_PLAN:
+                    assert len(result.minimal) > 1
                 for executor in executors:
                     expected = multiset(executor.execute_original(query))
                     for candidate in result.minimal:
@@ -393,6 +444,8 @@ class TestCrossBackendEquivalence:
         finally:
             for executor in executors:
                 executor.close()
+                if not executor.backend.closed:
+                    executor.backend.close()
 
     def test_statistics_reflect_backend_contents(self, name, configuration, queries):
         executor = MarsExecutor(configuration, backend="sqlite")

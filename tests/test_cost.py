@@ -143,20 +143,6 @@ class TestCostModel:
         assert estimate.scan_cost == 30.0
         assert estimate.join_cost == pytest.approx(1.5)
 
-    def test_union_prices_per_disjunct(self):
-        from repro.logical.queries import UnionQuery
-
-        i, q = Variable("i"), Variable("q")
-        one = ConjunctiveQuery(
-            "d1", (i,), (RelationalAtom("orders", (Constant("c1"), i, q)),)
-        )
-        two = ConjunctiveQuery(
-            "d2", (i,), (RelationalAtom("orders", (Constant("c2"), i, q)),)
-        )
-        union_estimate = self.model().estimate(UnionQuery("u", (one, two)))
-        assert union_estimate.cardinality == 12.0
-        assert union_estimate.scan_cost == 48.0
-
     def test_rank_disagrees_with_scan_cost_on_weak_joins(self):
         """Join-order awareness: scan-sum ranking and model ranking differ."""
         catalog = StatisticsCatalog.from_rows(

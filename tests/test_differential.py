@@ -3,7 +3,7 @@
 ``tests/test_backends.py`` checks cross-backend equivalence on the
 hand-picked reformulations of the paper workloads; here the same oracle is
 generalized: seeded random conjunctive queries (joins, selections on real
-data values, inequality filters, unions) over the *actual* proprietary
+data values, inequality filters) over the *actual* proprietary
 tables of the medical and star configurations must return identical row
 sets — and identical row multisets under bag semantics — on both engines.
 Any divergence is a bug in the SQL rendering, the SQLite loading, or the
@@ -14,11 +14,16 @@ memory/sqlite children: the same random queries must survive routing
 (single-shard pruning, co-partitioned scatter, gather fallback) and the
 set/bag merge, and partition-key-bound queries must additionally be
 *pruned* — proven through the per-shard execution counters.
+
+The last section adds one row of ``None`` cells to every table: a
+``None`` join key, selection constant or inequality operand must then
+mean the same thing on every engine (``None`` matches ``None``).
 """
 
 import pytest
 
 from repro.core import MarsExecutor
+from repro.replica import ChangeSet
 from repro.workloads import medical, star
 from repro.workloads.star import StarParameters
 
@@ -80,23 +85,6 @@ def test_random_bag_semantics_agree(executor_pair, query_generator, seed):
         )
 
 
-@pytest.mark.parametrize("seed", SEEDS)
-def test_random_unions_agree(executor_pair, query_generator, seed):
-    """Whole unions through the batch path (one SQL statement on sqlite)."""
-    memory_executor, sqlite_executor = executor_pair
-    generator = query_generator(memory_executor.backend, seed + 2000)
-    union = generator.union(f"u_s{seed}")
-    memory_rows = memory_executor.backend.execute_union(union)
-    sqlite_rows = sqlite_executor.backend.execute_union(union)
-    assert multiset(memory_rows) == multiset(sqlite_rows), (
-        f"union divergence on seed={seed} union={union}"
-    )
-    # and through the executor routing, which picks the batch entry point
-    assert multiset(memory_executor.execute_reformulation(union)) == multiset(
-        sqlite_executor.execute_reformulation(union)
-    )
-
-
 def test_generator_is_deterministic(executor_pair, query_generator):
     memory_executor, _ = executor_pair
     first = query_generator(memory_executor.backend, 42).conjunctive("q")
@@ -143,18 +131,6 @@ def test_sharded_random_queries_agree(sharded_oracles, query_generator, shards, 
 
 @pytest.mark.parametrize("shards", sorted(SHARD_LAYOUTS))
 @pytest.mark.parametrize("seed", SHARD_SEEDS)
-def test_sharded_unions_agree(sharded_oracles, query_generator, shards, seed):
-    memory_executor, sharded = sharded_oracles
-    generator = query_generator(memory_executor.backend, seed + 4000)
-    union = generator.union(f"shu{shards}_s{seed}")
-    backend = sharded[shards].backend
-    assert multiset(backend.execute_union(union)) == multiset(
-        memory_executor.backend.execute_union(union)
-    ), f"union divergence on shards={shards} seed={seed} union={union}"
-
-
-@pytest.mark.parametrize("shards", sorted(SHARD_LAYOUTS))
-@pytest.mark.parametrize("seed", SHARD_SEEDS)
 def test_sharded_key_bound_queries_prune_and_agree(
     sharded_oracles, query_generator, shards, seed
 ):
@@ -188,3 +164,65 @@ def test_sharded_key_bound_queries_prune_and_agree(
         assert executed == 1, (
             f"key-bound query fanned out on shards={shards} seed={seed}: {query}"
         )
+
+
+# ----------------------------------------------------------------------
+# None cells: every engine binds None like any other value
+# ----------------------------------------------------------------------
+@pytest.fixture(scope="module", params=("medical", "star"))
+def null_cell_engines(request):
+    """Memory, SQLite and the mixed 2-/4-shard layouts over one instance
+    that holds, in every table, one extra row of ``None`` cells."""
+    configuration = build_workload(request.param)
+    executors = {
+        "memory": MarsExecutor(configuration, backend="memory"),
+        "sqlite": MarsExecutor(configuration, backend="sqlite"),
+    }
+    for shards, children in SHARD_LAYOUTS.items():
+        backend = configuration.create_backend(
+            "sharded", shards=shards, children=children
+        )
+        executors[f"sharded{shards}"] = MarsExecutor(configuration, backend=backend)
+    database = executors["memory"].backend.database
+    nulls = ChangeSet.build(
+        inserts={
+            name: [(None,) * database.table(name).arity]
+            for name in database.table_names
+        }
+    )
+    for executor in executors.values():
+        executor.backend.apply(nulls)
+    yield {name: executor.backend for name, executor in executors.items()}
+    for executor in executors.values():
+        executor.close()  # closes the engines it built, not the sharded ones
+        if not executor.backend.closed:
+            executor.backend.close()
+
+
+def assert_null_cells_agree(engines, engine_names, query):
+    memory = engines["memory"]
+    for distinct in (True, False):
+        expected = multiset(memory.execute(query, distinct=distinct))
+        for name in engine_names:
+            assert multiset(engines[name].execute(query, distinct=distinct)) == (
+                expected
+            ), f"{name} diverged from memory (distinct={distinct}) on {query}"
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_null_cell_queries_agree(null_cell_engines, query_generator, seed):
+    generator = query_generator(null_cell_engines["memory"], seed + 2000)
+    for index in range(3):
+        query = generator.conjunctive(f"null_s{seed}_q{index}")
+        assert_null_cells_agree(null_cell_engines, ("sqlite",), query)
+
+
+@pytest.mark.parametrize("shards", sorted(SHARD_LAYOUTS))
+@pytest.mark.parametrize("seed", SHARD_SEEDS)
+def test_sharded_null_cell_queries_agree(
+    null_cell_engines, query_generator, shards, seed
+):
+    generator = query_generator(null_cell_engines["memory"], seed + 4000)
+    for index in range(3):
+        query = generator.conjunctive(f"nullsh{shards}_s{seed}_q{index}")
+        assert_null_cells_agree(null_cell_engines, (f"sharded{shards}",), query)

@@ -1,4 +1,4 @@
-"""Unit tests for conjunctive queries, unions and schemas."""
+"""Unit tests for conjunctive queries and schemas."""
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +10,6 @@ from repro.logical import (
     InequalityAtom,
     RelationalAtom,
     RelationalSchema,
-    UnionQuery,
     const,
     make_query,
     var,
@@ -120,20 +119,6 @@ class TestConjunctiveQuery:
         atom = RelationalAtom("R", (var("x"),))
         query = q("Q", [var("x")], [atom, atom])
         assert len(query.dedupe().body) == 1
-
-
-class TestUnionQuery:
-    def test_arity_mismatch_rejected(self):
-        q1 = q("Q1", [var("x")], [RelationalAtom("R", (var("x"),))])
-        q2 = q("Q2", [var("x"), var("y")], [RelationalAtom("R", (var("x"), var("y")))])
-        with pytest.raises(SchemaError):
-            UnionQuery("U", [q1, q2])
-
-    def test_iteration(self):
-        q1 = q("Q1", [var("x")], [RelationalAtom("R", (var("x"),))])
-        union = UnionQuery("U", [q1])
-        assert list(union) == [q1]
-        assert union.arity == 1
 
 
 class TestRelationalSchema:

@@ -1124,12 +1124,10 @@ class TestOneExecutionTree:
                 assert profile.root is execute
                 # No second node for the same event: every operator of
                 # these kinds is a span too, except the fragment fetches
-                # and batched-union merge a gather records operator-only.
+                # a gather records operator-only.
                 for node in operators:
                     if node.kind in self.BOTH.values() and node.name is None:
-                        assert "relation" in node.attributes or (
-                            node.kind == MERGE and node.label == "union"
-                        ), node.describe()
+                        assert "relation" in node.attributes, node.describe()
 
     @pytest.mark.parametrize("backend", DEPLOYMENTS)
     @pytest.mark.parametrize("profile_sample", [0, 1])

@@ -7,6 +7,7 @@ rows serial execution produces (no cross-talk, no wrong-thread
 distinct query — everything else is served from the plan cache.
 """
 
+import inspect
 import os
 import re
 import threading
@@ -17,7 +18,7 @@ import pytest
 from repro.core import MarsConfiguration, MarsExecutor, MarsSystem
 from repro.errors import ReformulationError, StorageError
 from repro.logical.atoms import RelationalAtom
-from repro.logical.queries import ConjunctiveQuery, UnionQuery
+from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
 from repro.serve import (
     ConnectionPool,
@@ -378,40 +379,6 @@ class TestPublishingService:
             assert stats.cache.hits >= 1
             assert stats.reformulations_computed == 1
 
-    def test_union_strategy_single_round_trip(self, medical_service):
-        query = medical.client_query()
-        best_rows = medical_service.publish(query, strategy="best")
-        union_rows = medical_service.publish(query, strategy="union")
-        assert multiset(best_rows) == multiset(union_rows)
-        with pytest.raises(ValueError):
-            medical_service.publish(query, strategy="union", distinct=False)
-
-    def test_union_strategy_on_multi_reformulation_workload(self):
-        """Star with cost-pruning off yields several minimal reformulations;
-        the union strategy must push them through as one batch and still
-        return exactly the best plan's rows."""
-        from repro.engine.backchase import BackchaseConfig
-        from repro.engine.cb import CBConfig
-        from repro.logical.queries import UnionQuery
-        from repro.workloads import star
-        from repro.workloads.star import StarParameters
-
-        parameters = StarParameters(corners=3, hub_count=10, corner_size=6)
-        configuration = star.build_configuration(parameters, with_instance=True)
-        configuration.backend = "sqlite"
-        cb_config = CBConfig(backchase=BackchaseConfig(prune_by_cost=False))
-        system = MarsSystem(configuration, cb_config=cb_config)
-        with system.service(pool_size=2, strategy="union") as service:
-            query = star.client_query(parameters)
-            reformulation = service.reformulate(query)
-            assert len(reformulation.minimal) > 1
-            plan = service.plan_for(reformulation)
-            assert isinstance(plan, UnionQuery)
-            assert len(plan) == len(reformulation.minimal)
-            union_rows = service.publish(query)
-            best_rows = service.publish(query, strategy="best")
-            assert multiset(union_rows) == multiset(best_rows)
-
     def test_unreformulable_query_raises(self, medical_service):
         ghost = Variable("g")
         query = XBindQuery(
@@ -428,14 +395,8 @@ class TestPublishingService:
         assert len(results) == 2 and all(results)
         assert medical_service.pool.stats().checkouts == before + 1
 
-    def test_publish_many_enforces_publish_guards(self, medical_service):
+    def test_publish_many_enforces_publish_guards(self):
         queries = [medical.client_query()]
-        with pytest.raises(ValueError):
-            medical_service.publish_many(queries, strategy="unionall")
-        with pytest.raises(ValueError):
-            medical_service.publish_many(
-                queries, distinct=False, strategy="union"
-            )
         configuration = medical.build_configuration()
         service = PublishingService(configuration, pool_size=1)
         service.close()
@@ -457,14 +418,6 @@ class TestPublishingService:
         service.close()
         with pytest.raises(StorageError):
             service.publish(medical.client_query())
-
-    def test_invalid_strategy_rejected(self):
-        configuration = medical.build_configuration()
-        with pytest.raises(ValueError):
-            PublishingService(configuration, strategy="fastest")
-        with PublishingService(configuration, pool_size=1) as service:
-            with pytest.raises(ValueError):
-                service.publish(medical.client_query(), strategy="unionall")
 
     def test_failed_pool_construction_closes_template(self):
         configuration = medical.build_configuration()
@@ -834,8 +787,6 @@ class ToyMirror(ToyLeaf):
     def execute_routed(self, route, plan, distinct=True, children=None):
         (wing,) = route.needed_shards
         engine = (children or dict(enumerate(self.wings)))[wing]
-        if isinstance(plan, UnionQuery):
-            return engine.execute_union(plan, distinct=True)
         return engine.execute(plan, distinct=distinct)
 
     def route_changeset(self, changeset):
@@ -1066,3 +1017,39 @@ class TestNoBackendTypeSwitches:
             'getattr(self.executor.backend, "explain", None)'
         )
         assert not self.CAPABILITY_PROBE.search('getattr(plan, "name", "")')
+
+
+class TestOnePlanPerRequest:
+    """A request executes one plan, the cost-ranked best reformulation: a
+    revived union plan type, union entry point or strategy option fails
+    here."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+    RETIRED = (
+        "UnionQuery",
+        "execute_union",
+        "evaluate_union",
+        "render_union_sql",
+        "UNION_BRANCH",
+        "STRATEGY_UNION",
+        "note_union_batch",
+    )
+    SERVING_METHODS = ("__init__", "publish", "publish_many", "explain", "plan_for")
+
+    def test_source_scan(self):
+        offenders = []
+        paths = sorted(self.SRC.rglob("*.py"))
+        assert paths, f"nothing to scan under {self.SRC}"
+        for path in paths:
+            source = path.read_text()
+            offenders.extend(
+                f"{path.relative_to(self.SRC)}: {name}"
+                for name in self.RETIRED
+                if name in source
+            )
+        assert not offenders, "\n".join(offenders)
+
+    def test_serving_methods_take_no_strategy(self):
+        for method in self.SERVING_METHODS:
+            parameters = inspect.signature(getattr(PublishingService, method)).parameters
+            assert "strategy" not in parameters, method

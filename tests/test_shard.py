@@ -15,7 +15,7 @@ from repro.core import MarsConfiguration, MarsExecutor
 from repro.cost import CostModel
 from repro.errors import EvaluationError, SchemaError, StorageError
 from repro.logical.atoms import InequalityAtom, RelationalAtom
-from repro.logical.queries import ConjunctiveQuery, UnionQuery
+from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
 from repro.shard import (
     MODE_GATHER,
@@ -408,116 +408,6 @@ class TestExecutionEquivalence:
                 assert multiset(actual) == multiset(expected), (
                     f"{query.name} diverged (distinct={distinct})"
                 )
-        backend.close()
-        oracle.close()
-
-    def test_unions_route_per_disjunct(self, children):
-        backend, customers, orders, cities = build_backend(children=children)
-        oracle = memory_oracle(customers, orders, cities)
-        i, q = Variable("i"), Variable("q")
-        disjuncts = tuple(
-            ConjunctiveQuery(
-                f"d{name}", (i,), (RelationalAtom("orders", (Constant(name), i, q)),)
-            )
-            for name in ("c1", "c2", "c5")
-        )
-        union = UnionQuery("u", disjuncts)
-        before = backend.stats()
-        assert multiset(backend.execute_union(union)) == multiset(
-            oracle.execute_union(union)
-        )
-        after = backend.stats()
-        # three bound disjuncts -> three single-shard executions, no scatter
-        assert after.router.single_shard - before.router.single_shard == 3
-        assert after.router.scatter == before.router.scatter
-        executed = sum(after.executions_per_shard) - sum(before.executions_per_shard)
-        assert executed == 3
-        backend.close()
-        oracle.close()
-
-    def gather_union(self):
-        """Two disjuncts that both gather and reference the same tables."""
-        c, c2, city = Variable("c"), Variable("c2"), Variable("city")
-        same_city = ConjunctiveQuery(
-            "same_city",
-            (c, c2),
-            (
-                RelationalAtom("customers", (c, city)),
-                RelationalAtom("customers", (c2, city)),
-                InequalityAtom(c, c2),
-            ),
-        )
-        d, d2, town = Variable("d"), Variable("d2"), Variable("town")
-        cross_key = ConjunctiveQuery(
-            "cross_key",
-            (d, d2),
-            (
-                RelationalAtom("customers", (d, town)),
-                RelationalAtom("orders", (d2, town, Variable("qq"))),
-            ),
-        )
-        return UnionQuery("gu", (same_city, cross_key))
-
-    def test_gather_only_union_is_batched(self, children):
-        """Routed-union batching: one shared fetch pass for all disjuncts.
-
-        Both disjuncts gather and both reference ``customers``; the union
-        must fetch each pruned fragment once, not once per disjunct —
-        proven through the gather-fetch counters and recorded on
-        ``RouterStats``.
-        """
-        backend, customers, orders, cities = build_backend(children=children)
-        oracle = memory_oracle(customers, orders, cities)
-        union = self.gather_union()
-        # per-disjunct baseline: run each disjunct alone and count fetches
-        solo_fetches = 0
-        for disjunct in union:
-            before = backend.stats()
-            backend.execute(disjunct)
-            after = backend.stats()
-            solo_fetches += sum(after.gather_fetches_per_shard) - sum(
-                before.gather_fetches_per_shard
-            )
-        before = backend.stats()
-        assert multiset(backend.execute_union(union)) == multiset(
-            oracle.execute_union(union)
-        )
-        after = backend.stats()
-        batched_fetches = sum(after.gather_fetches_per_shard) - sum(
-            before.gather_fetches_per_shard
-        )
-        assert batched_fetches < solo_fetches
-        assert after.router.gather_unions_batched - (
-            before.router.gather_unions_batched
-        ) == 1
-        saved = (
-            after.router.fragment_fetches_saved
-            - before.router.fragment_fetches_saved
-        )
-        assert saved == solo_fetches - batched_fetches
-        # bag semantics survives the shared scratch store
-        assert multiset(backend.execute_union(union, distinct=False)) == multiset(
-            oracle.execute_union(union, distinct=False)
-        )
-        backend.close()
-        oracle.close()
-
-    def test_mixed_mode_union_is_not_batched(self, children):
-        """A union with a non-gather disjunct keeps per-disjunct routing."""
-        backend, customers, orders, cities = build_backend(children=children)
-        oracle = memory_oracle(customers, orders, cities)
-        i, q = Variable("i"), Variable("q")
-        point = ConjunctiveQuery(
-            "point", (i, q), (RelationalAtom("orders", (Constant("c5"), i, q)),)
-        )
-        union = UnionQuery("mixed", (point,) + tuple(self.gather_union()))
-        before = backend.stats()
-        assert multiset(backend.execute_union(union)) == multiset(
-            oracle.execute_union(union)
-        )
-        after = backend.stats()
-        assert after.router.gather_unions_batched == before.router.gather_unions_batched
-        assert after.router.single_shard - before.router.single_shard >= 1
         backend.close()
         oracle.close()
 

@@ -10,16 +10,10 @@ import sqlite3
 import pytest
 
 from repro.logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
-from repro.logical.queries import ConjunctiveQuery, UnionQuery
+from repro.logical.queries import ConjunctiveQuery
 from repro.logical.schema import RelationalSchema
 from repro.logical.terms import Constant, Variable
-from repro.storage.sql import (
-    SQLQuery,
-    render_sql,
-    render_sql_query,
-    render_union_sql,
-    render_union_sql_query,
-)
+from repro.storage.sql import SQLQuery, render_sql, render_sql_query
 
 
 def sqlite_run(statement: SQLQuery):
@@ -47,7 +41,7 @@ class TestRenderSQL:
         sql = render_sql(query)
         assert "SELECT DISTINCT t0.c0 AS h0, t1.c1 AS h1" in sql
         assert "FROM r t0, s t1" in sql
-        assert "t0.c1 = t1.c0" in sql
+        assert "t0.c1 IS t1.c0" in sql
 
     def test_schema_attribute_names(self):
         x, y = Variable("x"), Variable("y")
@@ -78,7 +72,7 @@ class TestRenderSQL:
         )
         sql = render_sql(query)
         assert "FROM" not in sql
-        assert "WHERE 1 <> 2" in sql
+        assert "WHERE 1 IS NOT 2" in sql
 
     def test_empty_head_still_selects(self):
         x = Variable("x")
@@ -92,14 +86,6 @@ class TestRenderSQL:
             "q", (x,), (RelationalAtom("r", (x, Constant("o'hara"))),)
         )
         assert "'o''hara'" in render_sql(query)
-
-    def test_union_rendering(self):
-        x = Variable("x")
-        left = ConjunctiveQuery("l", (x,), (RelationalAtom("r", (x, x)),))
-        right = ConjunctiveQuery("r", (x,), (RelationalAtom("s", (x, x)),))
-        sql = render_union_sql(UnionQuery("u", (left, right)))
-        assert sql.count("SELECT DISTINCT") == 2
-        assert "\nUNION\n" in sql
 
 
 class TestRenderSQLQuery:
@@ -161,117 +147,3 @@ class TestRenderSQLQuery:
         query = ConjunctiveQuery("q", (x,), (RelationalAtom("r", (x, x)),))
         bag = render_sql_query(query, distinct=False)
         assert "DISTINCT" not in bag.sql
-
-    def test_union_query_parameters_concatenate(self):
-        x = Variable("x")
-        left = ConjunctiveQuery(
-            "l", (x,), (RelationalAtom("r", (x, Constant("a"))),)
-        )
-        right = ConjunctiveQuery(
-            "rq", (x,), (RelationalAtom("r", (x, Constant("b"))),)
-        )
-        statement = render_union_sql_query(UnionQuery("u", (left, right)))
-        assert statement.params == ("a", "b")
-        assert "\nUNION\n" in statement.sql
-        bag = render_union_sql_query(
-            UnionQuery("u", (left, right)), distinct=False
-        )
-        assert "UNION ALL" in bag.sql
-
-
-class TestRenderUnionSQLQuery:
-    """UNION output: parameter order, duplicate semantics, FROM-less branches."""
-
-    def union_over_r(self):
-        x = Variable("x")
-        left = ConjunctiveQuery(
-            "l",
-            (Constant("L"), x),
-            (RelationalAtom("r", (x, Constant(1))),),
-        )
-        right = ConjunctiveQuery(
-            "rq",
-            (Constant("R"), x),
-            (RelationalAtom("r", (x, Constant(2))),),
-        )
-        return UnionQuery("u", (left, right))
-
-    def prepared_connection(self):
-        connection = sqlite3.connect(":memory:")
-        connection.execute('CREATE TABLE "r" ("a", "b")')
-        connection.executemany(
-            'INSERT INTO "r" VALUES (?, ?)',
-            [("p", 1), ("p", 1), ("q", 1), ("q", 2)],
-        )
-        return connection
-
-    def test_parameter_ordering_per_disjunct(self):
-        """SELECT-list params precede WHERE params inside each disjunct, and
-        disjuncts contribute their params in order."""
-        statement = render_union_sql_query(self.union_over_r(), schema_with_r())
-        assert statement.params == ("L", 1, "R", 2)
-        assert statement.sql.count("?") == 4
-
-    def test_union_eliminates_duplicates_across_and_within_disjuncts(self):
-        connection = self.prepared_connection()
-        statement = render_union_sql_query(
-            self.union_over_r(), schema_with_r(), distinct=True
-        )
-        rows = connection.execute(statement.sql, statement.params).fetchall()
-        # ("p",1) appears twice in the data and "q" matches both disjuncts;
-        # UNION set semantics collapse within and across the branches.
-        assert sorted(rows) == [("L", "p"), ("L", "q"), ("R", "q")]
-        connection.close()
-
-    def test_union_all_keeps_bag_semantics(self):
-        connection = self.prepared_connection()
-        statement = render_union_sql_query(
-            self.union_over_r(), schema_with_r(), distinct=False
-        )
-        rows = connection.execute(statement.sql, statement.params).fetchall()
-        assert sorted(rows) == [("L", "p"), ("L", "p"), ("L", "q"), ("R", "q")]
-        connection.close()
-
-    def test_inner_distinct_skipped_under_union(self):
-        """UNION already de-duplicates; the disjunct SELECTs stay plain."""
-        statement = render_union_sql_query(
-            self.union_over_r(), schema_with_r(), distinct=True
-        )
-        assert "DISTINCT" not in statement.sql
-        assert statement.sql.count("\nUNION\n") == 1
-
-    def test_single_disjunct_union_renders_plain_select(self):
-        x = Variable("x")
-        only = ConjunctiveQuery("q", (x,), (RelationalAtom("r", (x, x)),))
-        statement = render_union_sql_query(UnionQuery("u", (only,)))
-        assert "UNION" not in statement.sql
-        assert statement.sql.startswith("SELECT DISTINCT")
-        bag = render_union_sql_query(UnionQuery("u", (only,)), distinct=False)
-        assert "DISTINCT" not in bag.sql
-
-    def test_from_less_disjunct_inside_union(self):
-        """A constant-only branch (no relational atoms) unions with a real one."""
-        x = Variable("x")
-        scan = ConjunctiveQuery("scan", (x,), (RelationalAtom("r", (x, Constant(2))),))
-        constant = ConjunctiveQuery("const", (Constant("fixed"),), ())
-        statement = render_union_sql_query(
-            UnionQuery("u", (scan, constant)), schema_with_r()
-        )
-        connection = self.prepared_connection()
-        rows = connection.execute(statement.sql, statement.params).fetchall()
-        assert sorted(rows) == [("fixed",), ("q",)]
-        connection.close()
-
-    def test_union_executes_on_loaded_sqlite_backend(self):
-        """End to end through SQLiteBackend.execute_union: one statement."""
-        from repro.storage.backends import SQLiteBackend
-
-        backend = SQLiteBackend()
-        backend.create_table("r", 2, ("a", "b"))
-        backend.insert_many("r", [("p", 1), ("q", 2)])
-        union = self.union_over_r()
-        compiled = backend.compile_query(union)
-        assert compiled.sql.count("\nUNION\n") == 1
-        rows = backend.execute_union(union)
-        assert sorted(rows) == [("L", "p"), ("R", "q")]
-        backend.close()

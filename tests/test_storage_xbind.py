@@ -10,7 +10,6 @@ from repro.logical import (
     InequalityAtom,
     RelationalAtom,
     RelationalSchema,
-    UnionQuery,
     const,
     var,
 )
@@ -19,7 +18,6 @@ from repro.storage import (
     InMemoryDatabase,
     MemoryBackend,
     evaluate_query,
-    evaluate_union,
     materialize_view,
     render_sql,
 )
@@ -104,12 +102,6 @@ class TestEvaluateQuery:
         with pytest.raises(EvaluationError):
             evaluate_query(query, database)
 
-    def test_union(self, database):
-        q1 = ConjunctiveQuery("Q1", (x,), (RelationalAtom("R", (x, const(10))),))
-        q2 = ConjunctiveQuery("Q2", (x,), (RelationalAtom("R", (x, const(20))),))
-        rows = evaluate_union(UnionQuery("U", [q1, q2]), database)
-        assert sorted(rows) == [(1,), (2,), (3,)]
-
     def test_materialize_view(self, database):
         query = ConjunctiveQuery(
             "V", (x, z), (RelationalAtom("R", (x, y)), RelationalAtom("S", (y, z)))
@@ -135,15 +127,15 @@ class TestSqlRendering:
         sql = render_sql(query)
         assert "SELECT DISTINCT" in sql
         assert "FROM R t0, S t1" in sql
-        assert "t0.c1 = t1.c0" in sql
-        assert "<> 'y'" in sql
+        assert "t0.c1 IS t1.c0" in sql
+        assert "IS NOT 'y'" in sql
 
     def test_render_uses_schema_attribute_names(self):
         schema = RelationalSchema()
         schema.add_relation("R", ["key", "val"])
         query = ConjunctiveQuery("Q", (x,), (RelationalAtom("R", (x, const(3))),))
         sql = render_sql(query, schema)
-        assert "t0.val = 3" in sql
+        assert "t0.val IS 3" in sql
 
     def test_string_literals_escaped(self):
         query = ConjunctiveQuery("Q", (x,), (RelationalAtom("R", (x, const("o'hara"))),))

@@ -8,9 +8,10 @@ Three pieces live here because several test modules need them:
   (``memory`` and ``sqlite``) by flipping one env value; the fixture simply
   exposes the active name to tests that want to log or assert it.
 
-* :class:`RandomQueryGenerator` — seeded random conjunctive queries
-  over the tables a built backend actually holds, used by the
-  randomized differential tests as a cross-backend oracle.  No hypothesis
+* :class:`RandomQueryGenerator` — seeded random conjunctive queries (and
+  families of same-arity union disjuncts) over the tables a built backend
+  actually holds, used by the randomized differential tests as a
+  cross-backend oracle.  No hypothesis
   dependency: a seeded :class:`random.Random` makes every failure
   reproducible from the test id alone.
 
@@ -111,6 +112,16 @@ class RandomQueryGenerator:
             left, right = rng.sample(variables, 2)
             body.append(InequalityAtom(left, right))
         return ConjunctiveQuery(name, head, tuple(body))
+
+    def disjuncts(self, name: str) -> Tuple[ConjunctiveQuery, ...]:
+        """2-3 random conjunctive queries sharing one head arity: the
+        disjuncts of a union, each to be run as its own plan."""
+        count = self.rng.randint(2, 3)
+        arity = self.rng.randint(1, 2)
+        return tuple(
+            self.conjunctive(f"{name}_d{index}", head_arity=arity)
+            for index in range(count)
+        )
 
     def key_bound_conjunctive(
         self, name: str, table: str, position: int

@@ -15,9 +15,10 @@ memory/sqlite children: the same random queries must survive routing
 set/bag merge, and partition-key-bound queries must additionally be
 *pruned* — proven through the per-shard execution counters.
 
-The last section adds one row of ``None`` cells to every table: a
-``None`` join key, selection constant or inequality operand must then
-mean the same thing on every engine (``None`` matches ``None``).
+The last section adds one row of ``None`` cells to every table and runs
+the disjuncts of random unions there, one plan per request: a ``None``
+join key, selection constant or inequality operand must mean the same
+thing on every engine (``None`` matches ``None``).
 """
 
 import pytest
@@ -210,19 +211,18 @@ def assert_null_cells_agree(engines, engine_names, query):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_null_cell_queries_agree(null_cell_engines, query_generator, seed):
+def test_random_unions_agree(null_cell_engines, query_generator, seed):
+    """A random union's disjuncts, each run as its own plan, agree on
+    memory and SQLite over the ``None``-cell instance."""
     generator = query_generator(null_cell_engines["memory"], seed + 2000)
-    for index in range(3):
-        query = generator.conjunctive(f"null_s{seed}_q{index}")
+    for query in generator.disjuncts(f"u_s{seed}"):
         assert_null_cells_agree(null_cell_engines, ("sqlite",), query)
 
 
 @pytest.mark.parametrize("shards", sorted(SHARD_LAYOUTS))
 @pytest.mark.parametrize("seed", SHARD_SEEDS)
-def test_sharded_null_cell_queries_agree(
-    null_cell_engines, query_generator, shards, seed
-):
+def test_sharded_unions_agree(null_cell_engines, query_generator, shards, seed):
+    """The same per-disjunct check on the mixed-child sharded layouts."""
     generator = query_generator(null_cell_engines["memory"], seed + 4000)
-    for index in range(3):
-        query = generator.conjunctive(f"nullsh{shards}_s{seed}_q{index}")
+    for query in generator.disjuncts(f"shu{shards}_s{seed}"):
         assert_null_cells_agree(null_cell_engines, (f"sharded{shards}",), query)

@@ -208,9 +208,10 @@ class MarsExecutor:
     def collect_statistics(self):
         """Measure a statistics catalog from the built backend, *now*.
 
-        The backend profiles its own tables (the SQLite backend via
-        ``ANALYZE``/``sqlite_stat1``, the sharded backend by merging its
-        children); the configuration's access weights are layered on top
+        The backend profiles its own tables with exact counts (the sharded
+        backend by merging its children; ``sqlite_stat1`` feeds SQLite's
+        join order, not the catalog); the configuration's access weights
+        are layered on top
         so stored-XML relations keep costing more than relational scans.
         Feed the result to :meth:`MarsSystem.attach_statistics` to plan
         against the live data instead of the declarations — after bulk

@@ -8,9 +8,9 @@ that claim statistics-driven instead of heuristic.  Two halves:
   :class:`TableStatistics`: per-relation row counts, per-column distinct
   counts, per-shard fragment sizes and access weights.  Catalogs are
   declared (``MarsConfiguration.build_statistics()``) or collected from a
-  live backend (``StorageBackend.collect_statistics()`` — the SQLite
-  backend via ``ANALYZE`` + ``sqlite_stat1``, the sharded backend by
-  merging its children).
+  live backend (``StorageBackend.collect_statistics()`` — exact counts
+  on every backend, the sharded one by merging its children;
+  ``sqlite_stat1`` feeds only SQLite's own join order).
 * :mod:`repro.cost.model` — :class:`CostModel` / :class:`CostEstimate`:
   the only place a catalog turns into a number — System-R-style
   cardinality estimation and plan costs for ranking, the monotone

@@ -19,9 +19,11 @@ Catalogs come from two places:
   :class:`~repro.storage.backends.base.StorageBackend` implements
   ``collect_statistics()`` returning a catalog measured from the live
   data: the memory backend profiles the rows its hash-join evaluator
-  scans, the SQLite backend runs ``ANALYZE`` and reads ``sqlite_stat1``,
-  and the sharded backend merges its children's catalogs (summing
+  scans, the SQLite backend counts exactly with ``COUNT`` queries, and
+  the sharded backend merges its children's catalogs (summing
   partitioned fragments, keeping one copy of broadcast tables).
+  ``sqlite_stat1`` feeds SQLite's join order; the catalog is exact counts
+  on every backend.
 
 Turning a catalog into a cardinality or a cost is the other half,
 :class:`~repro.cost.model.CostModel`; nothing else reads these records

@@ -150,10 +150,11 @@ class StorageBackend(abc.ABC):
         """Measure a :class:`~repro.cost.statistics.StatisticsCatalog`.
 
         The default profiles every table through :meth:`rows` — exact row
-        counts and per-column distinct counts.  Engines with native
-        statistics machinery override this (the SQLite backend reads
-        ``ANALYZE``'s ``sqlite_stat1``, the sharded backend merges its
-        children's catalogs).
+        counts and per-column distinct counts.  Engines override this to
+        count where the data lives (the SQLite backend with ``COUNT``
+        queries, the sharded backend by merging its children's catalogs);
+        the numbers stay exact on every backend.  ``sqlite_stat1`` feeds
+        SQLite's join order, not the catalog.
         """
         from ...cost.statistics import StatisticsCatalog, profile_rows
 

@@ -313,64 +313,30 @@ class SQLiteBackend(StorageBackend):
 
     @_uses_connection
     def collect_statistics(self) -> "StatisticsCatalog":
-        """Statistics via ``ANALYZE``: row counts and distinct counts.
+        """Exact row and distinct counts, as the memory backend reports them.
 
-        ``ANALYZE`` populates ``sqlite_stat1`` with one row per index
-        (``"nrow navg"``: total rows and average rows per distinct value of
-        the index's first column, so ``distinct ≈ nrow / navg``) and one
-        ``idx IS NULL`` row per unindexed table carrying the plain row
-        count.  Columns no index covers are profiled with an exact
-        ``COUNT(DISTINCT …)`` — the engine-side equivalent of what the
-        memory backend computes by scanning its lists.
+        ``sqlite_stat1`` feeds SQLite's join order; the catalog is exact
+        counts on every backend.  ``ANALYZE`` runs here so the engine's
+        own statistics follow updates; the catalog reads ``COUNT(*)`` and
+        one ``COUNT(DISTINCT …)`` per column, whichever indexes exist.
         """
         from ...cost.statistics import StatisticsCatalog, TableStatistics
 
         self._require_open()
         self._connection.execute("ANALYZE")
-        stat_rows: Dict[str, int] = {}
-        index_distinct: Dict[Tuple[str, str], float] = {}
-        try:
-            cursor = self._connection.execute(
-                "SELECT tbl, idx, stat FROM sqlite_stat1"
-            )
-        except sqlite3.Error:
-            cursor = iter(())
-        for table, index, stat in cursor:
-            parts = str(stat or "").split()
-            if not parts or not parts[0].isdigit():
-                continue
-            nrow = int(parts[0])
-            stat_rows[table] = max(stat_rows.get(table, 0), nrow)
-            if index is None or len(parts) < 2 or not parts[1].isdigit():
-                continue
-            info = self._connection.execute(
-                f"PRAGMA index_info({quote_identifier(index)})"
-            ).fetchall()
-            if info:
-                first_column = info[0][2]
-                per_value = max(1, int(parts[1]))
-                index_distinct[(table, first_column)] = max(
-                    1.0, nrow / float(per_value)
-                )
         catalog = StatisticsCatalog()
         for name, columns in self._attributes.items():
-            row_count = float(
-                stat_rows[name] if name in stat_rows else self.cardinality(name)
-            )
             distinct = []
             for column in columns:
-                estimate = index_distinct.get((name, column))
-                if estimate is None:
-                    cursor = self._connection.execute(
-                        f"SELECT COUNT(DISTINCT {quote_identifier(column)}) "
-                        f"FROM {quote_identifier(name)}"
-                    )
-                    estimate = float(cursor.fetchone()[0])
-                distinct.append(max(0.0, estimate))
+                cursor = self._connection.execute(
+                    f"SELECT COUNT(DISTINCT {quote_identifier(column)}) "
+                    f"FROM {quote_identifier(name)}"
+                )
+                distinct.append(float(cursor.fetchone()[0]))
             catalog.add(
                 TableStatistics(
                     name=name,
-                    row_count=row_count,
+                    row_count=float(self.cardinality(name)),
                     distinct_counts=tuple(distinct),
                 )
             )
@@ -449,10 +415,14 @@ class SQLiteBackend(StorageBackend):
         A column is worth indexing when its term is a constant (selection)
         or a variable shared between at least two atom positions (join key).
         Index creation is idempotent; the names created by this call are
-        returned (useful for tests and the benchmarks).
+        returned (useful for tests and the benchmarks).  Each table that
+        gained an index is then ``ANALYZE``d in the same call, so SQLite
+        orders its joins from real per-index statistics instead of its
+        default guess; a call that creates nothing runs no ``ANALYZE``.
         """
         self._require_open()
         created: List[str] = []
+        analyze: List[str] = []
         normalized = query.normalize_equalities()
         occurrences: Dict[Variable, int] = {}
         for atom in normalized.relational_body:
@@ -472,25 +442,35 @@ class SQLiteBackend(StorageBackend):
                 if key in self._indexed:
                     continue
                 index_name = self._index_name(atom.relation, column)
-                try:
-                    self._connection.execute(
-                        f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
-                        f"ON {quote_identifier(atom.relation)} "
-                        f"({quote_identifier(column)})"
-                    )
-                except sqlite3.Error as error:
-                    if self._closed:
-                        raise StorageError(
-                            f"SQLiteBackend was closed during execution: {error}"
-                        ) from error
-                    raise EvaluationError(
-                        f"could not index {atom.relation}.{column}: {error}"
-                    ) from error
+                self._index_statement(
+                    f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
+                    f"ON {quote_identifier(atom.relation)} "
+                    f"({quote_identifier(column)})",
+                    f"could not index {atom.relation}.{column}",
+                )
                 self._indexed.add(key)
                 created.append(index_name)
+                if atom.relation not in analyze:
+                    analyze.append(atom.relation)
+        for relation in analyze:
+            self._index_statement(
+                f"ANALYZE {quote_identifier(relation)}",
+                f"could not analyze {relation}",
+            )
         if created:
             self._connection.commit()
         return created
+
+    def _index_statement(self, sql: str, failure: str) -> None:
+        """Run one ``ensure_indexes`` statement with its error mapping."""
+        try:
+            self._connection.execute(sql)
+        except sqlite3.Error as error:
+            if self._closed:
+                raise StorageError(
+                    f"SQLiteBackend was closed during execution: {error}"
+                ) from error
+            raise EvaluationError(f"{failure}: {error}") from error
 
     @staticmethod
     def _index_name(relation: str, column: str) -> str:

@@ -3,8 +3,8 @@
 Four claims are pinned down here:
 
 1. every backend can measure a :class:`StatisticsCatalog` of its own data
-   (the SQLite backend through ``ANALYZE``/``sqlite_stat1``, the sharded
-   backend by merging its children's catalogs);
+   (the SQLite backend through exact ``COUNT`` queries, whatever indexes
+   exist, the sharded backend by merging its children's catalogs);
 2. the :class:`CostModel` cardinality estimates track reality within sane
    bounds on the randomized differential workload;
 3. ``MarsSystem.reformulate`` picks its plan by modeled cost — including a
@@ -59,19 +59,31 @@ class TestStatisticsCollection:
         backend.close()
 
     def test_sqlite_backend_matches_memory(self):
-        memory = load(MemoryBackend())
-        sqlite = load(SQLiteBackend())
-        # Force an index so part of the catalog flows through sqlite_stat1's
-        # "nrow navg" entries rather than COUNT(DISTINCT) alone.
-        i, q = Variable("i"), Variable("q")
-        sqlite.ensure_indexes(
-            ConjunctiveQuery(
-                "probe", (i,), (RelationalAtom("orders", (Constant("c1"), i, q)),)
-            )
-        )
+        # Skewed data in an indexed column: one value ten times plus five
+        # singletons.  sqlite_stat1's "nrow navg" (15 rows, 3 per value on
+        # average) would read 5 distinct values where there are 6.
+        events = [("hot", n) for n in range(10)] + [
+            (f"cold{n}", 10 + n) for n in range(5)
+        ]
+        backends = []
+        for backend in (MemoryBackend(), SQLiteBackend()):
+            load(backend)
+            backend.create_table("events", 2, ("kind", "seq"))
+            backend.insert_many("events", events)
+            backends.append(backend)
+        memory, sqlite = backends
+        # The indexes and their sqlite_stat1 rows feed SQLite's join order
+        # only; the catalog stays the exact counts memory reports.
+        i, q, n = Variable("i"), Variable("q"), Variable("n")
+        for atom in (
+            RelationalAtom("orders", (Constant("c1"), i, q)),
+            RelationalAtom("events", (Constant("hot"), n)),
+        ):
+            sqlite.ensure_indexes(ConjunctiveQuery("probe", (), (atom,)))
         expected = memory.collect_statistics()
+        assert expected.table("events").distinct_counts == (6.0, 15.0)
         collected = sqlite.collect_statistics()
-        for name in ("orders", "cities"):
+        for name in ("orders", "cities", "events"):
             assert collected.table(name).row_count == expected.table(name).row_count
             assert (
                 collected.table(name).distinct_counts

@@ -1,11 +1,13 @@
 """Fan-out execution of per-shard sub-queries on a thread pool.
 
 The :class:`ScatterGatherExecutor` runs one thunk per shard and returns the
-results in shard order.  Parallelism is real for the ``sqlite`` child
-backends — ``sqlite3`` releases the GIL while stepping a statement — and
-harmless for ``memory`` children (pure Python, serialized by the GIL, but
-the fan-out still overlaps with any engine that does release it, which is
-exactly the mixed-storage deployment the paper targets).
+results in shard order.  The fan-out overlaps waiting, not stepping: the
+``sqlite`` child backends step one statement at a time per process (the
+SQLite backend holds one lock from a statement's first row to its last,
+because ``sqlite3`` hands the GIL over once per row and two threads
+stepping together ran slower than one), and ``memory`` children are pure
+Python, serialized by the GIL.  Parallel stepping across shards needs
+worker processes, not threads.
 
 The thread pool is created lazily (a backend that only ever sees
 single-shard pruned queries never starts a thread) and sized to the shard

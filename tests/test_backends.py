@@ -8,7 +8,9 @@ query on every engine.
 """
 
 import ast
+import itertools
 import re
+import threading
 from pathlib import Path
 
 import pytest
@@ -32,6 +34,7 @@ from repro.logical.atoms import InequalityAtom, RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
 from repro.serve import ConnectionPool, PublishingService
+from repro.storage.backends import sqlite as sqlite_module
 from repro.storage.backends import (
     MemoryBackend,
     SQLiteBackend,
@@ -435,6 +438,190 @@ class TestSQLiteAnalyzesItsIndexes:
         # SQLite before 3.36 prints "SCAN TABLE t0"; the prefix covers both
         # and leaves out "USE TEMP B-TREE FOR DISTINCT".
         assert len(scans) == 1, statement.attributes["engine_plan"]
+
+
+# ----------------------------------------------------------------------
+# One SQLite statement steps at a time per process
+# ----------------------------------------------------------------------
+#: Seconds a thread gets before the lock counts as never released.
+LOCK_TIMEOUT = 30
+
+
+def scan_all(relation):
+    """``q(x, y) :- relation(x, y)``: no join column, so no index to build."""
+    x, y = Variable("x"), Variable("y")
+    return ConjunctiveQuery("q", (x, y), (RelationalAtom(relation, (x, y)),))
+
+
+def run_in_threads(*thunks):
+    """Start *thunks* together behind a barrier; fail if one never ends."""
+    barrier = threading.Barrier(len(thunks))
+    errors = []
+
+    def body(thunk):
+        barrier.wait()
+        try:
+            thunk()
+        except Exception as error:  # surfaced below, on the test's thread
+            errors.append(error)
+
+    threads = [
+        threading.Thread(target=body, args=(thunk,), daemon=True) for thunk in thunks
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(LOCK_TIMEOUT)
+    assert not any(thread.is_alive() for thread in threads), "a thread never finished"
+    assert errors == []
+
+
+class TestSQLiteStatementsStepOneAtATime:
+    """``sqlite3`` hands the GIL over once per stepped row; two threads
+    stepping statements together paid a cross-core handoff on every row.
+    Each statement now steps from its first row to its last while no other
+    statement in the process does."""
+
+    STATEMENTS = 5
+
+    def test_two_threads_do_not_interleave_statements(self):
+        template = SQLiteBackend()
+        template.create_table("r", 2, ("a", "b"))
+        template.insert_many("r", [(a, -a) for a in range(20_000)])
+        clones = [template.clone(), template.clone()]
+        steppers = []
+        for clone in clones:
+            clone._connection.set_progress_handler(
+                lambda: steppers.append(threading.get_ident()), 1000
+            )
+
+        def reads(clone):
+            def thunk():
+                for _ in range(self.STATEMENTS):
+                    assert len(clone.execute(scan_all("r"))) == 20_000
+
+            return thunk
+
+        try:
+            run_in_threads(*(reads(clone) for clone in clones))
+        finally:
+            for clone in clones:
+                clone.close()
+            template.close()
+        runs = [ident for ident, _ in itertools.groupby(steppers)]
+        assert len(set(runs)) == 2
+        # One run per statement at most: no statement stepped while the
+        # other thread's was between its first and last row.
+        assert len(runs) <= 2 * self.STATEMENTS, len(runs)
+
+    def test_a_rejected_statement_releases_the_lock(self):
+        template = SQLiteBackend()
+        template.create_table("r", 2, ("a", "b"))
+        template.insert_many("r", [(1, 2)])
+        broken, healthy = template.clone(), template.clone()
+        # Dropped behind the backend's back: SQLite itself rejects the read.
+        broken._connection.execute('DROP TABLE "r"')
+        try:
+            with pytest.raises(EvaluationError, match="SQLite rejected"):
+                broken.execute(scan_all("r"))
+            run_in_threads(lambda: healthy.execute(scan_all("r")))
+            assert not sqlite_module._STEP_LOCK.locked()
+        finally:
+            broken.close()
+            healthy.close()
+            template.close()
+
+    def test_profiled_explain_from_two_threads_releases_the_lock(self):
+        """The profiled read (``EXPLAIN QUERY PLAN``, then the statement)
+        takes the lock twice in a row, never one inside the other."""
+        configuration = medical.build_configuration()
+        with PublishingService(
+            configuration, backend="sqlite", pool_size=2
+        ) as service:
+            profiles = []
+
+            def explain():
+                profiles.append(
+                    service.explain(medical.client_query(), analyze=True)
+                )
+
+            run_in_threads(explain, explain)
+            assert len(profiles) == 2
+            for profile in profiles:
+                assert [
+                    node.attributes["engine_plan"]
+                    for node in profile.operators()
+                    if node.kind == "statement"
+                ]
+            run_in_threads(lambda: service.publish(medical.client_query()))
+        assert not sqlite_module._STEP_LOCK.locked()
+
+
+class TestOneSQLiteFetchPath:
+    """Every multi-row read in ``sqlite.py`` goes through ``_fetch``, which
+    steps it under the module's one lock: a ``.fetchall(`` / ``.fetchmany(``
+    or a loop over ``connection.execute(...)`` anywhere else fails here."""
+
+    SQLITE = (
+        Path(__file__).resolve().parent.parent
+        / "src" / "repro" / "storage" / "backends" / "sqlite.py"
+    )
+    HELPER = "_fetch"
+
+    @classmethod
+    def reads_outside_helper(cls, source):
+        """Lines of multi-row reads that are not inside the helper."""
+        tree = ast.parse(source)
+        inside = {
+            id(node)
+            for function in ast.walk(tree)
+            if isinstance(function, ast.FunctionDef) and function.name == cls.HELPER
+            for node in ast.walk(function)
+        }
+        lines = []
+        for node in ast.walk(tree):
+            if id(node) in inside:
+                continue
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("fetchall", "fetchmany")
+            ):
+                lines.append(node.lineno)
+            elif (
+                isinstance(node, (ast.For, ast.comprehension))
+                and isinstance(node.iter, ast.Call)
+                and isinstance(node.iter.func, ast.Attribute)
+                and node.iter.func.attr == "execute"
+            ):
+                lines.append(node.iter.lineno)
+        return sorted(lines)
+
+    def test_source_scan(self):
+        source = self.SQLITE.read_text()
+        assert self.reads_outside_helper(source) == []
+        (helper,) = [
+            node
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.FunctionDef) and node.name == self.HELPER
+        ]
+        assert "with _STEP_LOCK:" in ast.get_source_segment(source, helper)
+        # Not an RLock: a nested acquisition deadlocks instead of hiding.
+        assert type(sqlite_module._STEP_LOCK) is type(threading.Lock())
+
+    def test_the_scan_catches_what_it_is_for(self):
+        source = (
+            "def _fetch(connection, sql):\n"
+            "    with _STEP_LOCK:\n"
+            "        return connection.execute(sql).fetchall()\n"
+            "def read(connection):\n"
+            "    head = connection.execute('SELECT 1').fetchmany(2)\n"
+            "    rows = [r for r in connection.execute('SELECT 2')]\n"
+            "    for row in self._connection.execute('SELECT 3'):\n"
+            "        pass\n"
+            "    return connection.execute('SELECT 4').fetchone()\n"
+        )
+        assert self.reads_outside_helper(source) == [5, 6, 7]
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """repro: a reproduction of MARS (Deutsch & Tannen, VLDB 2003).
 
 MARS publishes XML views of mixed (relational + XML) and redundant
-proprietary storage and reformulates client XQueries/XBind queries against
-the proprietary schema using the Chase & Backchase algorithm over a
+proprietary storage and reformulates client XBind queries against the
+proprietary schema using the Chase & Backchase algorithm over a
 relational compilation of queries, views and constraints.
 
 Public entry points

@@ -1,8 +1,8 @@
 """Compilation of XBind queries into conjunctive queries over GReX.
 
-Paper section 2.2 (i): each XBind query describing the navigational part of
-the client XQuery is compiled into a relational conjunctive query (with
-inequalities) over the GReX schema by a straightforward syntax-directed
+Paper section 2.2 (i): each client XBind query -- the navigational part
+of the paper's XQuery -- is compiled into a relational conjunctive query
+(with inequalities) over the GReX schema by a straightforward syntax-directed
 translation of its path atoms.  The same translation is reused to compile
 XICs and view definitions, so it lives in a reusable :class:`GrexCompiler`.
 

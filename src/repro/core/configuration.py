@@ -39,14 +39,14 @@ DEFAULT_XML_ACCESS_WEIGHT = 5.0
 
 
 def _env_int(name: str) -> Optional[int]:
-    """An integer environment knob; unset or non-numeric means None."""
-    raw = os.environ.get(name)
-    if raw is None or not raw.strip():
+    """An integer environment knob; unset means None, non-numeric raises."""
+    raw = os.environ.get(name, "").strip()
+    if not raw:
         return None
     try:
         return int(raw)
-    except ValueError:
-        return None
+    except ValueError as error:
+        raise SchemaError(f"{name} must be an integer, got {raw!r}") from error
 
 
 class MarsConfiguration:

@@ -20,7 +20,7 @@ from ..cost.model import CostModel
 from ..cost.statistics import StatisticsCatalog
 from ..engine.cb import CBConfig, CBEngine
 from ..engine.cost import CostEstimator, SimpleCostEstimator
-from ..errors import ReformulationError
+from ..errors import ReformulationError, SchemaError
 from ..logical.dependencies import DED
 from ..logical.queries import ConjunctiveQuery
 from ..plan import (
@@ -195,8 +195,17 @@ class MarsSystem:
         return set(self._target_relations)
 
     def compile_query(self, query: XBindQuery) -> ConjunctiveQuery:
-        """Compile a client XBind query into a conjunctive query over GReX."""
-        return self._compiler.compile_xbind(query)
+        """Compile a client XBind query into a conjunctive query over GReX.
+
+        Equalities are collapsed before the chase: no reformulation can
+        match an ``x = y`` atom.  A body equating two distinct constants
+        is unsatisfiable; it stays as compiled, and none is found.
+        """
+        compiled = self._compiler.compile_xbind(query)
+        try:
+            return compiled.normalize_equalities()
+        except SchemaError:
+            return compiled
 
     # ------------------------------------------------------------------
     def _rank_and_render(self, best, minimal, engine_best_cost):

@@ -12,7 +12,7 @@ class MarsError(Exception):
 
 
 class ParseError(MarsError):
-    """Raised when parsing XPath, XQuery or XML text fails."""
+    """Raised when parsing XPath or XML text fails."""
 
     def __init__(self, message: str, position: int | None = None):
         if position is not None:

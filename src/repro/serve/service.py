@@ -492,7 +492,8 @@ class PublishingService:
             raise
         # The C&B engine mutates per-call state deep inside the chase; it is
         # correct but not reentrant, so reformulation is serialized.  Plan
-        # execution — the per-request hot path — runs fully in parallel.
+        # execution — the per-request hot path — takes no service lock;
+        # SQLite statements still step one at a time per process.
         self._reformulate_lock = threading.Lock()
         # Write-path state: updates serialize behind one lock; publishes
         # and updates pass the gate as readers, the rebalance cutover as

@@ -1,6 +1,6 @@
 """Direct (unreformulated) evaluation of XBind queries over mixed storage.
 
-This is the reproduction's stand-in for executing the client XQuery "as is"
+This is the reproduction's stand-in for executing the client query "as is"
 with an XQuery engine such as Galax or Enosys (paper section 4.2): a naive
 nested-loop evaluation of the path predicates over the published XML
 documents, joined with any relational atoms over the relational store.  The

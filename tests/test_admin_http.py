@@ -27,6 +27,8 @@ from pathlib import Path
 
 import pytest
 
+from repro.core import MarsConfiguration
+from repro.errors import SchemaError
 from repro.obs import (
     AuditError,
     AuditLog,
@@ -428,6 +430,15 @@ class TestServiceAdminEndpoint:
             medical.build_configuration(), pool_size=1
         ) as service:
             assert service.admin is None and service.admin_port is None
+
+    def test_admin_port_variable_is_read(self, monkeypatch):
+        monkeypatch.setenv("MARS_ADMIN_PORT", " 0 ")
+        assert MarsConfiguration("env").admin_port == 0
+
+    def test_malformed_admin_port_variable_raises(self, monkeypatch):
+        monkeypatch.setenv("MARS_ADMIN_PORT", "80a")
+        with pytest.raises(SchemaError, match="MARS_ADMIN_PORT .*'80a'"):
+            MarsConfiguration("env")
 
     def test_bind_failure_tears_the_service_down(self, tmp_path):
         with PublishingService(

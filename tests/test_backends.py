@@ -16,21 +16,10 @@ from pathlib import Path
 import pytest
 
 from repro.core import MarsConfiguration, MarsExecutor, MarsSystem
-from repro.xbind import MixedStorage
-from repro.xmlmodel import XMLDocument, XMLNode
-from repro.xquery import (
-    Comparison,
-    ElementConstructor,
-    PathExpression,
-    VariableRef,
-    decorrelate,
-    evaluate_blocks,
-    xquery,
-)
 from repro.errors import EvaluationError, SchemaError
 from repro.engine.backchase import BackchaseConfig
 from repro.engine.cb import CBConfig
-from repro.logical.atoms import InequalityAtom, RelationalAtom
+from repro.logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
 from repro.serve import ConnectionPool, PublishingService
@@ -44,6 +33,7 @@ from repro.storage.backends import (
 )
 from repro.workloads import medical, star, xmark
 from repro.workloads.star import StarParameters
+from repro.xbind import PathAtom, XBindQuery
 
 BACKEND_NAMES = ("memory", "sqlite")
 #: Engines that must satisfy the full StorageBackend protocol; "sharded"
@@ -167,37 +157,6 @@ class TestBackendProtocol:
         x, y = Variable("x"), Variable("y")
         query = ConjunctiveQuery("q", (x,), (RelationalAtom("r", (x, y)),))
         assert "scan r" in explain(backend, query)
-
-    def test_evaluate_blocks_over_backend_storage(self, backend):
-        """The decorrelated-XQuery pipeline runs when the store is a backend."""
-        root = XMLNode("bib")
-        for title, author in [("TAPL", "Pierce"), ("DBBook", "Hull")]:
-            book = root.add("book")
-            book.add("title", title)
-            book.add("author", author)
-        document = XMLDocument("bib.xml", root)
-        inner = xquery(
-            for_clauses=[
-                ("b", PathExpression("//book")),
-                ("a1", PathExpression("./author/text()", source="b")),
-                ("t", PathExpression("./title/text()", source="b")),
-            ],
-            where=[Comparison("a", "a1")],
-            return_expr=ElementConstructor("title", [VariableRef("t")]),
-        )
-        outer = xquery(
-            for_clauses=[("a", PathExpression("//author/text()", distinct=True))],
-            return_expr=ElementConstructor(
-                "item", [ElementConstructor("writer", [VariableRef("a")]), inner]
-            ),
-        )
-        decorrelated = decorrelate(outer, default_document="bib.xml")
-        storage = MixedStorage({"bib.xml": document}, database=backend)
-        bindings = evaluate_blocks(decorrelated, storage)
-        assert len(bindings) == 2
-        outer_block = decorrelated.blocks[0]
-        assert backend.has_table(outer_block.name)
-        assert sorted(backend.rows(outer_block.name)) == [("Hull",), ("Pierce",)]
 
 
 class TestBackendFactory:
@@ -633,6 +592,23 @@ MULTI_PLAN = "star-unpruned"
 CB_CONFIGS = {MULTI_PLAN: CBConfig(backchase=BackchaseConfig(prune_by_cost=False))}
 
 
+def buyer_ids_by_equality():
+    """An xmark join written as an explicit ``pid = b`` equality."""
+    person, auction = Variable("p"), Variable("a")
+    pid, buyer = Variable("pid"), Variable("b")
+    return XBindQuery(
+        "BuyerIdsByEquality",
+        (pid,),
+        (
+            PathAtom("//person", person, document=xmark.AUCTION_DOCUMENT),
+            PathAtom("./@id", pid, source=person),
+            PathAtom("//closed_auction", auction, document=xmark.AUCTION_DOCUMENT),
+            PathAtom("./buyer/text()", buyer, source=auction),
+            EqualityAtom(pid, buyer),
+        ),
+    )
+
+
 def equivalence_cases():
     medical_configuration = medical.build_configuration()
     yield "medical", medical_configuration, [
@@ -650,7 +626,7 @@ def equivalence_cases():
     xmark_configuration = xmark.build_configuration(
         xmark.XMarkParameters(items_per_region=6, people=10, closed_auctions=12)
     )
-    yield "xmark", xmark_configuration, xmark.query_suite()
+    yield "xmark", xmark_configuration, xmark.query_suite() + [buyer_ids_by_equality()]
 
 
 @pytest.mark.parametrize(

@@ -10,8 +10,11 @@ import pytest
 from repro.core import MarsConfiguration, MarsExecutor, MarsSystem
 from repro.engine import BackchaseConfig, CBConfig
 from repro.errors import ReformulationError
+from repro.logical.atoms import EqualityAtom
+from repro.logical.terms import Constant, Variable
 from repro.workloads import medical, star, xmark
 from repro.workloads.star import StarParameters
+from repro.xbind import PathAtom, XBindQuery
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +187,70 @@ class TestXMarkScenario:
             result = system.reformulate(query)
             comparison = executor.compare(query, result.best)
             assert comparison.answers_match, query.name
+
+
+class TestEqualityAtoms:
+    """An XBind equality is a join or a selection written out: the chase
+    must see it collapsed, or no reformulation can match it."""
+
+    PID, BUYER = Variable("pid"), Variable("b")
+
+    @pytest.fixture(scope="class")
+    def deployment(self):
+        configuration = xmark.build_configuration(
+            xmark.XMarkParameters(items_per_region=4, people=6, closed_auctions=8),
+            with_instance=True,
+        )
+        return MarsSystem(configuration), MarsExecutor(configuration)
+
+    def buyer_ids(self, *equalities):
+        """``T(pid) :- //person p, p/@id pid, //closed_auction a,
+        a/buyer/text() b`` plus *equalities*."""
+        person, auction = Variable("p"), Variable("a")
+        return XBindQuery(
+            "BuyerIds",
+            (self.PID,),
+            (
+                PathAtom("//person", person, document=xmark.AUCTION_DOCUMENT),
+                PathAtom("./@id", self.PID, source=person),
+                PathAtom("//closed_auction", auction, document=xmark.AUCTION_DOCUMENT),
+                PathAtom("./buyer/text()", self.BUYER, source=auction),
+            )
+            + equalities,
+        )
+
+    def test_variable_equality_reformulates(self, deployment):
+        system, executor = deployment
+        query = self.buyer_ids(EqualityAtom(self.PID, self.BUYER))
+        result = system.reformulate(query)
+        assert result.found
+        expected = sorted(executor.execute_original(query))
+        assert expected
+        for candidate in result.minimal:
+            assert sorted(executor.execute_reformulation(candidate)) == expected
+
+    def test_constant_equality_reformulates(self, deployment):
+        system, executor = deployment
+        joined = self.buyer_ids(EqualityAtom(self.PID, self.BUYER))
+        buyer = min(executor.execute_original(joined))[0]
+        query = self.buyer_ids(
+            EqualityAtom(self.PID, self.BUYER),
+            EqualityAtom(self.BUYER, Constant(buyer)),
+        )
+        result = system.reformulate(query)
+        assert result.found
+        expected = executor.execute_original(query)
+        assert expected == [(buyer,)]
+        assert executor.execute_reformulation(result.best) == expected
+
+    def test_two_distinct_constants_find_no_reformulation(self, deployment):
+        system, _ = deployment
+        query = self.buyer_ids(
+            EqualityAtom(self.PID, Constant("person0")),
+            EqualityAtom(self.PID, Constant("person1")),
+        )
+        result = system.reformulate(query)
+        assert not result.found and result.best is None
 
 
 class TestExecutor:

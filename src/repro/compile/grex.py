@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..engine.shortcut import ClosureSpec
 from ..logical.atoms import RelationalAtom
-from ..logical.schema import RelationalSchema
 from ..logical.terms import Constant, Term
 from ..xmlmodel.model import XMLDocument
 
@@ -117,14 +116,7 @@ class GrexSchema:
     def identity(self, node: Term, value: Term) -> RelationalAtom:
         return RelationalAtom(self.relation("id"), (node, value))
 
-    # -- schema / storage integration ---------------------------------------
-    def add_to_schema(self, schema: RelationalSchema) -> None:
-        """Declare the suffixed relations in a :class:`RelationalSchema`."""
-        for base, arity in GREX_ARITIES.items():
-            name = self.relation(base)
-            if name not in schema:
-                schema.add_relation(name, GREX_ATTRIBUTES[base])
-
+    # -- storage integration -------------------------------------------------
     def materialize(self, document: XMLDocument, store) -> None:
         """Store the document's GReX encoding as tables in *store*.
 

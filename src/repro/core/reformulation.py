@@ -59,10 +59,6 @@ class MarsReformulation:
         """Extra time spent minimizing past the initial reformulation."""
         return max(0.0, self.time_to_best - self.time_to_initial)
 
-    @property
-    def reformulation_count(self) -> int:
-        return len(self.minimal)
-
     @classmethod
     def from_cb_result(
         cls,

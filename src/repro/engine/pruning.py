@@ -74,9 +74,6 @@ class GrexAtomClassifier:
     def is_descendant(self, atom: RelationalAtom) -> bool:
         return any(atom.relation == spec.desc for spec in self.specs)
 
-    def is_child(self, atom: RelationalAtom) -> bool:
-        return any(atom.relation == spec.child for spec in self.specs)
-
 
 def prune_parallel_descendant_atoms(
     plan: ConjunctiveQuery, specs: Sequence[ClosureSpec]

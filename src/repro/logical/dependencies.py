@@ -18,7 +18,7 @@ integrity constraints and the built-in TIX axioms are all DEDs over GReX.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 from ..errors import SchemaError
 from .atoms import (
@@ -27,7 +27,7 @@ from .atoms import (
     RelationalAtom,
     atom_variables,
 )
-from .terms import Term, Variable, VariableFactory
+from .terms import Term, Variable
 
 
 @dataclass(frozen=True)
@@ -91,16 +91,6 @@ class DED:
             all(isinstance(a, EqualityAtom) for a in d.atoms) for d in self.disjuncts
         )
 
-    @property
-    def is_full(self) -> bool:
-        """True when no disjunct introduces existential variables."""
-        universal = set(self.universal_variables())
-        for disjunct in self.disjuncts:
-            for variable in disjunct.variables():
-                if variable not in universal:
-                    return False
-        return True
-
     def universal_variables(self) -> Tuple[Variable, ...]:
         return atom_variables(self.premise)
 
@@ -121,20 +111,6 @@ class DED:
         for disjunct in self.disjuncts:
             names.update(a.relation for a in disjunct.relational_atoms())
         return frozenset(names)
-
-    # ------------------------------------------------------------------
-    def rename_existentials(self, factory: VariableFactory) -> "DED":
-        """Rename existential variables with fresh ones from *factory*."""
-        mapping: Dict[Term, Term] = {
-            variable: factory.fresh() for variable in self.existential_variables()
-        }
-        if not mapping:
-            return self
-        return DED(
-            self.name,
-            self.premise,
-            tuple(d.substitute(mapping) for d in self.disjuncts),
-        )
 
     def __str__(self) -> str:
         premise_text = " & ".join(str(a) for a in self.premise)
@@ -170,11 +146,3 @@ def view_inclusion_dependencies(
     containment = tgd(f"c_{view_name}", body, [view_atom])
     backward = tgd(f"b_{view_name}", [view_atom], list(body))
     return containment, backward
-
-
-def dependencies_relation_names(dependencies: Iterable[DED]) -> frozenset:
-    """The set of relation names mentioned by any dependency in the collection."""
-    names = set()
-    for dependency in dependencies:
-        names.update(dependency.relation_names())
-    return frozenset(names)

@@ -153,10 +153,6 @@ class RelationalSchema:
     def keys(self) -> Tuple[Key, ...]:
         return tuple(self._keys)
 
-    @property
-    def foreign_keys(self) -> Tuple[ForeignKey, ...]:
-        return tuple(self._foreign_keys)
-
     # ------------------------------------------------------------------
     # Constraint export
     # ------------------------------------------------------------------

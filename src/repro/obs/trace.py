@@ -8,10 +8,12 @@ span per request, and each layer it calls attaches children — explicitly
 interfaces and cannot take a tracing parameter (a pooled backend clone's
 ``execute``), through the **ambient span**: entering a span pushes it on
 a thread-local stack, and :func:`current_span` hands any code running on
-that thread its innermost open span.  Code running on *worker* threads
-(the scatter/gather pool) captures the parent span in its task closure
-instead — thread-locals do not cross threads, span objects do (child
-attachment is lock-protected).
+that thread its innermost open span.  A request's whole tree is built on
+the thread that serves it (a scatter runs its shards in turn there), so
+the ambient stack always holds the right parent.  Code that does hand a
+span to another thread passes the object itself — thread-locals do not
+cross threads, span objects do (child attachment is lock-free; see
+:class:`Span`).
 
 The same tree records what execution *did*, operator by operator, when
 it is ``profiled`` — one flag, set at the root and inherited by every
@@ -69,9 +71,9 @@ class Span:
     Tracing sits on every publish, so spans are deliberately lock-free:
     the mutating operations (``children.append``, ``attributes.update``)
     are single bytecode-dispatched calls on built-in containers, which
-    CPython's GIL makes atomic — concurrent scatter/gather workers can
-    attach children to a shared parent without a per-span lock (readers
-    snapshot ``list(children)`` before iterating).
+    CPython's GIL makes atomic — a thread holding a captured span can
+    attach children to it while another reads the tree, without a
+    per-span lock (readers snapshot ``list(children)`` before iterating).
     """
 
     __slots__ = (

@@ -45,7 +45,7 @@ from ..obs.events import EventLog, REPLICA_FAILOVER, REPLICA_FENCED
 from ..logical.queries import ConjunctiveQuery
 from ..obs.trace import current_span
 from ..profile import REPLICA_READ
-from ..storage.backends.base import Row, StorageBackend, create_backend
+from ..storage.backends.base import Row, StorageBackend, create_portable_backend
 from .changeset import ChangeSet
 from .selector import ReplicaSelector, create_selector
 
@@ -163,13 +163,7 @@ class ReplicatedBackend(StorageBackend):
             raise StorageError("replicated backends cannot nest replicated children")
         if isinstance(spec, StorageBackend):
             return spec
-        # Replicas are read from arbitrary threads (pool checkouts, the
-        # scatter/gather workers above a sharded parent), so SQLite
-        # replicas must be thread-portable.
-        try:
-            return create_backend(spec, check_same_thread=False)
-        except TypeError:
-            return create_backend(spec)
+        return create_portable_backend(spec)
 
     # ------------------------------------------------------------------
     @property

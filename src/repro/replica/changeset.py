@@ -57,11 +57,6 @@ class TableChange:
         """How many rows this change writes (inserts plus deletes)."""
         return len(self.inserts) + len(self.deletes)
 
-    @property
-    def row_delta(self) -> int:
-        """Net change in the relation's cardinality."""
-        return len(self.inserts) - len(self.deletes)
-
     def is_empty(self) -> bool:
         return not self.inserts and not self.deletes
 

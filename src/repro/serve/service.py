@@ -97,7 +97,7 @@ from ..replica import (
     restore_snapshot,
 )
 from ..shard import RouterStats
-from ..storage.backends import StorageBackend
+from ..storage.backends.base import StorageBackend, create_portable_backend
 from ..xbind.query import XBindQuery
 from .cache import CacheStats, PlanCache
 from .pool import ConnectionPool, PoolStats
@@ -417,12 +417,10 @@ class PublishingService:
         # be whatever the caller needs, and stays the caller's to close).
         self._template_owned = backend is None or isinstance(backend, (str, type))
         if self._template_owned:
-            try:
-                backend = configuration.create_backend(
-                    backend, check_same_thread=False
-                )
-            except TypeError:
-                backend = configuration.create_backend(backend)
+            backend = create_portable_backend(
+                configuration.backend if backend is None else backend,
+                configuration.create_backend,
+            )
         if system is None:
             system = MarsSystem(configuration)
         if system.plan_cache is None:

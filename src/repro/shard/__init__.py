@@ -12,18 +12,18 @@ deployments are first class):
   cost model attached (``ShardedBackend.refresh_statistics()``) the
   scatter-vs-gather choice is priced from collected statistics instead of
   fixed rules, with chosen-vs-alternative estimates on every decision;
-* :mod:`repro.shard.executor` — the thread-pool fan-out and set/bag merge;
 * :mod:`repro.shard.backend` — :class:`ShardedBackend`, registered as
-  backend name ``"sharded"``; merges child statistics catalogs and feeds
-  the router's cost model.
+  backend name ``"sharded"``; runs a scatter's shards in turn on the
+  request's own thread and merges their answers under set/bag semantics
+  (:func:`merge_rows`); merges child statistics catalogs and feeds the
+  router's cost model.
 
 Entry points: ``create_backend("sharded", shards=N, children=...,
 partition_keys={...})``, or ``MarsConfiguration.backend = "sharded"`` with
 ``configuration.set_partition_key(table, column)``.
 """
 
-from .backend import ShardedBackend, ShardStats, default_shard_count
-from .executor import ScatterGatherExecutor, merge_rows
+from .backend import ShardedBackend, ShardStats, default_shard_count, merge_rows
 from .partitioner import (
     HashPartitioner,
     Partitioner,
@@ -52,7 +52,6 @@ __all__ = [
     "RoutePlan",
     "RouterStats",
     "RoutingDecision",
-    "ScatterGatherExecutor",
     "ShardRouter",
     "ShardStats",
     "ShardedBackend",

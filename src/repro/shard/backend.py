@@ -14,10 +14,12 @@ and splits each table's rows across them:
 
 Queries go through the :class:`~repro.shard.router.ShardRouter`: a query
 that binds a partition key to a constant executes on exactly one shard (no
-fan-out), co-partitioned joins scatter across all shards on the
-:class:`~repro.shard.executor.ScatterGatherExecutor` thread pool and merge
-under set/bag semantics, and arbitrary cross-shard joins fall back to
-fetching pruned fragments into a coordinator-local scratch store.
+fan-out), co-partitioned joins scatter across all shards and merge under
+set/bag semantics (:func:`merge_rows`), and arbitrary cross-shard joins
+fall back to fetching pruned fragments into a coordinator-local scratch
+store.  A scatter runs its shards in turn on the calling thread: SQLite
+children step one statement at a time per process and ``memory`` children
+are pure Python under the GIL, so threads would add a hop and no overlap.
 
 Select it like any other engine: ``create_backend("sharded", shards=4,
 children=("memory", "sqlite", "sqlite", "memory"), partition_keys={...})``,
@@ -37,9 +39,8 @@ from ..errors import EvaluationError, SchemaError, StorageError
 from ..logical.queries import ConjunctiveQuery
 from ..obs.trace import current_span
 from ..profile import MERGE, SHARD_FRAGMENT
-from ..storage.backends.base import Row, StorageBackend, create_backend
+from ..storage.backends.base import Row, StorageBackend, create_portable_backend
 from ..storage.backends.memory import MemoryBackend
-from .executor import ScatterGatherExecutor, merge_rows
 from .partitioner import HashPartitioner, Partitioner, PartitionSpec
 from .router import (
     MODE_GATHER,
@@ -105,6 +106,30 @@ def route_changeset(
     return routed
 
 
+def merge_rows(
+    per_shard: Sequence[Tuple[int, List[tuple]]], distinct: bool
+) -> List[tuple]:
+    """Combine per-shard answers under set (*distinct*) or bag semantics.
+
+    Partitioned fragments are disjoint, so bag semantics is plain
+    concatenation in shard order; set semantics de-duplicates across shards
+    (each shard already de-duplicated its own answer).
+    """
+    if not distinct:
+        combined: List[tuple] = []
+        for _shard, rows in per_shard:
+            combined.extend(rows)
+        return combined
+    seen: set = set()
+    merged: List[tuple] = []
+    for _shard, rows in per_shard:
+        for row in rows:
+            if row not in seen:
+                seen.add(row)
+                merged.append(row)
+    return merged
+
+
 def default_shard_count() -> int:
     """Shard count used when none is specified: ``MARS_SHARDS`` or 2."""
     raw = os.environ.get("MARS_SHARDS", "").strip()
@@ -142,7 +167,6 @@ class ShardedBackend(StorageBackend):
         children: Union[None, ChildSpec, Sequence[ChildSpec]] = None,
         partition_keys: Optional[Mapping[str, Union[str, int]]] = None,
         partitioners: Optional[Mapping[str, Partitioner]] = None,
-        max_workers: Optional[int] = None,
     ):
         specs = self._resolve_child_specs(shards, children)
         self.shard_count = len(specs)
@@ -161,8 +185,6 @@ class ShardedBackend(StorageBackend):
         self._attributes: Dict[str, Tuple[str, ...]] = {}
         self._specs: Dict[str, PartitionSpec] = {}
         self.router = ShardRouter(self._specs, self.shard_count)
-        self._max_workers = max_workers or self.shard_count
-        self._sg = ScatterGatherExecutor(self._max_workers)
         self._stats_lock = threading.Lock()
         self._executions = [0] * self.shard_count
         self._gather_fetches = [0] * self.shard_count
@@ -203,12 +225,7 @@ class ShardedBackend(StorageBackend):
             raise StorageError("sharded backends cannot nest sharded children")
         if isinstance(spec, StorageBackend):
             return spec
-        # SQLite children must be thread-portable: the scatter/gather pool
-        # executes them from worker threads, not the constructing thread.
-        try:
-            return create_backend(spec, check_same_thread=False)
-        except TypeError:
-            return create_backend(spec)
+        return create_portable_backend(spec)
 
     @property
     def children(self) -> Tuple[StorageBackend, ...]:
@@ -533,9 +550,6 @@ class ShardedBackend(StorageBackend):
         engines: Mapping[int, StorageBackend] = (
             children if children is not None else dict(enumerate(self._children))
         )
-        # The ambient node is thread-local; capture it here so the task
-        # closures below can parent their per-shard nodes from the
-        # scatter/gather worker threads.
         parent = current_span()
         ((_query, decision),) = plan.decisions
         # The routing decision as an operator — mode, reason, and (when a
@@ -551,37 +565,28 @@ class ShardedBackend(StorageBackend):
                 rows = scratch.execute(query, distinct=distinct)
                 node.finish(actual_rows=len(rows))
             return rows
-        node = parent.operator(decision.mode, query.name, **attributes)
-        host = node if parent.profiled else parent
-        tasks = [
-            (
-                shard,
-                lambda shard=shard: self._traced_shard_execute(
-                    host, shard, engines[shard], query, distinct
-                ),
-            )
-            for shard in decision.shards
-        ]
-        results = self._sg.run(tasks)
-        with self._stats_lock:
+        # The shards run in turn on this thread: statements step one at a
+        # time per process anyway, and a failed shard stops the scatter.
+        with parent.operator(decision.mode, query.name, **attributes) as node:
+            per_shard = []
             for shard in decision.shards:
-                self._executions[shard] += 1
-        with host.child("merge", inputs=len(results)).as_operator(
-            MERGE, f"{query.name}[merge]"
-        ) as merge:
-            rows = merge_rows(results, distinct)
-            merge.produced(len(rows))
-        node.finish(actual_rows=len(rows))
+                engine = engines[shard]
+                with current_span().child(
+                    "shard.execute", shard=shard, engine=engine.backend_name
+                ).as_operator(SHARD_FRAGMENT, f"{query.name}@shard{shard}") as span:
+                    shard_rows = engine.execute(query, distinct=distinct)
+                    span.produced(len(shard_rows))
+                per_shard.append((shard, shard_rows))
+            with self._stats_lock:
+                for shard in decision.shards:
+                    self._executions[shard] += 1
+            with current_span().child("merge", inputs=len(per_shard)).as_operator(
+                MERGE, f"{query.name}[merge]"
+            ) as merge:
+                rows = merge_rows(per_shard, distinct)
+                merge.produced(len(rows))
+            node.finish(actual_rows=len(rows))
         return rows
-
-    @staticmethod
-    def _traced_shard_execute(parent, shard, engine, query, distinct):
-        with parent.child(
-            "shard.execute", shard=shard, engine=engine.backend_name
-        ).as_operator(SHARD_FRAGMENT, f"{query.name}@shard{shard}") as span:
-            rows = engine.execute(query, distinct=distinct)
-            span.produced(len(rows))
-            return rows
 
     def _gather(self, node, fetch, engines) -> MemoryBackend:
         """A coordinator-local store holding the fragments *fetch* names.
@@ -657,14 +662,11 @@ class ShardedBackend(StorageBackend):
                         f"adopt_layout: new child is missing table {name!r}"
                     )
         old_children = tuple(self._children)
-        old_sg = self._sg
         self._children = new_children
         self.shard_count = len(new_children)
         router = ShardRouter(self._specs, self.shard_count)
         router.set_cost_model(self.router.cost_model)
         self.router = router
-        self._max_workers = self.shard_count
-        self._sg = ScatterGatherExecutor(self._max_workers)
         with self._stats_lock:
             self._executions = [0] * self.shard_count
             self._gather_fetches = [0] * self.shard_count
@@ -672,7 +674,6 @@ class ShardedBackend(StorageBackend):
         # caller refreshes (refresh_statistics re-feeds the router too).
         self._statistics_catalog = None
         self.layout_version += 1
-        old_sg.shutdown()
         return old_children
 
     def release_children(self) -> Tuple[StorageBackend, ...]:
@@ -687,7 +688,6 @@ class ShardedBackend(StorageBackend):
         children = tuple(self._children)
         self._children = []
         self._closed = True
-        self._sg.shutdown()
         return children
 
     # ------------------------------------------------------------------
@@ -711,11 +711,10 @@ class ShardedBackend(StorageBackend):
         return any(child.has_mixed_snapshot_children for child in self._children)
 
     def close(self) -> None:
-        """Close every child and stop the fan-out pool; double close raises."""
+        """Close every child; double close raises."""
         if self._closed:
             raise StorageError("ShardedBackend.close() called twice")
         self._closed = True
-        self._sg.shutdown()
         for child in self._children:
             if not child.closed:
                 child.close()
@@ -744,8 +743,6 @@ class ShardedBackend(StorageBackend):
         # route the way the template routes (fresh outcome counters).
         clone.router.set_cost_model(self.router.cost_model)
         clone._statistics_catalog = self._statistics_catalog
-        clone._max_workers = self._max_workers
-        clone._sg = ScatterGatherExecutor(clone._max_workers)
         clone._stats_lock = threading.Lock()
         clone._executions = [0] * clone.shard_count
         clone._gather_fetches = [0] * clone.shard_count

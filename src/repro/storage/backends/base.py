@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import abc
 import collections
+import inspect
 import os
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
@@ -364,3 +365,24 @@ def create_backend(
             ) from error
         return backend_class(**kwargs)
     raise EvaluationError(f"cannot interpret backend specification {spec!r}")
+
+
+def create_portable_backend(spec, create=create_backend) -> StorageBackend:
+    """Build *spec* through *create* so that any thread may use it.
+
+    An engine whose constructor takes ``check_same_thread`` (SQLite) gets
+    it ``False``: pooled clones and ``update()`` callers reach a store from
+    threads other than the one that built it.  The choice is read off the
+    constructor, not retried on ``TypeError``, because a composite backend
+    builds real child stores before any keyword could be rejected.
+    """
+    if isinstance(spec, StorageBackend):
+        return spec
+    backend_class = spec if isinstance(spec, type) else _REGISTRY.get(
+        spec if spec is not None else default_backend_name()
+    )
+    if backend_class is not None and (
+        "check_same_thread" in inspect.signature(backend_class).parameters
+    ):
+        return create(spec, check_same_thread=False)
+    return create(spec)

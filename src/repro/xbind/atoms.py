@@ -70,9 +70,6 @@ class PathAtom:
         target = mapping.get(self.target, self.target)
         return PathAtom(self.path, target, source, self.document)
 
-    def with_document(self, document: str) -> "PathAtom":
-        return PathAtom(self.path, self.target, self.source, document)
-
     def __str__(self) -> str:
         where = f"@{self.document}" if self.document else ""
         if self.source is None:

@@ -95,10 +95,6 @@ class XMLDocument:
         for node in self.nodes():
             node.node_id = f"{self.name}#{next(counter)}"
 
-    def refresh_ids(self) -> None:
-        """Re-assign node identities after structural modifications."""
-        self._assign_ids()
-
     def nodes(self) -> Iterator[XMLNode]:
         """All element nodes of the document in document order (root first)."""
         yield self.root

@@ -7,7 +7,10 @@ through the backend's per-shard execution counters, not just the routing
 decision.
 """
 
+import ast
 import re
+import threading
+from pathlib import Path
 
 import pytest
 
@@ -23,7 +26,6 @@ from repro.shard import (
     MODE_SINGLE,
     HashPartitioner,
     RangePartitioner,
-    ScatterGatherExecutor,
     ShardedBackend,
     merge_rows,
     stable_hash,
@@ -521,8 +523,35 @@ class TestRangePartitioning:
 
 
 # ----------------------------------------------------------------------
-# ScatterGatherExecutor and merge semantics
+# Scatter execution and merge semantics
 # ----------------------------------------------------------------------
+class ToyShard(MemoryBackend):
+    """A memory shard that calls *hook* before every ``execute``."""
+
+    def __init__(self, hook):
+        super().__init__()
+        self.hook = hook
+
+    def execute(self, query, distinct=True):
+        self.hook(self)
+        return super().execute(query, distinct=distinct)
+
+
+def toy_scatter(hook):
+    """A 3-shard backend over :class:`ToyShard` children, and a query that
+    scatters to all three."""
+    children = [ToyShard(hook) for _ in range(3)]
+    backend = ShardedBackend(children=children, partition_keys={"t": "k"})
+    backend.create_table("t", 2, ("k", "v"))
+    backend.insert_many("t", [(f"k{i}", i) for i in range(12)])
+    k, v = Variable("k"), Variable("v")
+    query = ConjunctiveQuery("all_t", (k, v), (RelationalAtom("t", (k, v)),))
+    plan = backend.route_plan(query)
+    ((_query, decision),) = plan.decisions
+    assert decision.mode == MODE_SCATTER and decision.shards == (0, 1, 2)
+    return backend, children, plan, query
+
+
 class TestScatterGather:
     def test_merge_semantics(self):
         per_shard = [(0, [(1,), (2,)]), (1, [(2,), (3,)])]
@@ -530,27 +559,107 @@ class TestScatterGather:
         assert merge_rows(per_shard, distinct=False) == [(1,), (2,), (2,), (3,)]
 
     def test_single_task_runs_inline(self):
-        import threading
-
-        executor = ScatterGatherExecutor(max_workers=2)
-        main = threading.get_ident()
-        assert executor.run([(0, threading.get_ident)]) == [(0, main)]
-        # multiple tasks fan out to worker threads
-        results = executor.run([(0, threading.get_ident), (1, threading.get_ident)])
-        assert {shard for shard, _ in results} == {0, 1}
-        executor.shutdown()
+        """Every shard of a scatter executes on the calling thread."""
+        threads = []
+        backend, children, plan, query = toy_scatter(
+            lambda shard: threads.append((children.index(shard), threading.get_ident()))
+        )
+        rows = backend.execute_routed(plan, query)
+        assert len(rows) == 12
+        assert threads == [(shard, threading.get_ident()) for shard in (0, 1, 2)]
+        backend.close()
 
     def test_errors_propagate(self):
-        executor = ScatterGatherExecutor(max_workers=2)
+        """A failed shard's error reaches the caller, and no later shard is
+        still executing (on connections the caller is about to give back)
+        when the call returns."""
+        started, release = threading.Event(), threading.Event()
+        running = set()
 
-        def boom():
-            raise EvaluationError("shard failure")
+        def hook(shard):
+            index = children.index(shard)
+            running.add(index)
+            try:
+                if index == 0:
+                    # Give a concurrently started shard 1 time to begin.
+                    started.wait(timeout=0.5)
+                    raise EvaluationError("shard failure")
+                if index == 1:
+                    started.set()
+                    release.wait(timeout=5)
+            finally:
+                running.discard(index)
 
-        with pytest.raises(EvaluationError):
-            executor.run([(0, boom), (1, lambda: [])])
-        executor.shutdown()
-        with pytest.raises(ValueError):
-            ScatterGatherExecutor(max_workers=0)
+        backend, children, plan, query = toy_scatter(hook)
+        try:
+            with pytest.raises(EvaluationError, match="shard failure"):
+                backend.execute_routed(plan, query)
+            assert running == set()
+            assert not started.is_set()
+            assert backend.stats().executions_per_shard == (0, 0, 0)
+        finally:
+            release.set()
+            backend.close()
+
+
+class TestOneThreadPerRequest:
+    """A request is served on one thread: no thread pool, executor or
+    thread may be started under ``src/repro/shard/`` or
+    ``src/repro/storage/``."""
+
+    PACKAGES = [
+        Path(__file__).resolve().parent.parent / "src" / "repro" / package
+        for package in ("shard", "storage")
+    ]
+
+    @staticmethod
+    def thread_starts(source):
+        """Lines importing ``concurrent.futures`` or naming
+        ``ThreadPoolExecutor`` or ``threading.Thread``."""
+        lines = []
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Import):
+                if any(alias.name.startswith("concurrent") for alias in node.names):
+                    lines.append(node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+                if (node.module or "").startswith("concurrent") or (
+                    node.module == "threading" and "Thread" in names
+                ):
+                    lines.append(node.lineno)
+            elif isinstance(node, ast.Name) and node.id == "ThreadPoolExecutor":
+                lines.append(node.lineno)
+            elif isinstance(node, ast.Attribute) and (
+                node.attr == "ThreadPoolExecutor"
+                or (
+                    node.attr == "Thread"
+                    and isinstance(node.value, ast.Name)
+                    and node.value.id == "threading"
+                )
+            ):
+                lines.append(node.lineno)
+        return lines
+
+    def test_scan_catches_each_form(self):
+        for source in (
+            "import concurrent.futures",
+            "from concurrent.futures import ThreadPoolExecutor",
+            "pool = futures.ThreadPoolExecutor(4)",
+            "import threading\nthreading.Thread(target=print).start()",
+            "from threading import Thread",
+        ):
+            assert self.thread_starts(source), source
+        assert self.thread_starts("import threading\nlock = threading.Lock()") == []
+
+    def test_source_scan(self):
+        found = [
+            f"{path.relative_to(package.parent)}:{line}"
+            for package in self.PACKAGES
+            for path in sorted(package.rglob("*.py"))
+            for line in self.thread_starts(path.read_text())
+        ]
+        assert found == []
+        assert not (self.PACKAGES[0] / "executor.py").exists()
 
 
 # ----------------------------------------------------------------------

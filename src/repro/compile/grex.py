@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Tuple
 
 from ..engine.shortcut import ClosureSpec
 from ..logical.atoms import RelationalAtom

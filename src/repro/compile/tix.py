@@ -16,9 +16,9 @@ is excluded by default and can be requested explicitly.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Sequence
+from typing import Iterable, List
 
-from ..logical.atoms import EqualityAtom, RelationalAtom
+from ..logical.atoms import EqualityAtom
 from ..logical.dependencies import DED, Disjunct, tgd
 from ..logical.terms import Variable
 from .grex import GrexSchema

@@ -22,15 +22,14 @@ view into constraints:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import CompilationError
 from ..logical.atoms import Atom, EqualityAtom, RelationalAtom
 from ..logical.dependencies import DED, Disjunct, tgd
 from ..logical.queries import ConjunctiveQuery
-from ..logical.terms import Constant, Term, Variable, is_variable
-from ..xbind.atoms import PathAtom
+from ..logical.terms import Term, Variable
 from ..xbind.evaluation import MixedStorage, evaluate_xbind
 from ..xbind.query import XBindQuery
 from ..xmlmodel.model import XMLDocument, XMLNode

@@ -34,7 +34,7 @@ from ..logical.queries import ConjunctiveQuery
 from ..logical.terms import Term, Variable, VariableFactory, is_variable
 from ..xbind.atoms import PathAtom
 from ..xbind.query import XBindQuery
-from ..xmlmodel.xpath import Axis, NodeTestKind, Step, XPath
+from ..xmlmodel.xpath import Axis, NodeTestKind, Step
 from .grex import GrexSchema
 
 

@@ -10,10 +10,10 @@ same path-atom translation used for XBind queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import List, Sequence, Tuple, Union
 
 from ..errors import CompilationError
-from ..logical.atoms import Atom, EqualityAtom, InequalityAtom, RelationalAtom
+from ..logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
 from ..logical.dependencies import DED, Disjunct
 from ..logical.terms import Variable
 from ..xbind.atoms import PathAtom

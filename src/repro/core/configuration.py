@@ -19,8 +19,7 @@ reformulation may use, and cardinality statistics for the cost estimator.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..compile.grex import GrexSchema
 from ..compile.tix import tix_for_documents

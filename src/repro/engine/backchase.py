@@ -31,9 +31,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
-from ..errors import ReformulationError
 from ..logical.atoms import RelationalAtom
 from ..logical.dependencies import DED
 from ..logical.queries import ConjunctiveQuery

@@ -18,7 +18,7 @@ from ..logical.atoms import RelationalAtom
 from ..logical.dependencies import DED
 from ..logical.queries import ConjunctiveQuery
 from ..obs.timer import timer
-from .backchase import BackchaseConfig, BackchaseEngine, BackchaseResult
+from .backchase import BackchaseConfig, BackchaseEngine
 from .chase import ChaseConfig, ChaseResult
 from .containment import ContainmentChecker
 from .cost import CostEstimator, SimpleCostEstimator

@@ -26,16 +26,16 @@ Two homomorphism-search strategies are available, mirroring the paper:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ChaseError
 from ..obs.timer import timer
-from ..logical.atoms import Atom, EqualityAtom, RelationalAtom
+from ..logical.atoms import Atom, EqualityAtom
 from ..logical.dependencies import DED, Disjunct
 from ..logical.queries import ConjunctiveQuery
-from ..logical.terms import Constant, Term, Variable, VariableFactory, is_variable
+from ..logical.terms import Constant, Term, Variable, VariableFactory
 from .homomorphism import Homomorphism, NaiveHomomorphismFinder
-from .join_tree import CompiledConjunction, JoinTreeHomomorphismFinder
+from .join_tree import CompiledConjunction
 from .symbolic_instance import SymbolicInstance
 
 DEFAULT_MAX_STEPS = 100_000

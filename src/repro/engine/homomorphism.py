@@ -18,7 +18,7 @@ terms under which every pattern atom lands inside the target.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence
 
 from ..logical.atoms import (
     Atom,

@@ -30,11 +30,11 @@ answers for a subset, and keeps extending under the same reachability rule
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Sequence, Set, Tuple
 
 from ..logical.atoms import RelationalAtom
 from ..logical.queries import ConjunctiveQuery
-from ..logical.terms import Term, Variable, is_variable
+from ..logical.terms import Term
 from .shortcut import ClosureSpec
 
 

@@ -13,7 +13,7 @@ fixpoint is reached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from ..logical.atoms import Atom, RelationalAtom
 from ..logical.dependencies import DED

@@ -10,7 +10,7 @@ Queries are immutable; every transformation returns a new object.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
 
 from ..errors import SchemaError

@@ -7,12 +7,12 @@ also exported as DEDs so that the chase can use them).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Sequence, Tuple
 
 from ..errors import SchemaError
 from .atoms import EqualityAtom, RelationalAtom
-from .dependencies import DED, Disjunct, egd, tgd
+from .dependencies import DED, Disjunct, tgd
 from .terms import Variable
 
 

@@ -36,7 +36,7 @@ import os
 import threading
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, Iterator, List, Optional
 
 #: Allowed fsync policies, mirroring the durable mutation log.
 FSYNC_POLICIES = ("always", "off")

@@ -37,7 +37,7 @@ Everything here encodes to plain JSON-able values and serializes through
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import StorageError
 from ..logical.atoms import (

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-from typing import Any, Iterable, Sequence
+from typing import Any, Iterable
 
 from ..logical.dependencies import DED
 from .canonical import ARTIFACT_FORMAT, canonical_ded

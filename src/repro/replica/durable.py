@@ -40,7 +40,6 @@ publishing service and the rebalancer use the same
 
 from __future__ import annotations
 
-import io
 import os
 import pickle
 import struct

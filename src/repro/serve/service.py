@@ -1218,7 +1218,12 @@ class PublishingService:
                 acquired.append((shard, connection))
                 children[shard] = connection
             with self._execute_span(flight) as span:
-                rows = template.execute_routed(route, plan, distinct, children)
+                # Every update of a split template holds the gate
+                # exclusively, so under the gate the write LSN names the
+                # data the checked-out children hold.
+                rows = template.execute_routed(
+                    route, plan, distinct, children, self._write_lsn
+                )
                 span.produced(len(rows))
                 return rows, modes
         finally:

@@ -15,8 +15,9 @@ deployments are first class):
 * :mod:`repro.shard.backend` — :class:`ShardedBackend`, registered as
   backend name ``"sharded"``; runs a scatter's shards in turn on the
   request's own thread and merges their answers under set/bag semantics
-  (:func:`merge_rows`); merges child statistics catalogs and feeds the
-  router's cost model.
+  (:func:`merge_rows`); keeps a gather's fetched tables until the next
+  write; merges child statistics catalogs and feeds the router's cost
+  model.
 
 Entry points: ``create_backend("sharded", shards=N, children=...,
 partition_keys={...})``, or ``MarsConfiguration.backend = "sharded"`` with

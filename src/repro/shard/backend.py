@@ -17,9 +17,11 @@ that binds a partition key to a constant executes on exactly one shard (no
 fan-out), co-partitioned joins scatter across all shards and merge under
 set/bag semantics (:func:`merge_rows`), and arbitrary cross-shard joins
 fall back to fetching pruned fragments into a coordinator-local scratch
-store.  A scatter runs its shards in turn on the calling thread: SQLite
-children step one statement at a time per process and ``memory`` children
-are pure Python under the GIL, so threads would add a hop and no overlap.
+store; the gathered tables and their hash indexes are kept until the next
+write, so a repeated gather over unchanged data only probes.  A scatter
+runs its shards in turn on the calling thread: SQLite children step one
+statement at a time per process and ``memory`` children are pure Python
+under the GIL, so threads would add a hop and no overlap.
 
 Select it like any other engine: ``create_backend("sharded", shards=4,
 children=("memory", "sqlite", "sqlite", "memory"), partition_keys={...})``,
@@ -30,10 +32,14 @@ the ``MARS_SHARDS`` environment variable) and declare partition keys with
 
 from __future__ import annotations
 
+import functools
 import os
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+    Tuple, Union,
+)
 
 from ..errors import EvaluationError, SchemaError, StorageError
 from ..logical.queries import ConjunctiveQuery
@@ -41,6 +47,7 @@ from ..obs.trace import current_span
 from ..profile import MERGE, SHARD_FRAGMENT
 from ..storage.backends.base import Row, StorageBackend, create_portable_backend
 from ..storage.backends.memory import MemoryBackend
+from ..storage.relational_db import Table
 from .partitioner import HashPartitioner, Partitioner, PartitionSpec
 from .router import (
     MODE_GATHER,
@@ -130,6 +137,33 @@ def merge_rows(
     return merged
 
 
+class _Gathered(NamedTuple):
+    """A table a gather fetched, kept for the next gather of it.
+
+    *key* names the data it holds (see :meth:`ShardedBackend._gather`);
+    *fragment_rows* is the row count each fetched fragment added, in
+    fetch order.
+    """
+
+    key: Tuple[Hashable, ...]
+    table: Table
+    fragment_rows: List[int]
+
+
+def _write(method):
+    """Mark a :class:`ShardedBackend` method as a write: tables gathered
+    before it no longer match the data, so their cache key moves on."""
+
+    @functools.wraps(method)
+    def write(self, *args, **kwargs):
+        try:
+            return method(self, *args, **kwargs)
+        finally:
+            self._count_write()
+
+    return write
+
+
 def default_shard_count() -> int:
     """Shard count used when none is specified: ``MARS_SHARDS`` or 2."""
     raw = os.environ.get("MARS_SHARDS", "").strip()
@@ -151,7 +185,8 @@ class ShardStats:
     shard_count: int
     #: Full-query executions per shard (single-shard and scatter modes).
     executions_per_shard: Tuple[int, ...]
-    #: Fragment fetches per shard performed by gather-mode execution.
+    #: Fragment fetches per shard performed by gather-mode execution (a
+    #: gather that reuses a kept table fetches nothing).
     gather_fetches_per_shard: Tuple[int, ...]
     router: RouterStats
 
@@ -192,6 +227,13 @@ class ShardedBackend(StorageBackend):
         #: consumers holding per-layout state (per-shard pools, cached
         #: statistics) key on it to notice a swap.
         self.layout_version = 0
+        #: Writes made through this backend's own write methods, plus one
+        #: per change of the snapshot token callers pass.
+        self._writes = 0
+        #: The last snapshot token a caller of :meth:`execute_routed` passed.
+        self._snapshot: Hashable = None
+        #: The latest table each gather fetched, by table name.
+        self._gathered: Dict[str, _Gathered] = {}
         self._closed = False
 
     # ------------------------------------------------------------------
@@ -235,6 +277,11 @@ class ShardedBackend(StorageBackend):
     def partition_spec(self, table: str) -> Optional[PartitionSpec]:
         """The partitioning of *table*, or ``None`` when it is broadcast."""
         return self._specs.get(table)
+
+    def _count_write(self) -> None:
+        """Move the gather cache's key on (see :meth:`_gather`)."""
+        with self._stats_lock:
+            self._writes += 1
 
     def _require_open(self) -> None:
         if self._closed:
@@ -293,11 +340,13 @@ class ShardedBackend(StorageBackend):
     def has_table(self, name: str) -> bool:
         return name in self._arities
 
+    @_write
     def clear_table(self, name: str) -> None:
         self._require_table(name)
         for child in self._children:
             child.clear_table(name)
 
+    @_write
     def insert_many(self, name: str, rows: Iterable[Sequence[object]]) -> None:
         arity = self._require_table(name)
         prepared: List[Tuple[object, ...]] = []
@@ -322,6 +371,7 @@ class ShardedBackend(StorageBackend):
         for shard, bucket in buckets.items():
             self._children[shard].insert_many(name, bucket)
 
+    @_write
     def delete_many(self, name: str, rows: Iterable[Sequence[object]]) -> int:
         """Route deletes like inserts: by partition key, broadcast otherwise."""
         self._require_table(name)
@@ -347,6 +397,7 @@ class ShardedBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Write path (change sets)
     # ------------------------------------------------------------------
+    @_write
     def route_changeset(self, changeset: "ChangeSet") -> Dict[int, "ChangeSet"]:
         """Split *changeset* into the per-shard change sets to apply.
 
@@ -354,12 +405,15 @@ class ShardedBackend(StorageBackend):
         names; changes to broadcast tables appear in **every** shard's
         change set (batched per shard, so a broadcast write is one
         ``apply`` per shard, not one per row).  Shards untouched by the
-        change set are absent from the result.
+        change set are absent from the result.  Routing counts as a
+        write: the caller applies the pieces to these children directly
+        (the publishing service, unit by unit).
         """
         return route_changeset(
             changeset, self._specs, self.shard_count, self._require_table
         )
 
+    @_write
     def apply(self, changeset: "ChangeSet") -> None:
         """Apply a change set by routing it to the owning shards."""
         for shard, sub in sorted(self.route_changeset(changeset).items()):
@@ -538,6 +592,7 @@ class ShardedBackend(StorageBackend):
         query: ConjunctiveQuery,
         distinct: bool = True,
         children: Optional[Mapping[int, StorageBackend]] = None,
+        snapshot: Hashable = None,
     ) -> List[Row]:
         """Execute *query* under an already-computed :class:`RoutePlan`.
 
@@ -545,8 +600,21 @@ class ShardedBackend(StorageBackend):
         service passes pool-checked-out clones here, keyed by shard id and
         covering at least ``plan.needed_shards``.  ``None`` uses this
         backend's own children.
+
+        *snapshot* names the data *children* hold: the caller vouches that
+        two calls passing equal tokens read equal rows.  A token other
+        than the last one passed counts as a write, so a caller whose
+        writes bypass this backend still moves the gather cache on (see
+        :meth:`_gather`); ``None`` claims nothing and leaves it to this
+        backend's own writes.  The publishing service passes its write
+        LSN, read under its publish gate.
         """
         self._require_open()
+        if snapshot is not None and snapshot != self._snapshot:
+            # Count the write before publishing the token: a caller that
+            # sees the new token reads the new count.
+            self._count_write()
+            self._snapshot = snapshot
         engines: Mapping[int, StorageBackend] = (
             children if children is not None else dict(enumerate(self._children))
         )
@@ -591,30 +659,57 @@ class ShardedBackend(StorageBackend):
     def _gather(self, node, fetch, engines) -> MemoryBackend:
         """A coordinator-local store holding the fragments *fetch* names.
 
-        It prices its evaluation with this backend's statistics catalog,
-        the way clones do, so a profiled gather reports the planner's
-        estimates instead of re-measuring the fragments it fetched.  In a
-        profiled tree each fetched fragment is a ``shard-fragment``
-        operator under *node*, carrying its real cardinality.
+        Each table comes from the last gather of it when no write came
+        between the two (same write count, see :meth:`execute_routed`),
+        under the same :attr:`layout_version` and, for a partitioned
+        table, from the same shard set (a broadcast table is whole on
+        every shard, so the rotated source shard does not matter).
+        Otherwise its fragments are fetched into a fresh table, which
+        replaces the cached one.  A kept table keeps its hash indexes
+        too, so a warm gather only probes.  At most one table per name
+        is kept.
+
+        The store prices its evaluation with this backend's statistics
+        catalog, the way clones do, so a profiled gather reports the
+        planner's estimates instead of re-measuring the fragments.  In a
+        profiled tree each fragment is a ``shard-fragment`` operator under
+        *node*, timed around its fetch and carrying its cardinality;
+        ``cached=True`` marks one that was not fetched again.
         """
         scratch = MemoryBackend()
         scratch._statistics_catalog = self._statistics_catalog
         for table, shards in fetch:
             arity = self._require_table(table)
-            scratch.create_table(table, arity, self._attributes[table])
-            for shard in shards:
-                fragment_rows = engines[shard].rows(table)
-                if node.profiled:
-                    node.operator(
-                        SHARD_FRAGMENT,
-                        f"{table}@shard{shard}",
-                        shard=shard,
-                        relation=table,
-                    ).finish(actual_rows=len(fragment_rows))
-                scratch.insert_many(table, fragment_rows)
-            with self._stats_lock:
-                for shard in shards:
-                    self._gather_fetches[shard] += 1
+            key = (
+                self._writes,
+                self.layout_version,
+                shards if table in self._specs else None,
+            )
+            gathered = self._gathered.get(table)
+            cached = gathered is not None and gathered.key == key
+            if not cached:
+                gathered = _Gathered(
+                    key, Table(table, arity, self._attributes[table]), []
+                )
+            for position, shard in enumerate(shards):
+                with node.operator(
+                    SHARD_FRAGMENT,
+                    f"{table}@shard{shard}",
+                    shard=shard,
+                    relation=table,
+                    cached=cached,
+                ) as fragment:
+                    if not cached:
+                        fragment_rows = engines[shard].rows(table)
+                        gathered.table.insert_many(fragment_rows)
+                        gathered.fragment_rows.append(len(fragment_rows))
+                    fragment.finish(actual_rows=gathered.fragment_rows[position])
+            if not cached:
+                self._gathered[table] = gathered
+                with self._stats_lock:
+                    for shard in shards:
+                        self._gather_fetches[shard] += 1
+            scratch.database.add_table(gathered.table)
         return scratch
 
     # ------------------------------------------------------------------
@@ -673,6 +768,7 @@ class ShardedBackend(StorageBackend):
         # Fragment statistics describe the old layout; drop them until the
         # caller refreshes (refresh_statistics re-feeds the router too).
         self._statistics_catalog = None
+        self._gathered = {}
         self.layout_version += 1
         return old_children
 
@@ -747,5 +843,8 @@ class ShardedBackend(StorageBackend):
         clone._executions = [0] * clone.shard_count
         clone._gather_fetches = [0] * clone.shard_count
         clone.layout_version = self.layout_version
+        clone._writes = 0
+        clone._snapshot = None
+        clone._gathered = {}
         clone._closed = False
         return clone

@@ -213,7 +213,12 @@ class StorageBackend(abc.ABC):
         sharded backend answers one per shard.  A backend answering
         anything but itself must also route (``route_plan`` /
         ``execute_routed`` / ``route_changeset``, keyed by unit position):
-        the service then checks out and writes unit by unit.
+        the service then checks out and writes unit by unit.  It calls
+        ``execute_routed(route, plan, distinct, children, snapshot)``
+        with the checked-out units as *children* and a *snapshot* token
+        that stays equal exactly while the units' data does, so the
+        backend may keep what it derived from that data (the sharded
+        backend keeps its gathered tables).
         """
         return (("service", self),)
 

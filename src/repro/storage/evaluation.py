@@ -31,10 +31,9 @@ from ..logical.queries import ConjunctiveQuery
 from ..logical.terms import Constant, Term, Variable, is_variable
 from ..obs.trace import current_span
 from ..profile import JOIN_STEP, SCAN
-from .relational_db import InMemoryDatabase, Row
+from .relational_db import InMemoryDatabase, Row, RowIndex
 
 Binding = Dict[Variable, object]
-RowIndex = Dict[Tuple[object, ...], List[Row]]
 #: Per-atom running row estimates of a query, in body order.
 PipelineEstimator = Callable[[ConjunctiveQuery], Sequence[float]]
 
@@ -43,21 +42,15 @@ class _TableSource:
     """The tables of a database as the row source of compiled join steps.
 
     Rows hold plain values, so a query constant matches through its
-    ``value``.  Each hash index is built once per evaluation, straight
-    from the table's rows.
+    ``value``.  Hash indexes belong to the tables: each is built on first
+    use and kept until the table's next write (:meth:`Table.index`).
     """
 
     def __init__(self, database: InMemoryDatabase):
         self.database = database
-        self._indexes: Dict[Tuple[str, Tuple[int, ...]], RowIndex] = {}
 
     def index(self, relation: str, positions: Tuple[int, ...]) -> RowIndex:
-        index = self._indexes.get((relation, positions))
-        if index is None:
-            index = self._indexes[relation, positions] = {}
-            for row in self.database.table(relation):
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
-        return index
+        return self.database.table(relation).index(positions)
 
     @staticmethod
     def row_form(terms: Tuple[Term, ...]) -> Tuple[object, ...]:

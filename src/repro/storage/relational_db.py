@@ -10,16 +10,25 @@ attribute names taken from a :class:`~repro.logical.schema.RelationalSchema`.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import EvaluationError, SchemaError
-from ..logical.schema import Relation, RelationalSchema
+from ..logical.schema import RelationalSchema
 
 Row = Tuple[object, ...]
+#: A hash index: the rows of a table keyed by their values at some positions.
+RowIndex = Dict[Tuple[object, ...], List[Row]]
 
 
 class Table:
-    """A named table: an ordered multiset of fixed-arity tuples."""
+    """A named table: an ordered multiset of fixed-arity tuples.
+
+    The table keeps the hash indexes its readers ask for (:meth:`index`)
+    until the next write.  A write drops them by assigning a fresh dict,
+    never by mutating the old one, and an index is stored only once it is
+    complete, so a concurrent reader sees a whole index or none.
+    """
 
     def __init__(self, name: str, arity: int, attributes: Optional[Sequence[str]] = None):
         if attributes is not None and len(attributes) != arity:
@@ -30,27 +39,41 @@ class Table:
             f"c{i}" for i in range(arity)
         )
         self._rows: List[Row] = []
+        self._indexes: Dict[Tuple[int, ...], RowIndex] = {}
+
+    def index(self, positions: Tuple[int, ...]) -> RowIndex:
+        """The rows keyed by their values at *positions*, built on first use."""
+        indexes = self._indexes
+        index = indexes.get(positions)
+        if index is None:
+            index = {}
+            for row in self._rows:
+                index.setdefault(tuple(row[p] for p in positions), []).append(row)
+            indexes[positions] = index
+        return index
 
     def insert(self, row: Sequence[object]) -> None:
         """Append *row*, validating its arity."""
-        row = tuple(row)
-        if len(row) != self.arity:
-            raise EvaluationError(
-                f"table {self.name}: expected {self.arity} values, got {len(row)}"
-            )
-        self._rows.append(row)
+        self.insert_many((row,))
 
     def insert_many(self, rows: Iterable[Sequence[object]]) -> None:
-        for row in rows:
-            self.insert(row)
+        """Append *rows*; nothing is stored unless every row has the arity."""
+        prepared = [tuple(row) for row in rows]
+        for row in prepared:
+            if len(row) != self.arity:
+                raise EvaluationError(
+                    f"table {self.name}: expected {self.arity} values, got {len(row)}"
+                )
+        if prepared:
+            self._rows.extend(prepared)
+            self._indexes = {}
 
     def clear(self) -> None:
         self._rows.clear()
+        self._indexes = {}
 
     def delete_many(self, rows: Iterable[Sequence[object]]) -> int:
         """Remove at most one stored occurrence per requested row (bag delete)."""
-        from collections import Counter
-
         pending = Counter(tuple(row) for row in rows)
         if not pending:
             return 0
@@ -64,6 +87,7 @@ class Table:
                 kept.append(row)
         if removed:
             self._rows = kept
+            self._indexes = {}
         return removed
 
     def copy(self) -> "Table":
@@ -100,10 +124,13 @@ class InMemoryDatabase:
     def create_table(
         self, name: str, arity: int, attributes: Optional[Sequence[str]] = None
     ) -> Table:
-        if name in self._tables:
-            raise SchemaError(f"table {name} already exists")
-        table = Table(name, arity, attributes)
-        self._tables[name] = table
+        return self.add_table(Table(name, arity, attributes))
+
+    def add_table(self, table: Table) -> Table:
+        """Hold *table* itself under its name (it is not copied)."""
+        if table.name in self._tables:
+            raise SchemaError(f"table {table.name} already exists")
+        self._tables[table.name] = table
         return table
 
     def table(self, name: str) -> Table:

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
+from ..logical.atoms import EqualityAtom, InequalityAtom
 from ..logical.queries import ConjunctiveQuery
 from ..logical.schema import RelationalSchema
 from ..logical.terms import Term, Variable, is_variable

@@ -24,8 +24,7 @@ reformulations, and MARS picks the cheapest.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from ..compile.view_compiler import ElementRule, RelationalView, XMLView
 from ..core.configuration import MarsConfiguration

@@ -24,9 +24,8 @@ reformulations.
 
 from __future__ import annotations
 
-import random
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import List, Optional
 
 from ..compile.view_compiler import RelationalView
 from ..core.configuration import MarsConfiguration
@@ -156,7 +155,6 @@ def star_view(index: int) -> RelationalView:
 def star_xics(parameters: StarParameters):
     """The key XIC on R and a foreign-key XIC per corner."""
     from ..compile.xic import XIC, xic_key
-    from ..logical.atoms import EqualityAtom
 
     xics = [xic_key("key_R_K", "//R", "./K/text()", document=STAR_DOCUMENT)]
     for index in range(1, parameters.corners + 1):

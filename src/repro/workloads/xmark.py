@@ -16,7 +16,7 @@ subtrees, selections on constants and inequalities.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import List
 
 from ..compile.view_compiler import RelationalView
 from ..core.configuration import MarsConfiguration

@@ -10,10 +10,10 @@ from the document root reaching ``y``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Tuple, Union
+from typing import Iterator, Mapping, Optional, Union
 
 from ..errors import SchemaError
-from ..logical.terms import Constant, Term, Variable, is_variable
+from ..logical.terms import Term, Variable, is_variable
 from ..xmlmodel.xpath import XPath, parse_xpath
 
 

@@ -10,11 +10,11 @@ reformulation over the proprietary storage.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Tuple, Union
 
 from ..errors import EvaluationError
 from ..logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
-from ..logical.terms import Constant, Term, Variable, is_variable
+from ..logical.terms import Term, Variable, is_variable
 from ..storage.relational_db import InMemoryDatabase
 from ..xmlmodel.model import XMLDocument, XMLNode
 from ..xmlmodel.xpath import evaluate_xpath

@@ -10,7 +10,7 @@ expressed with the same kind of bodies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import SchemaError
 from ..logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom

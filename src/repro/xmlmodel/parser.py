@@ -10,7 +10,7 @@ with a position, which the tests rely on.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List
 
 from ..errors import ParseError
 from .model import XMLDocument, XMLNode

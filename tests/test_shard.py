@@ -9,17 +9,23 @@ decision.
 
 import ast
 import re
+import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
-from repro.core import MarsConfiguration, MarsExecutor
+from repro.core import MarsConfiguration, MarsExecutor, MarsSystem
 from repro.cost import CostModel
 from repro.errors import EvaluationError, SchemaError, StorageError
 from repro.logical.atoms import InequalityAtom, RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
+from repro.obs import operator_root
+from repro.profile import EXECUTE, SHARD_FRAGMENT
+from repro.replica import ChangeSet
+from repro.serve import PublishingService
 from repro.shard import (
     MODE_GATHER,
     MODE_SCATTER,
@@ -36,7 +42,8 @@ from repro.storage.backends import (
     available_backends,
     create_backend,
 )
-from repro.workloads import medical
+from repro.workloads import medical, xmark
+from repro.workloads.xmark import XMarkParameters
 
 
 def multiset(rows):
@@ -665,10 +672,310 @@ class TestOneThreadPerRequest:
 # ----------------------------------------------------------------------
 # The sharded backend under a full MARS workload (executor level)
 # ----------------------------------------------------------------------
+# ----------------------------------------------------------------------
+# Gathered fragments kept until the next write
+# ----------------------------------------------------------------------
+class SlowRows(MemoryBackend):
+    """A memory shard whose ``rows()`` takes :attr:`DELAY` seconds."""
+
+    DELAY = 0.02
+
+    def __init__(self):
+        super().__init__()
+        self.fetches = 0
+
+    def rows(self, name):
+        self.fetches += 1
+        time.sleep(self.DELAY)
+        return super().rows(name)
+
+
+def same_city_query():
+    """Customers in c3's city: a gather of one ``orders`` fragment and
+    every ``customers`` fragment."""
+    c2, city, i, q = Variable("c2"), Variable("city"), Variable("i"), Variable("q")
+    return ConjunctiveQuery(
+        "same_city",
+        (c2,),
+        (
+            RelationalAtom("orders", (Constant("c3"), i, q)),
+            RelationalAtom("customers", (Constant("c3"), city)),
+            RelationalAtom("customers", (c2, city)),
+        ),
+    )
+
+
+def profiled_fragments(backend, query):
+    """The rows of one profiled ``execute`` and its ``shard-fragment`` nodes."""
+    with operator_root(EXECUTE, query.name) as root:
+        rows = backend.execute(query)
+    return rows, [node for node in root.walk() if node.kind == SHARD_FRAGMENT]
+
+
+class TestGatherCache:
+    def test_fragment_nodes_time_the_fetch_and_mark_reuse(self):
+        children = [SlowRows() for _ in range(3)]
+        backend, customers, orders, cities = build_backend(children=children)
+        oracle = memory_oracle(customers, orders, cities)
+        query = same_city_query()
+        assert backend.route_plan(query).decisions[0][1].mode == MODE_GATHER
+
+        rows, missed = profiled_fragments(backend, query)
+        assert multiset(rows) == multiset(oracle.execute(query))
+        assert len(missed) == 4  # one orders fragment, three customers ones
+        for node in missed:
+            assert node.attributes["cached"] is False
+            assert node.duration >= SlowRows.DELAY
+        fetched = backend.stats().gather_fetches_per_shard
+        assert sum(fetched) == 4
+        assert sum(child.fetches for child in children) == 4
+
+        again, hits = profiled_fragments(backend, query)
+        assert multiset(again) == multiset(rows)
+        assert [node.label for node in hits] == [node.label for node in missed]
+        assert [node.actual_rows for node in hits] == [
+            node.actual_rows for node in missed
+        ]
+        assert all(node.attributes["cached"] is True for node in hits)
+        assert backend.stats().gather_fetches_per_shard == fetched
+        assert sum(child.fetches for child in children) == 4
+        backend.close()
+        oracle.close()
+
+    def test_direct_write_refetches(self):
+        backend, customers, orders, cities = build_backend()
+        query = same_city_query()
+        backend.execute(query)
+        added = [("c3x", "city3"), ("c4x", "city3")]
+        backend.insert_many("customers", added)
+        oracle = memory_oracle(customers + added, orders, cities)
+        assert multiset(backend.execute(query)) == multiset(oracle.execute(query))
+        oracle.delete_many("customers", added[:1])
+        backend.delete_many("customers", added[:1])
+        assert multiset(backend.execute(query)) == multiset(oracle.execute(query))
+        backend.close()
+        oracle.close()
+
+    def test_partitioned_table_keys_on_its_shard_set(self):
+        """``orders`` from c3's shard alone, then from every shard: the
+        second gather must not reuse the first one's partial table."""
+        backend, customers, orders, cities = build_backend()
+        oracle = memory_oracle(customers, orders, cities)
+        c2, city, i, q = Variable("c2"), Variable("city"), Variable("i"), Variable("q")
+        neighbours_orders = ConjunctiveQuery(
+            "neighbours_orders",
+            (c2, i),
+            (
+                RelationalAtom("customers", (Constant("c3"), city)),
+                RelationalAtom("customers", (c2, city)),
+                RelationalAtom("orders", (c2, i, q)),
+            ),
+        )
+        for query in (same_city_query(), neighbours_orders, same_city_query()):
+            fetch = dict(backend.route_plan(query).decisions[0][1].fetch_shards)
+            assert len(fetch["orders"]) == (1 if query.name == "same_city" else 3)
+            assert multiset(backend.execute(query)) == multiset(oracle.execute(query))
+        backend.close()
+        oracle.close()
+
+    def test_a_new_snapshot_counts_as_a_write(self):
+        """A caller that writes to the children directly passes a new
+        token; a call without a token shares the entries of the last one."""
+        backend, customers, orders, cities = build_backend()
+        query = same_city_query()
+        plan = backend.route_plan(query)
+        backend.execute_routed(plan, query, snapshot=0)
+        fetched = sum(backend.stats().gather_fetches_per_shard)
+        backend.execute_routed(plan, query)
+        assert sum(backend.stats().gather_fetches_per_shard) == fetched
+        added = ("c3x", "city3")
+        shard = HashPartitioner().shard_of(added[0], backend.shard_count)
+        backend.children[shard].insert_many("customers", [added])
+        oracle = memory_oracle(customers + [added], orders, cities)
+        rows = backend.execute_routed(plan, query, snapshot=1)
+        assert multiset(rows) == multiset(oracle.execute(query))
+        assert ("c3x",) in rows
+        backend.close()
+        oracle.close()
+
+    def test_at_most_one_entry_per_table(self):
+        backend, *_ = build_backend()
+        query = same_city_query()
+        for snapshot in range(3):
+            plan = backend.route_plan(query)
+            backend.execute_routed(plan, query, snapshot=snapshot)
+        assert sorted(backend._gathered) == ["customers", "orders"]
+        backend.close()
+
+
+#: An xmark instance small enough for a test, sharded as the benchmark is.
+XMARK_SHARD_CHILDREN = ("memory", "sqlite", "sqlite", "memory")
+
+#: Drops ``item_europe_0`` from RegionItems: its id attribute lives in the
+#: broadcast GReX encoding.
+GREX_ROW = ("auction.xml#3", "id", "item_europe_0")
+GREX_DELETE = ChangeSet.build(deletes={"attr__auction_xml": [GREX_ROW]})
+#: Renames ``item_europe_1`` in the partitioned ``itemName`` view.
+ITEM_RENAME = ChangeSet.build(
+    deletes={"itemName": [("item_europe_1", "gadget_498873")]},
+    inserts={"itemName": [("item_europe_1", "renamed_gadget")]},
+)
+
+
+class TestGatherCacheUnderService:
+    """RegionItems runs as a gather on a 4-shard memory/sqlite service; its
+    rows must track every write a fresh memory executor sees."""
+
+    @staticmethod
+    def configuration():
+        configuration = xmark.build_configuration(
+            XMarkParameters(items_per_region=8, people=15, closed_auctions=20, seed=11)
+        )
+        configuration.backend = "sharded"
+        configuration.shard_count = len(XMARK_SHARD_CHILDREN)
+        configuration.shard_children = XMARK_SHARD_CHILDREN
+        return configuration
+
+    @staticmethod
+    def expected(configuration, plan, changesets=()):
+        oracle = MarsExecutor(configuration, backend="memory")
+        try:
+            for changeset in changesets:
+                oracle.backend.apply(changeset)
+            return multiset(oracle.execute_reformulation(plan))
+        finally:
+            oracle.close()
+
+    @staticmethod
+    def publish(service, query):
+        """Publish *query*, asserting it ran as a gather."""
+        before = service.executor.backend.stats().router.gather
+        rows = service.publish(query)
+        assert service.executor.backend.stats().router.gather == before + 1
+        return multiset(rows)
+
+    def test_updates_reach_the_next_gather(self):
+        configuration = self.configuration()
+        query = xmark.query_region_items()
+        with PublishingService(configuration, pool_size=2) as service:
+            plan = service.plan_for(service.reformulate(query))
+            assert self.publish(service, query) == self.expected(configuration, plan)
+            fetched = service.executor.backend.stats().gather_fetches_per_shard
+            assert self.publish(service, query) == self.expected(configuration, plan)
+            assert service.executor.backend.stats().gather_fetches_per_shard == fetched
+
+            # The template's own execute() keys on its own writes; the
+            # service's updates reach its children by routed change sets.
+            template = service.executor.backend
+            assert multiset(template.execute(plan)) == self.expected(
+                configuration, plan
+            )
+            applied = []
+            for changeset in (GREX_DELETE, ITEM_RENAME):
+                service.update(changeset)
+                applied.append(changeset)
+                plan = service.plan_for(service.reformulate(query))
+                expected = self.expected(configuration, plan, applied)
+                assert multiset(template.execute(plan)) == expected
+                assert self.publish(service, query) == expected
+            assert "('gadget_474354',)" not in expected
+            assert "('renamed_gadget',)" in expected
+
+    def test_rebalance_reaches_the_next_gather(self):
+        configuration = self.configuration()
+        query = xmark.query_region_items()
+        with PublishingService(configuration, pool_size=2) as service:
+            plan = service.plan_for(service.reformulate(query))
+            expected = self.expected(configuration, plan)
+            assert self.publish(service, query) == expected
+            service.rebalance(shards=3)
+            plan = service.plan_for(service.reformulate(query))
+            assert self.publish(service, query) == self.expected(configuration, plan)
+            assert service.executor.backend._gathered  # refilled, new layout
+
+    def test_direct_insert_reaches_the_next_execute(self):
+        configuration = self.configuration()
+        plan = MarsSystem(configuration).reformulate(xmark.query_region_items()).best
+        executor = MarsExecutor(configuration)
+        try:
+            backend = executor.backend
+            assert multiset(backend.execute(plan)) == self.expected(configuration, plan)
+            added = [("item_europe_0", "second_name")]
+            backend.insert_many("itemName", added)
+            expected = self.expected(
+                configuration, plan, [ChangeSet.build(inserts={"itemName": added})]
+            )
+            assert "('second_name',)" in expected
+            assert multiset(backend.execute(plan)) == expected
+            assert backend.stats().router.gather == 2
+        finally:
+            executor.close()
+
+    def test_concurrent_publishes_and_updates(self):
+        """Four clients start together on a cold cache while a writer
+        deletes and restores one GReX row: every answer is the rows of
+        one of the two states, never a mix, and the writer reads its own
+        writes."""
+        configuration = self.configuration()
+        query = xmark.query_region_items()
+        restore = ChangeSet.build(inserts={"attr__auction_xml": [GREX_ROW]})
+        with PublishingService(configuration, pool_size=2) as service:
+            plan = service.plan_for(service.reformulate(query))
+            states = (
+                self.expected(configuration, plan),
+                self.expected(configuration, plan, [GREX_DELETE]),
+            )
+            assert states[0] != states[1]
+            assert not service.executor.backend._gathered
+            clients = 4
+            barrier = threading.Barrier(clients + 1)
+            stop = threading.Event()
+            answers, errors = [], []
+
+            def client():
+                try:
+                    barrier.wait(timeout=5)
+                    while not stop.is_set():
+                        answers.append(multiset(service.publish(query)))
+                except Exception as error:  # reported below
+                    errors.append(error)
+
+            def writer():
+                # Reads its own writes: a gather kept across an update
+                # would answer with the state before it.
+                try:
+                    barrier.wait(timeout=5)
+                    for _round in range(10):
+                        for changeset, state in ((GREX_DELETE, 1), (restore, 0)):
+                            service.update(changeset)
+                            answer = multiset(service.publish(query))
+                            assert answer == states[state], f"stale after {state}"
+                except Exception as error:  # reported below
+                    errors.append(error)
+                finally:
+                    stop.set()
+
+            threads = [threading.Thread(target=client) for _ in range(clients)]
+            threads.append(threading.Thread(target=writer))
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+                stop.set()
+            assert not any(thread.is_alive() for thread in threads)
+            assert not errors, errors[:1]
+            assert len(answers) >= clients
+            assert all(answer in states for answer in answers)
+            assert multiset(service.publish(query)) == states[0]
+
+
 class TestShardedExecutor:
     def test_medical_reformulations_agree(self):
-        from repro.core import MarsSystem
-
         configuration = medical.build_configuration()
         system = MarsSystem(configuration)
         memory_executor = MarsExecutor(configuration, backend="memory")

@@ -46,6 +46,31 @@ class TestInMemoryDatabase:
         with pytest.raises(EvaluationError):
             database.insert("R", (1,))
 
+    def test_insert_many_checks_every_row_first(self, database):
+        with pytest.raises(EvaluationError):
+            database.insert_many("R", [(4, 40), (5,)])
+        assert database.rows("R") == ((1, 10), (2, 20), (3, 10))
+
+    def test_indexes_are_kept_until_the_next_write(self, database):
+        table = database.table("R")
+        index = table.index((1,))
+        assert index == {(10,): [(1, 10), (3, 10)], (20,): [(2, 20)]}
+        assert table.index((1,)) is index
+        for write in (
+            lambda: table.insert_many([(4, 10)]),
+            lambda: table.delete_many([(4, 10)]),
+            table.clear,
+        ):
+            write()
+            fresh = table.index((1,))
+            assert fresh is not index
+            index = fresh
+        assert index == {}
+        # A write that changes nothing keeps the index.
+        assert table.delete_many([(9, 9)]) == 0
+        table.insert_many([])
+        assert table.index((1,)) is index
+
     def test_duplicate_table_rejected(self, database):
         with pytest.raises(SchemaError):
             database.create_table("R", 2)

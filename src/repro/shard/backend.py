@@ -47,7 +47,7 @@ from ..obs.trace import current_span
 from ..profile import MERGE, SHARD_FRAGMENT
 from ..storage.backends.base import Row, StorageBackend, create_portable_backend
 from ..storage.backends.memory import MemoryBackend
-from ..storage.relational_db import Table
+from ..storage.relational_db import IndexedTable
 from .partitioner import HashPartitioner, Partitioner, PartitionSpec
 from .router import (
     MODE_GATHER,
@@ -146,7 +146,7 @@ class _Gathered(NamedTuple):
     """
 
     key: Tuple[Hashable, ...]
-    table: Table
+    table: IndexedTable
     fragment_rows: List[int]
 
 
@@ -227,11 +227,9 @@ class ShardedBackend(StorageBackend):
         #: consumers holding per-layout state (per-shard pools, cached
         #: statistics) key on it to notice a swap.
         self.layout_version = 0
-        #: Writes made through this backend's own write methods, plus one
-        #: per change of the snapshot token callers pass.
+        #: Writes to the children: this backend's own write methods, each
+        #: layout swap, and each :meth:`units_written` call.
         self._writes = 0
-        #: The last snapshot token a caller of :meth:`execute_routed` passed.
-        self._snapshot: Hashable = None
         #: The latest table each gather fetched, by table name.
         self._gathered: Dict[str, _Gathered] = {}
         self._closed = False
@@ -397,7 +395,6 @@ class ShardedBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Write path (change sets)
     # ------------------------------------------------------------------
-    @_write
     def route_changeset(self, changeset: "ChangeSet") -> Dict[int, "ChangeSet"]:
         """Split *changeset* into the per-shard change sets to apply.
 
@@ -405,9 +402,8 @@ class ShardedBackend(StorageBackend):
         names; changes to broadcast tables appear in **every** shard's
         change set (batched per shard, so a broadcast write is one
         ``apply`` per shard, not one per row).  Shards untouched by the
-        change set are absent from the result.  Routing counts as a
-        write: the caller applies the pieces to these children directly
-        (the publishing service, unit by unit).
+        change set are absent from the result.  A caller that applies the
+        pieces to the children itself calls :meth:`units_written` after.
         """
         return route_changeset(
             changeset, self._specs, self.shard_count, self._require_table
@@ -418,6 +414,10 @@ class ShardedBackend(StorageBackend):
         """Apply a change set by routing it to the owning shards."""
         for shard, sub in sorted(self.route_changeset(changeset).items()):
             self._children[shard].apply(sub)
+
+    @_write
+    def units_written(self) -> None:
+        """Count a write the caller made to the children directly."""
 
     def _require_table(self, name: str) -> int:
         self._require_open()
@@ -592,7 +592,6 @@ class ShardedBackend(StorageBackend):
         query: ConjunctiveQuery,
         distinct: bool = True,
         children: Optional[Mapping[int, StorageBackend]] = None,
-        snapshot: Hashable = None,
     ) -> List[Row]:
         """Execute *query* under an already-computed :class:`RoutePlan`.
 
@@ -600,21 +599,8 @@ class ShardedBackend(StorageBackend):
         service passes pool-checked-out clones here, keyed by shard id and
         covering at least ``plan.needed_shards``.  ``None`` uses this
         backend's own children.
-
-        *snapshot* names the data *children* hold: the caller vouches that
-        two calls passing equal tokens read equal rows.  A token other
-        than the last one passed counts as a write, so a caller whose
-        writes bypass this backend still moves the gather cache on (see
-        :meth:`_gather`); ``None`` claims nothing and leaves it to this
-        backend's own writes.  The publishing service passes its write
-        LSN, read under its publish gate.
         """
         self._require_open()
-        if snapshot is not None and snapshot != self._snapshot:
-            # Count the write before publishing the token: a caller that
-            # sees the new token reads the new count.
-            self._count_write()
-            self._snapshot = snapshot
         engines: Mapping[int, StorageBackend] = (
             children if children is not None else dict(enumerate(self._children))
         )
@@ -660,14 +646,15 @@ class ShardedBackend(StorageBackend):
         """A coordinator-local store holding the fragments *fetch* names.
 
         Each table comes from the last gather of it when no write came
-        between the two (same write count, see :meth:`execute_routed`),
-        under the same :attr:`layout_version` and, for a partitioned
-        table, from the same shard set (a broadcast table is whole on
-        every shard, so the rotated source shard does not matter).
-        Otherwise its fragments are fetched into a fresh table, which
-        replaces the cached one.  A kept table keeps its hash indexes
-        too, so a warm gather only probes.  At most one table per name
-        is kept.
+        between the two (same write count) and, for a partitioned table,
+        from the same shard set (a broadcast table is whole on every
+        shard, so the rotated source shard does not matter).  Otherwise
+        its fragments are fetched into a fresh :class:`IndexedTable`,
+        which replaces the cached one.  A kept table keeps its hash
+        indexes too, so a warm gather only probes.  At most one table per
+        name is kept.  The count is read before the fetch and moves only
+        after a write has changed the children, so a table fetched during
+        a write is stored under the count before it and never reused.
 
         The store prices its evaluation with this backend's statistics
         catalog, the way clones do, so a profiled gather reports the
@@ -680,16 +667,12 @@ class ShardedBackend(StorageBackend):
         scratch._statistics_catalog = self._statistics_catalog
         for table, shards in fetch:
             arity = self._require_table(table)
-            key = (
-                self._writes,
-                self.layout_version,
-                shards if table in self._specs else None,
-            )
+            key = (self._writes, shards if table in self._specs else None)
             gathered = self._gathered.get(table)
             cached = gathered is not None and gathered.key == key
             if not cached:
                 gathered = _Gathered(
-                    key, Table(table, arity, self._attributes[table]), []
+                    key, IndexedTable(table, arity, self._attributes[table]), []
                 )
             for position, shard in enumerate(shards):
                 with node.operator(
@@ -729,6 +712,7 @@ class ShardedBackend(StorageBackend):
     # ------------------------------------------------------------------
     # Online rebalancing hooks
     # ------------------------------------------------------------------
+    @_write
     def adopt_layout(
         self, children: Sequence[StorageBackend]
     ) -> Tuple[StorageBackend, ...]:
@@ -768,7 +752,6 @@ class ShardedBackend(StorageBackend):
         # Fragment statistics describe the old layout; drop them until the
         # caller refreshes (refresh_statistics re-feeds the router too).
         self._statistics_catalog = None
-        self._gathered = {}
         self.layout_version += 1
         return old_children
 
@@ -844,7 +827,6 @@ class ShardedBackend(StorageBackend):
         clone._gather_fetches = [0] * clone.shard_count
         clone.layout_version = self.layout_version
         clone._writes = 0
-        clone._snapshot = None
         clone._gathered = {}
         clone._closed = False
         return clone

@@ -213,14 +213,17 @@ class StorageBackend(abc.ABC):
         sharded backend answers one per shard.  A backend answering
         anything but itself must also route (``route_plan`` /
         ``execute_routed`` / ``route_changeset``, keyed by unit position):
-        the service then checks out and writes unit by unit.  It calls
-        ``execute_routed(route, plan, distinct, children, snapshot)``
-        with the checked-out units as *children* and a *snapshot* token
-        that stays equal exactly while the units' data does, so the
-        backend may keep what it derived from that data (the sharded
-        backend keeps its gathered tables).
+        the service then checks out and writes unit by unit, and calls
+        :meth:`units_written` once the units hold a change set.
         """
         return (("service", self),)
+
+    def units_written(self) -> None:
+        """Note that a caller wrote to this backend's units directly.
+
+        A backend keeping what it derived from its units' data drops it
+        here (the sharded backend's gathered tables).  A no-op by default.
+        """
 
     def replicated_stores(self) -> Tuple[Tuple[str, "StorageBackend"], ...]:
         """The replicated stores inside this backend, labelled by place.

@@ -42,15 +42,21 @@ class _TableSource:
     """The tables of a database as the row source of compiled join steps.
 
     Rows hold plain values, so a query constant matches through its
-    ``value``.  Hash indexes belong to the tables: each is built on first
-    use and kept until the table's next write (:meth:`Table.index`).
+    ``value``.  Each hash index is asked of its table once per evaluation
+    (:meth:`Table.index`; an :class:`IndexedTable` keeps it until its next
+    write) and stored here only once complete.
     """
 
     def __init__(self, database: InMemoryDatabase):
         self.database = database
+        self._indexes: Dict[Tuple[str, Tuple[int, ...]], RowIndex] = {}
 
     def index(self, relation: str, positions: Tuple[int, ...]) -> RowIndex:
-        return self.database.table(relation).index(positions)
+        index = self._indexes.get((relation, positions))
+        if index is None:
+            index = self.database.table(relation).index(positions)
+            self._indexes[relation, positions] = index
+        return index
 
     @staticmethod
     def row_form(terms: Tuple[Term, ...]) -> Tuple[object, ...]:

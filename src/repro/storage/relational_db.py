@@ -22,13 +22,7 @@ RowIndex = Dict[Tuple[object, ...], List[Row]]
 
 
 class Table:
-    """A named table: an ordered multiset of fixed-arity tuples.
-
-    The table keeps the hash indexes its readers ask for (:meth:`index`)
-    until the next write.  A write drops them by assigning a fresh dict,
-    never by mutating the old one, and an index is stored only once it is
-    complete, so a concurrent reader sees a whole index or none.
-    """
+    """A named table: an ordered multiset of fixed-arity tuples."""
 
     def __init__(self, name: str, arity: int, attributes: Optional[Sequence[str]] = None):
         if attributes is not None and len(attributes) != arity:
@@ -39,18 +33,16 @@ class Table:
             f"c{i}" for i in range(arity)
         )
         self._rows: List[Row] = []
-        self._indexes: Dict[Tuple[int, ...], RowIndex] = {}
 
     def index(self, positions: Tuple[int, ...]) -> RowIndex:
-        """The rows keyed by their values at *positions*, built on first use."""
-        indexes = self._indexes
-        index = indexes.get(positions)
-        if index is None:
-            index = {}
-            for row in self._rows:
-                index.setdefault(tuple(row[p] for p in positions), []).append(row)
-            indexes[positions] = index
+        """The rows keyed by their values at *positions*, built on each call."""
+        index: RowIndex = {}
+        for row in self._rows:
+            index.setdefault(tuple(row[p] for p in positions), []).append(row)
         return index
+
+    def _written(self) -> None:
+        """Called after every write that changed the rows."""
 
     def insert(self, row: Sequence[object]) -> None:
         """Append *row*, validating its arity."""
@@ -66,11 +58,11 @@ class Table:
                 )
         if prepared:
             self._rows.extend(prepared)
-            self._indexes = {}
+            self._written()
 
     def clear(self) -> None:
         self._rows.clear()
-        self._indexes = {}
+        self._written()
 
     def delete_many(self, rows: Iterable[Sequence[object]]) -> int:
         """Remove at most one stored occurrence per requested row (bag delete)."""
@@ -87,7 +79,7 @@ class Table:
                 kept.append(row)
         if removed:
             self._rows = kept
-            self._indexes = {}
+            self._written()
         return removed
 
     def copy(self) -> "Table":
@@ -108,6 +100,35 @@ class Table:
 
     def __str__(self) -> str:
         return f"{self.name}[{len(self)} rows]"
+
+
+class IndexedTable(Table):
+    """A table that keeps the hash indexes its readers ask for until its
+    next write.
+
+    The sharded backend's gather holds the fragments it fetched in these,
+    so a repeated gather over unchanged data only probes.  A backend's own
+    tables build their indexes per evaluation instead: that is the scan
+    the shard router prices for every shard of a scatter.
+
+    A write drops the indexes by assigning a fresh dict, never by mutating
+    the old one, and an index is stored only once it is complete, so a
+    concurrent reader sees a whole index or none.
+    """
+
+    def __init__(self, name: str, arity: int, attributes: Optional[Sequence[str]] = None):
+        super().__init__(name, arity, attributes)
+        self._indexes: Dict[Tuple[int, ...], RowIndex] = {}
+
+    def index(self, positions: Tuple[int, ...]) -> RowIndex:
+        index = self._indexes.get(positions)
+        if index is None:
+            index = super().index(positions)
+            self._indexes[positions] = index
+        return index
+
+    def _written(self) -> None:
+        self._indexes = {}
 
 
 class InMemoryDatabase:

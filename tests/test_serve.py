@@ -784,8 +784,7 @@ class ToyMirror(ToyLeaf):
         self.reads += 1
         return _ToyRoute(plan, self.reads % 2)
 
-    def execute_routed(self, route, plan, distinct=True, children=None, snapshot=None):
-        # Nothing is cached across calls, so the snapshot token goes unused.
+    def execute_routed(self, route, plan, distinct=True, children=None):
         (wing,) = route.needed_shards
         engine = (children or dict(enumerate(self.wings)))[wing]
         return engine.execute(plan, distinct=distinct)

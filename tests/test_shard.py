@@ -778,32 +778,60 @@ class TestGatherCache:
         backend.close()
         oracle.close()
 
-    def test_a_new_snapshot_counts_as_a_write(self):
-        """A caller that writes to the children directly passes a new
-        token; a call without a token shares the entries of the last one."""
+    def test_a_direct_write_counts_once_the_caller_says_so(self):
+        """A caller that writes to the children itself calls
+        ``units_written()`` after; until then the kept tables stand."""
         backend, customers, orders, cities = build_backend()
         query = same_city_query()
-        plan = backend.route_plan(query)
-        backend.execute_routed(plan, query, snapshot=0)
-        fetched = sum(backend.stats().gather_fetches_per_shard)
-        backend.execute_routed(plan, query)
-        assert sum(backend.stats().gather_fetches_per_shard) == fetched
+        stale = backend.execute(query)
         added = ("c3x", "city3")
         shard = HashPartitioner().shard_of(added[0], backend.shard_count)
         backend.children[shard].insert_many("customers", [added])
+        assert backend.execute(query) == stale
+        backend.units_written()
         oracle = memory_oracle(customers + [added], orders, cities)
-        rows = backend.execute_routed(plan, query, snapshot=1)
+        rows = backend.execute(query)
         assert multiset(rows) == multiset(oracle.execute(query))
         assert ("c3x",) in rows
         backend.close()
         oracle.close()
 
+    def test_a_gather_between_routing_and_applying_is_not_kept(self):
+        """Routing a change set is not the write: a gather that runs after
+        the routing and before the pieces land fetches the old rows, and
+        the next gather after ``units_written()`` must not reuse them."""
+        backend, customers, orders, cities = build_backend()
+        query = same_city_query()
+        added = ("c3x", "city3")
+        routed = backend.route_changeset(
+            ChangeSet.build(inserts={"customers": [added]})
+        )
+        assert ("c3x",) not in backend.execute(query)
+        for shard, sub in routed.items():
+            backend.children[shard].apply(sub)
+        backend.units_written()
+        oracle = memory_oracle(customers + [added], orders, cities)
+        assert multiset(backend.execute(query)) == multiset(oracle.execute(query))
+        backend.close()
+        oracle.close()
+
+    def test_a_layout_swap_counts_as_a_write(self):
+        backend, customers, orders, cities = build_backend()
+        query = same_city_query()
+        backend.execute(query)
+        fetched = sum(backend.stats().gather_fetches_per_shard)
+        backend.adopt_layout(backend.children)  # also resets the counters
+        backend.execute(query)
+        # Every fragment was fetched again.
+        assert sum(backend.stats().gather_fetches_per_shard) == fetched > 0
+        backend.close()
+
     def test_at_most_one_entry_per_table(self):
         backend, *_ = build_backend()
         query = same_city_query()
-        for snapshot in range(3):
-            plan = backend.route_plan(query)
-            backend.execute_routed(plan, query, snapshot=snapshot)
+        for _round in range(3):
+            backend.execute(query)
+            backend.units_written()
         assert sorted(backend._gathered) == ["customers", "orders"]
         backend.close()
 
@@ -864,8 +892,9 @@ class TestGatherCacheUnderService:
             assert self.publish(service, query) == self.expected(configuration, plan)
             assert service.executor.backend.stats().gather_fetches_per_shard == fetched
 
-            # The template's own execute() keys on its own writes; the
-            # service's updates reach its children by routed change sets.
+            # The template's own execute() shares the kept tables: the
+            # service's updates reach its children by routed change sets
+            # and then count as writes.
             template = service.executor.backend
             assert multiset(template.execute(plan)) == self.expected(
                 configuration, plan

@@ -21,6 +21,7 @@ from repro.storage import (
     materialize_view,
     render_sql,
 )
+from repro.storage.relational_db import IndexedTable
 from repro.xbind import MixedStorage, PathAtom, XBindQuery, evaluate_xbind, make_xbind
 from repro.xmlmodel import XMLDocument, XMLNode
 
@@ -51,8 +52,15 @@ class TestInMemoryDatabase:
             database.insert_many("R", [(4, 40), (5,)])
         assert database.rows("R") == ((1, 10), (2, 20), (3, 10))
 
-    def test_indexes_are_kept_until_the_next_write(self, database):
+    def test_a_table_builds_its_index_per_call(self, database):
         table = database.table("R")
+        index = table.index((1,))
+        assert index == {(10,): [(1, 10), (3, 10)], (20,): [(2, 20)]}
+        assert table.index((1,)) is not index
+
+    def test_indexes_are_kept_until_the_next_write(self, database):
+        table = IndexedTable("R", 2, ("a", "b"))
+        table.insert_many(database.rows("R"))
         index = table.index((1,))
         assert index == {(10,): [(1, 10), (3, 10)], (20,): [(2, 20)]}
         assert table.index((1,)) is index

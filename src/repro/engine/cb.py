@@ -104,8 +104,21 @@ class CBEngine:
         """Run the full pipeline and return every (minimal) reformulation found.
 
         *target_relations* restricts reformulations to the proprietary
-        schema; when ``None`` every relation may be used.
+        schema; when ``None`` every relation may be used.  The patterns the
+        containment checks compiled are dropped when it returns: the next
+        query checks against patterns of its own.
         """
+        try:
+            return self._reformulate(query, dependencies, target_relations)
+        finally:
+            self.checker.clear_compiled_patterns()
+
+    def _reformulate(
+        self,
+        query: ConjunctiveQuery,
+        dependencies: Sequence[DED],
+        target_relations: Optional[Set[str]],
+    ) -> CBResult:
         clock = timer()
         chase_result = self.chase_to_universal_plan(query, dependencies)
         if not chase_result.branches:

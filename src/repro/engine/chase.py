@@ -30,7 +30,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..errors import ChaseError
 from ..obs.timer import timer
-from ..logical.atoms import Atom, EqualityAtom
+from ..logical.atoms import Atom, EqualityAtom, atom_variables
 from ..logical.dependencies import DED, Disjunct
 from ..logical.queries import ConjunctiveQuery
 from ..logical.terms import Constant, Term, Variable, VariableFactory
@@ -94,7 +94,9 @@ class _CompiledDependency:
     def __init__(self, dependency: DED):
         self.dependency = dependency
         self.premise_plan = CompiledConjunction(dependency.premise)
-        universal = set(dependency.universal_variables())
+        # The premise's homomorphisms bind the variables of its relational
+        # atoms: those are the ones a disjunct's extension is seeded with.
+        universal = set(atom_variables(dependency.premise_relational_atoms()))
         self.disjunct_plans: List[CompiledConjunction] = []
         self.disjunct_shared: List[Tuple[Variable, ...]] = []
         for disjunct in dependency.disjuncts:
@@ -303,19 +305,23 @@ class ChaseEngine:
             if variable in homomorphism
         }
         relational = disjunct.relational_atoms()
+        equalities = disjunct.equalities()
         if relational:
             if self.config.strategy == "naive":
                 extensions = self._naive.find_all(relational, query.body, seed)
             else:
+                # Without equalities to test, one extension settles it.
                 extensions = plan.disjunct_plans[index].evaluate(
-                    instance, seeds=[seed], target_atoms=query.body
+                    instance,
+                    seeds=[seed],
+                    target_atoms=query.body,
+                    limit=None if equalities else 1,
                 )
             if not extensions:
                 return False
             candidates = extensions
         else:
             candidates = [dict(seed)]
-        equalities = disjunct.equalities()
         if not equalities:
             return True
         for candidate in candidates:

@@ -56,6 +56,10 @@ class ContainmentChecker:
         self._relevant_memo: Dict[FrozenSet[str], Tuple[DED, ...]] = {}
 
     # ------------------------------------------------------------------
+    def clear_compiled_patterns(self) -> None:
+        """Drop the patterns compiled for containment mappings so far."""
+        self._join_finder.clear()
+
     def _finder(self):
         if self.config.strategy == "naive":
             return self._naive_finder

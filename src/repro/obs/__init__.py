@@ -34,7 +34,8 @@ reports through:
   (:class:`SampledRing`) under the trace, profile and slow-query buffers;
 * :mod:`repro.obs.http` — the :class:`AdminServer` scrape surface
   (``/metrics``, ``/stats``, ``/health``, ``/ready``, ``/events``,
-  ``/traces/recent``).
+  ``/traces/recent``), imported on first use: ``http.server`` and
+  ``ssl`` load only in a process that asks for an admin port.
 
 The :class:`~repro.serve.PublishingService` wires all of these together;
 see ``docs/OBSERVABILITY.md`` for the span taxonomy, metric names, event
@@ -73,7 +74,6 @@ from .health import (
     HealthReport,
     worst_status,
 )
-from .http import AdminServer, METRICS_CONTENT_TYPE
 from .request import RequestRecord
 from .ring import SampledRing
 from .metrics import (
@@ -99,6 +99,18 @@ from .trace import (
     operator_root,
     phase_breakdown,
 )
+
+#: Names served from :mod:`repro.obs.http` when first asked for.
+_HTTP_NAMES = ("AdminServer", "METRICS_CONTENT_TYPE")
+
+
+def __getattr__(name):
+    if name in _HTTP_NAMES:
+        from . import http
+
+        return getattr(http, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "ALLOWED_UNIT_SUFFIXES",

@@ -42,7 +42,16 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from itertools import count
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Dict,
+    Iterator,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.configuration import MarsConfiguration
 from ..core.executor import MarsExecutor
@@ -53,7 +62,6 @@ from ..logical.queries import ConjunctiveQuery
 from ..plan import PlanStore, PlanStoreStats
 from ..profile import EXECUTE, ProfileBuffer, QueryProfile
 from ..obs import (
-    AdminServer,
     AuditLog,
     AuditStats,
     COMPILE_TRUNCATED,
@@ -101,6 +109,9 @@ from ..storage.backends.base import StorageBackend, create_portable_backend
 from ..xbind.query import XBindQuery
 from .cache import CacheStats, PlanCache
 from .pool import ConnectionPool, PoolStats
+
+if TYPE_CHECKING:
+    from ..obs.http import AdminServer
 
 Row = Tuple[object, ...]
 
@@ -535,6 +546,9 @@ class PublishingService:
                 )
             port = _setting(admin_port, configuration.admin_port)
             if port is not None:
+                # Loaded only here: the HTTP server stack is a large import.
+                from ..obs.http import AdminServer
+
                 profiled = self.profile_buffer is not None
                 self.admin = AdminServer(
                     port,

@@ -8,6 +8,11 @@ reused: the chase runs those steps over *symbolic* instances, here they
 run over real data to execute reformulations and to verify their
 equivalence in tests.
 
+A binding is the kernel's tuple of slot values (the compiled
+conjunction's ``variables`` name the slots), so the filters and the head
+projection are compiled once per query to read the slots they need; no
+binding is turned into a dictionary.
+
 When the ambient execution tree (:func:`repro.obs.current_span`) is
 profiled, each hash-join step emits one ``scan``/``join-step`` operator
 node with its intermediate binding count as ``actual_rows``, the
@@ -24,7 +29,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..engine.join_tree import CompiledConjunction
+from ..engine.join_tree import Binding, CompiledConjunction, tuple_getter
 from ..errors import EvaluationError
 from ..logical.atoms import EqualityAtom, InequalityAtom
 from ..logical.queries import ConjunctiveQuery
@@ -33,7 +38,6 @@ from ..obs.trace import current_span
 from ..profile import JOIN_STEP, SCAN
 from .relational_db import InMemoryDatabase, Row, RowIndex
 
-Binding = Dict[Variable, object]
 #: Per-atom running row estimates of a query, in body order.
 PipelineEstimator = Callable[[ConjunctiveQuery], Sequence[float]]
 
@@ -83,7 +87,8 @@ def evaluate_query(
             raise EvaluationError(
                 f"query {query.name} references unknown table {atom.relation!r}"
             )
-    steps = CompiledConjunction(query.relational_body).steps
+    conjunction = CompiledConjunction(query.relational_body)
+    steps = conjunction.steps
     span = current_span()
     profiled = span.profiled
     estimates = (
@@ -92,7 +97,7 @@ def evaluate_query(
         else ()
     )
     source = _TableSource(database)
-    bindings: List[Binding] = [{}]
+    bindings: List[Binding] = [()]
     for number, step in enumerate(steps, start=1):
         node = _step_node(span, number, step, estimates, database) if profiled else None
         bindings = step.extend(source, bindings)
@@ -101,20 +106,14 @@ def evaluate_query(
         if not bindings:
             if profiled:
                 _profile_unreached_steps(span, steps, number, estimates, database)
-            break
+            return []
 
-    results: List[Row] = []
-    seen = set()
-    for binding in bindings:
-        if not _satisfies_filters(query, binding):
-            continue
-        row = _project_head(query, binding)
-        if distinct:
-            if row in seen:
-                continue
-            seen.add(row)
-        results.append(row)
-    return results
+    slots = {variable: slot for slot, variable in enumerate(conjunction.variables)}
+    holds = _filter(query, slots)
+    if holds is not None:
+        bindings = [binding for binding in bindings if holds(binding)]
+    rows = map(_projection(query.head, slots), bindings)
+    return list(dict.fromkeys(rows) if distinct else rows)
 
 
 def _step_node(span, number, step, estimates, database):
@@ -140,30 +139,53 @@ def _profile_unreached_steps(span, steps, empty_step, estimates, database):
         _step_node(span, number, step, estimates, database).finish(actual_rows=0)
 
 
-def _satisfies_filters(query: ConjunctiveQuery, binding: Binding) -> bool:
-    for atom in query.body:
-        if isinstance(atom, InequalityAtom):
-            if _term_value(atom.left, binding) == _term_value(atom.right, binding):
+def _filter(
+    query: ConjunctiveQuery, slots: Dict[Variable, int]
+) -> Optional[Callable[[Binding], bool]]:
+    """The test of the query's equality and inequality atoms on a binding,
+    or ``None`` when it has none."""
+    tests = [
+        (isinstance(atom, EqualityAtom), _projection((atom.left, atom.right), slots))
+        for atom in query.body
+        if isinstance(atom, (EqualityAtom, InequalityAtom))
+    ]
+    if not tests:
+        return None
+
+    def holds(binding: Binding) -> bool:
+        for equal, sides in tests:
+            left, right = sides(binding)
+            if (left == right) != equal:
                 return False
-        elif isinstance(atom, EqualityAtom):
-            if _term_value(atom.left, binding) != _term_value(atom.right, binding):
-                return False
-    return True
+        return True
+
+    return holds
 
 
-def _term_value(term: Term, binding: Binding) -> object:
-    if is_variable(term):
-        if term not in binding:
-            raise EvaluationError(f"unbound variable {term} in filter")
-        return binding[term]
-    return term.value
+def _projection(
+    terms: Sequence[Term], slots: Dict[Variable, int]
+) -> Callable[[Binding], Row]:
+    """The values of *terms* under a binding, read by slot.
 
-
-def _project_head(query: ConjunctiveQuery, binding: Binding) -> Row:
-    values = []
-    for term in query.head:
-        values.append(_term_value(term, binding))
-    return tuple(values)
+    A constant is read from after the binding's last slot, as in a
+    :class:`~repro.engine.join_tree.JoinStep` probe key.
+    """
+    width = len(slots)
+    positions: List[int] = []
+    constants: List[object] = []
+    for term in terms:
+        if not is_variable(term):
+            positions.append(width + len(constants))
+            constants.append(term.value)
+        elif term in slots:
+            positions.append(slots[term])
+        else:
+            raise EvaluationError(f"unbound variable {term}")
+    pick = tuple_getter(positions)
+    if not constants:
+        return pick
+    suffix = tuple(constants)
+    return lambda binding: pick(binding + suffix)
 
 
 def materialize_view(

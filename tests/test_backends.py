@@ -788,6 +788,30 @@ class TestOneJoinKernel:
         assert "CompiledConjunction(" in evaluation
         assert ".extend(source, bindings)" in evaluation
 
+    @staticmethod
+    def binding_copies(source):
+        """Lines of ``dict(name)`` calls: a copy of a dictionary binding."""
+        return [
+            node.lineno
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "dict"
+            and len(node.args) == 1
+            and not node.keywords
+            and isinstance(node.args[0], ast.Name)
+        ]
+
+    def test_the_kernel_copies_no_binding_per_row(self):
+        """A binding is a tuple of slots, extended by concatenation: the
+        kernel makes no ``dict(binding)`` copy."""
+        kernel = (self.SRC / "engine" / "join_tree.py").read_text()
+        assert self.binding_copies(kernel) == []
+        assert self.binding_copies(
+            "for row in rows:\n    extended = dict(binding)\n"
+        ) == [2]
+        assert self.binding_copies("h = dict(zip(variables, binding))\n") == []
+
     def test_the_scan_catches_what_it_is_for(self):
         source = (
             "def probe(index, bindings, key_of):\n"

@@ -1,7 +1,10 @@
 """Every import under ``src/repro/`` is used where it is made."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 
@@ -74,3 +77,32 @@ class TestNoUnusedImports:
             (5, "Atom"),
         ]
         assert self.unused_imports("import re\nre.compile('x')\n") == []
+
+
+class TestImportFootprint:
+    """``import repro`` loads no HTTP server stack: the admin endpoint's
+    modules come in only when a service asks for an admin port."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src"
+    HEAVY = ("http.server", "socketserver", "ssl")
+
+    def loaded(self, statement):
+        """Which of :attr:`HEAVY` a fresh interpreter holds after *statement*."""
+        probe = (
+            f"import sys\n{statement}\n"
+            f"print(' '.join(m for m in {self.HEAVY!r} if m in sys.modules))"
+        )
+        completed = subprocess.run(
+            [sys.executable, "-c", probe],
+            capture_output=True,
+            text=True,
+            check=True,
+            env={**os.environ, "PYTHONPATH": str(self.SRC)},
+        )
+        return completed.stdout.split()
+
+    def test_import_repro_loads_no_http_server(self):
+        assert self.loaded("import repro") == []
+
+    def test_admin_server_is_still_importable_from_obs(self):
+        assert "http.server" in self.loaded("from repro.obs import AdminServer")

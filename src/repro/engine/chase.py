@@ -305,23 +305,19 @@ class ChaseEngine:
             if variable in homomorphism
         }
         relational = disjunct.relational_atoms()
-        equalities = disjunct.equalities()
         if relational:
             if self.config.strategy == "naive":
                 extensions = self._naive.find_all(relational, query.body, seed)
             else:
-                # Without equalities to test, one extension settles it.
                 extensions = plan.disjunct_plans[index].evaluate(
-                    instance,
-                    seeds=[seed],
-                    target_atoms=query.body,
-                    limit=None if equalities else 1,
+                    instance, seeds=[seed], target_atoms=query.body
                 )
             if not extensions:
                 return False
             candidates = extensions
         else:
             candidates = [dict(seed)]
+        equalities = disjunct.equalities()
         if not equalities:
             return True
         for candidate in candidates:

@@ -95,14 +95,6 @@ class JoinStep:
         constants = source.row_form(self.key_constants)
         pick = self.pick
         holds = self._repeats_hold if self.repeat_checks else None
-        if len(constants) == len(self.key_positions):
-            # No key slot: every binding probes the same key.
-            values = [
-                pick(row)
-                for row in index.get(constants, ())
-                if holds is None or holds(row)
-            ]
-            return [binding + value for binding in bindings for value in values]
         get, key_of = index.get, self.key_of
         if constants:
             keys = [key_of(binding + constants) for binding in bindings]
@@ -138,30 +130,26 @@ class CompiledConjunction:
         self, seed_variables: Tuple[Variable, ...]
     ) -> Tuple[Tuple[JoinStep, ...], Tuple[Variable, ...]]:
         """Choose a join order greedily (most-bound atom first) and plan each probe."""
-        atoms = [a for a in self.atoms if isinstance(a, RelationalAtom)]
+        remaining = [a for a in self.atoms if isinstance(a, RelationalAtom)]
         slots: Dict[Variable, int] = {v: slot for slot, v in enumerate(seed_variables)}
-        # Each atom's bound positions, raised as the steps bind its variables.
-        bound = [0] * len(atoms)
-        occurrences: Dict[Variable, List[int]] = {}
-        for number, atom in enumerate(atoms):
-            for term in atom.terms:
-                if not is_variable(term) or term in slots:
-                    bound[number] += 1
-                else:
-                    occurrences.setdefault(term, []).append(number)
-        remaining = list(range(len(atoms)))
         steps: List[JoinStep] = []
         while remaining:
-            # Prefer atoms with more bound positions; break ties by arity
-            # (smaller atoms first) to keep intermediate results small, then
-            # by position in the conjunction.
-            best = max(remaining, key=lambda number: (bound[number], -atoms[number].arity))
-            remaining.remove(best)
-            step = self._plan_step(atoms[best], slots)
-            steps.append(step)
-            for position in step.append_positions:
-                for number in occurrences.pop(step.atom.terms[position]):
-                    bound[number] += 1
+            best_index = 0
+            best_score = -1
+            for index, atom in enumerate(remaining):
+                score = sum(
+                    1
+                    for term in atom.terms
+                    if not is_variable(term) or term in slots
+                )
+                # Prefer atoms with more bound positions; break ties by arity
+                # (smaller atoms first) to keep intermediate results small.
+                if score > best_score or (
+                    score == best_score and atom.arity < remaining[best_index].arity
+                ):
+                    best_score = score
+                    best_index = index
+            steps.append(self._plan_step(remaining.pop(best_index), slots))
         return tuple(steps), tuple(slots)
 
     @staticmethod

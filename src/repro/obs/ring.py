@@ -22,8 +22,8 @@ class SampledRing:
     """A thread-safe 1-in-N counter in front of a bounded ring.
 
     :meth:`sampled` decides and :meth:`keep` retains: profiles sample
-    before the work and keep after it, traces do both on completion, and
-    the slow-query log uses the counter alone.
+    before the work and keep after it, traces do both on completion
+    (:meth:`offer`), and the slow-query log uses the counter alone.
     """
 
     def __init__(self, what: str, maxlen: int = 64, sample: int = 1, seed: int = 0):
@@ -46,6 +46,17 @@ class SampledRing:
         with self._lock:
             self._offered += 1
             return (self._offered - 1 + self.seed) % self.sample == 0
+
+    def offer(self, item: Any) -> bool:
+        """Count *item* as a candidate and retain it if it is sampled:
+        :meth:`sampled` then :meth:`keep`, under one lock acquisition."""
+        with self._lock:
+            self._offered += 1
+            if (self._offered - 1 + self.seed) % self.sample:
+                return False
+            self._items.append(item)
+            self._recorded += 1
+        return True
 
     def keep(self, item: Any) -> bool:
         """Retain *item*, evicting the oldest past *maxlen*."""

@@ -81,25 +81,27 @@ class Span:
         "kind", "label", "estimated_rows", "actual_rows",
     )
 
-    def __init__(self, name: Optional[str], profiled: bool = False, **attributes: Any):
-        #: The span name; ``None`` on an operator-only node.
-        self.name = name
-        #: Whether this tree records operators (set at the root, inherited).
-        self.profiled = profiled
-        self.attributes: Dict[str, Any] = attributes
-        self.start: float = _now()
-        self.end: Optional[float] = None
-        self.children: List["Span"] = []
-        #: The operator class; ``None`` on a layer-only node.
-        self.kind: Optional[str] = None
-        self.label = ""
-        self.estimated_rows: Optional[float] = None
-        self.actual_rows: Optional[int] = None
+    #: The span name; ``None`` on an operator-only node.
+    name: Optional[str]
+    #: Whether this tree records operators (set at the root, inherited).
+    profiled: bool
+    attributes: Dict[str, Any]
+    start: float
+    end: Optional[float]
+    children: List["Span"]
+    #: The operator class; ``None`` on a layer-only node.
+    kind: Optional[str]
+    label: str
+    estimated_rows: Optional[float]
+    actual_rows: Optional[int]
+
+    def __new__(cls, name: Optional[str], profiled: bool = False, **attributes: Any) -> "Span":
+        return _node(name, profiled, attributes, _now())
 
     # -- recording -----------------------------------------------------
     def child(self, name: str, **attributes: Any) -> "Span":
         """Open (and return) a child span; use it as a context manager."""
-        span = Span(name, self.profiled, **attributes)
+        span = _node(name, self.profiled, attributes, _now())
         self.children.append(span)
         return span
 
@@ -113,7 +115,7 @@ class Span:
         """Open an operator-only child — the null node in an unprofiled tree."""
         if not self.profiled:
             return NULL_SPAN
-        node = Span(None, True, **attributes)
+        node = _node(None, True, attributes, _now())
         node.kind, node.label, node.estimated_rows = kind, label, estimated_rows
         self.children.append(node)
         return node
@@ -139,9 +141,9 @@ class Span:
         the service grafts those readings into the tree.  *offset* is
         seconds past this span's start.
         """
-        span = Span(name, self.profiled, **attributes)
-        span.start = self.start + offset
-        span.end = span.start + max(0.0, seconds)
+        start = self.start + offset
+        span = _node(name, self.profiled, attributes, start)
+        span.end = start + seconds if seconds > 0.0 else start
         self.children.append(span)
         return span
 
@@ -236,6 +238,26 @@ class Span:
             if error is not None and error > worst_error:
                 worst, worst_error = node, error
         return worst
+
+
+def _node(
+    name: Optional[str], profiled: bool, attributes: Dict[str, Any], start: float
+) -> Span:
+    """A new open node.  Every way of opening one comes here: a span is
+    opened several times per traced publish, and filling the slots
+    directly skips the constructor call and a copy of *attributes*."""
+    node = object.__new__(Span)
+    node.name = name
+    node.profiled = profiled
+    node.attributes = attributes
+    node.start = start
+    node.end = None
+    node.children = []
+    node.kind = None
+    node.label = ""
+    node.estimated_rows = None
+    node.actual_rows = None
+    return node
 
 
 class _NullSpan:
@@ -369,7 +391,9 @@ class Trace(TreeView):
     keeps = staticmethod(is_layer)
 
     def __init__(self, root: Span, traced: bool = True, **metadata: Any):
-        super().__init__(root, **metadata)
+        # TreeView's fields, set here: one trace is built per publish.
+        self.root = root
+        self.metadata = metadata
         self.enabled = traced
 
     @property
@@ -425,7 +449,7 @@ class Tracer:
         traced = self.enabled or force
         if not (traced or profiled):
             return NULL_TRACE
-        return Trace(Span(name, profiled), traced, **metadata)
+        return Trace(_node(name, profiled, {}, _now()), traced, **metadata)
 
 
 #: Canonical publish phases the slow-query log and the audit log break a
@@ -456,18 +480,21 @@ def phase_breakdown(span: "Span") -> Dict[str, float]:
     Returns ``{}`` on the null span (tracing disabled).
     """
     phases: Dict[str, float] = {}
-
-    def visit(node: "Span") -> None:
-        for child in list(node.children):
-            phase = PUBLISH_PHASES.get(child.name)
-            if phase is not None:
-                phases[phase] = phases.get(phase, 0.0) + child.duration
-                if phase == "reformulate":
-                    continue
-            visit(child)
-
-    visit(span)
+    _add_phases(span, phases)
     return phases
+
+
+def _add_phases(span: "Span", phases: Dict[str, float]) -> None:
+    # No snapshot of the children: the walk runs once the request is done.
+    for node in span.children:
+        phase = PUBLISH_PHASES.get(node.name)
+        if phase is not None:
+            end = node.end if node.end is not None else _now()
+            phases[phase] = phases.get(phase, 0.0) + (end - node.start)
+            if phase == "reformulate":
+                continue
+        if node.children:
+            _add_phases(node, phases)
 
 
 class TraceBuffer(SampledRing):
@@ -486,7 +513,7 @@ class TraceBuffer(SampledRing):
 
     def record(self, trace: "Trace") -> bool:
         """Offer one completed trace; returns whether it was retained."""
-        return trace.enabled and self.sampled() and self.keep(trace)
+        return trace.enabled and self.offer(trace)
 
     @property
     def completed(self) -> int:

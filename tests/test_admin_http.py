@@ -298,6 +298,18 @@ class TestTraceBuffer:
         reform.add_phase("plan_cache.lookup", 0.001)
         assert phase_breakdown(nested) == {"reformulate": pytest.approx(0.020)}
 
+    def test_phase_breakdown_descends_through_spans_that_are_no_phase(self):
+        root = Span("publish")
+        root.add_phase("plan_cache.lookup", 0.001)
+        shard = root.add_phase("shard.execute", 0.004)
+        shard.add_phase("merge", 0.002)
+        root.add_phase("pool.acquire", 0.003)
+        phases = phase_breakdown(root)
+        # Phases appear in the order the tree holds them (audit lines
+        # keep a stable field order).
+        assert list(phases) == ["reformulate", "merge", "acquire"]
+        assert phases["merge"] == pytest.approx(0.002)
+
 
 # ----------------------------------------------------------------------
 # Admin server against plain providers

@@ -17,13 +17,13 @@ servable system.  A :class:`PublishingService` owns
   threads execute plans without sharing a SQLite connection.
 
 Which kind of backend holds the data is the backend's business: recovery,
-checkpoint, repair, health, stats and teardown all walk the unit tuple.
-Only the request paths differ.  ``publish(query)`` — the batch of one of
-``publish_many`` — does cache-aware reformulation, checks one connection
-out — or routes the plan and checks out only the units the router names —
-runs the plan (the cost-ranked best reformulation) and returns the
-rows; ``update(changeset)`` applies and logs on the template, or routes
-the change set and applies and logs unit by unit.
+checkpoint, repair, health, stats, teardown and both request paths walk
+the unit tuple.  ``publish(query)`` — the batch of one of
+``publish_many`` — does cache-aware reformulation, has the template route
+the plan (the cost-ranked best reformulation), checks out the units the
+route names, runs the plan there and returns the rows;
+``update(changeset)`` has the template route the change set and applies
+and logs each piece on its unit.
 
 What a served request leaves behind is decided in one place: every
 publish, every query of a batch, every ``explain()`` run
@@ -422,6 +422,9 @@ class PublishingService:
         #: The span tree of the most recent traced publish/update.
         self.last_trace = NULL_TRACE
         self._write_lsn = 0
+        # Publishes pass the gate as readers; the rebalance cutover, and
+        # updates to a template split into units, as the exclusive writer.
+        self._gate = _PublishGate()
         # The template backend must be usable from whichever thread calls
         # update() or rebalance(), so backends the service builds itself
         # are created thread-portable (an injected instance is trusted to
@@ -504,11 +507,8 @@ class PublishingService:
         # execution — the per-request hot path — takes no service lock;
         # SQLite statements still step one at a time per process.
         self._reformulate_lock = threading.Lock()
-        # Write-path state: updates serialize behind one lock; publishes
-        # and updates pass the gate as readers, the rebalance cutover as
-        # the exclusive writer.
+        # Write-path state: updates serialize behind one lock.
         self._write_lock = threading.Lock()
-        self._gate = _PublishGate()
         self._rebalance_lock = threading.Lock()
         self._rebalance_log: Optional[MutationLog] = None
         # Row-count drift accounting for the adaptive statistics trigger:
@@ -1039,10 +1039,17 @@ class PublishingService:
 
         ``pool`` / ``mutation_log`` are set when the template is its own
         unit, ``shard_pools`` / ``shard_logs`` (in unit order) otherwise;
-        only the request paths fork on that.
+        the request paths read none of them.  Only on such a template do
+        updates pass the publish gate alongside publishes (its one log
+        append is atomic).  Otherwise a change set spanning units could be
+        seen half-applied, and a template answering for other units may
+        keep what it derived from them (the sharded gather's tables),
+        which a publish holding a pre-write connection would refill with
+        old rows: updates take the gate alone.
         """
         own = len(units) == 1 and units[0].store is self.executor.backend
         self._units = units
+        self._update_gate = self._gate.read if own else self._gate.write
         self.pool: Optional[ConnectionPool] = units[0].pool if own else None
         self.mutation_log: Optional[MutationLog] = units[0].log if own else None
         self.shard_pools: Tuple[ConnectionPool, ...] = (
@@ -1197,65 +1204,59 @@ class PublishingService:
         self,
         plan: ConjunctiveQuery,
         distinct: bool,
-        backend: Optional[StorageBackend] = None,
+        held: Optional[Dict[int, StorageBackend]] = None,
         flight: Optional[_Flight] = None,
     ) -> Tuple[List[Row], Tuple[str, ...]]:
-        """Execute one plan; returns the rows and the routing modes taken.
+        """Route one plan, check out the units the route names and execute
+        it there; returns the rows and the routing modes taken.
 
-        *backend* is the checked-out connection when the template is its
-        own unit.  When it is split into units (``None``) the plan is
-        routed first and connections are checked out *only for the units
-        the router names*, always in ascending order (uniform acquisition
-        order means concurrent multi-unit publishes cannot deadlock
-        against each other).  *flight* is the request the plan serves.
+        *held* maps unit positions to the connections a batch holds: kept
+        when the route names the same units, else all released before the
+        named units are checked out, always in ascending order (uniform
+        acquisition order means concurrent publishes cannot deadlock
+        against each other).  The caller releases *held* after its last
+        plan; without it the plan's connections are released here.
+        *flight* is the request the plan serves.
         """
-        if backend is not None:
-            with self._execute_span(flight, engine=backend.backend_name) as span:
-                rows = backend.execute(plan, distinct=distinct)
-                span.produced(len(rows))
-                return rows, ("single",)
+        if held is None:
+            held = {}
+            try:
+                return self._run_plan(plan, distinct, held, flight)
+            finally:
+                self._release(held)
         template = self.executor.backend
-        with current_span().child("route") as route_span:
-            route = template.route_plan(plan)
-            modes = tuple(str(decision.mode) for _q, decision in route.decisions)
-            route_span.annotate(
-                modes=list(modes),
-                shards=sorted(route.needed_shards),
-            )
-        acquired: List[Tuple[int, StorageBackend]] = []
-        try:
-            children = {}
-            for shard in route.needed_shards:
-                connection = self.shard_pools[shard].acquire(
-                    timeout=self.checkout_timeout,
-                    min_lsn=self.shard_logs[shard].lsn,
+        route = template.route_plan(plan)
+        needed = route.needed_shards
+        if tuple(held) != needed:
+            self._release(held)
+            for position in needed:
+                # The LSN barrier: the clone must have replayed every
+                # update its unit's log acknowledged, so a client that
+                # just wrote reads its own write.
+                unit = self._units[position]
+                held[position] = unit.pool.acquire(
+                    timeout=self.checkout_timeout, min_lsn=unit.log.lsn
                 )
-                acquired.append((shard, connection))
-                children[shard] = connection
-            with self._execute_span(flight) as span:
-                rows = template.execute_routed(route, plan, distinct, children)
-                span.produced(len(rows))
-                return rows, modes
-        finally:
-            for shard, connection in acquired:
-                self.shard_pools[shard].release(connection)
-
-    @staticmethod
-    def _execute_span(flight: Optional[_Flight], **attributes):
-        """Open the ``execute`` node: a span, and in a profiled tree the
-        root operator of *flight*'s profile."""
-        span = current_span().child("execute", **attributes)
+        span = current_span().child("execute", engine=template.backend_name)
         if span.profiled and flight is not None:
+            # The root operator of the flight's profile, with the
+            # planner's rejected alternatives priced: estimate-vs-actual
+            # attribution should name what *could* have run, not just
+            # what did.
             span.as_operator(EXECUTE, flight.query.name)
             costs = flight.reformulation.candidate_costs
             if costs:
-                # The planner's rejected alternatives, priced:
-                # estimate-vs-actual attribution should name what
-                # *could* have run, not just what did.
-                span.annotate(
-                    candidate_costs=[[n, round(c, 3)] for n, c in costs]
-                )
-        return span
+                span.annotate(candidate_costs=[[n, round(c, 3)] for n, c in costs])
+        with span:
+            rows = template.execute_routed(route, plan, distinct, held)
+            span.produced(len(rows))
+        return rows, tuple(str(decision.mode) for _q, decision in route.decisions)
+
+    def _release(self, held: Dict[int, StorageBackend]) -> None:
+        """Return every connection *held* holds to its unit's pool."""
+        for position, connection in held.items():
+            self._units[position].pool.release(connection)
+        held.clear()
 
     def publish(
         self,
@@ -1283,9 +1284,10 @@ class PublishingService:
         The same rules as :meth:`publish` apply to the whole batch, and
         every query in it leaves what a publish leaves (counters, latency,
         SLO, cost feedback, its own trace, audit entry) before the batch
-        is acknowledged.  When the template is split into units each plan
-        routes (and checks out connections) independently, so a batch of
-        pruned queries never pins every unit at once.
+        is acknowledged.  Each plan routes on its own: a plan naming the
+        units the previous one named reuses its connections, and any
+        other releases them first, so a batch of pruned queries never
+        pins every unit at once.
         """
         return [rows for rows, _record in self._serve(queries, distinct)]
 
@@ -1373,31 +1375,20 @@ class PublishingService:
         return served
 
     def _execute(self, flights: Sequence[_Flight], distinct: bool) -> None:
-        """Run every planned flight, on one checkout when the template is
-        its own unit."""
-        backend = None
+        """Run every planned flight, holding connections from one plan to
+        the next (see :meth:`_run_plan`)."""
+        held: Dict[int, StorageBackend] = {}
         try:
             for flight in flights:
                 clock = timer()
                 with flight.trace.root as root:
-                    if backend is None and self.pool is not None:
-                        # The batch's one checkout, attributed to its first
-                        # query.  The LSN barrier: the clone must have
-                        # replayed at least every update this service has
-                        # acknowledged, so a client that just wrote reads
-                        # its own write.
-                        backend = self.pool.acquire(
-                            timeout=self.checkout_timeout,
-                            min_lsn=self.mutation_log.lsn,
-                        )
                     flight.rows, flight.route = self._run_plan(
-                        flight.plan, distinct, backend, flight
+                        flight.plan, distinct, held, flight
                     )
                     root.annotate(rows=len(flight.rows))
                 flight.coarse["execute"] = clock.stop()
         finally:
-            if backend is not None:
-                self.pool.release(backend)
+            self._release(held)
 
     def _record(
         self,
@@ -1478,9 +1469,9 @@ class PublishingService:
     def update(self, changeset: ChangeSet) -> int:
         """Apply *changeset* to the live deployment; returns its LSN.
 
-        The change set is applied to the template backend (routed unit
-        by unit when the template is split into units, fanned to every
-        replica on a replicated one) and appended to the mutation log(s); pooled
+        The template routes the change set to its storage units; each
+        piece is applied to its unit (fanned to every replica on a
+        replicated one) and appended to the unit's mutation log.  Pooled
         snapshot clones replay the tail on their next checkout, and
         :meth:`publish` enforces a read-your-writes LSN barrier, so a
         subsequent publish observes this update without any rebuild.
@@ -1498,36 +1489,25 @@ class PublishingService:
             return self._write_lsn
         tracked = self.tracer.trace("update", changes=len(changeset.changes))
         clock = timer()
+        template = self.executor.backend
         with tracked.root as root:
-            if self.pool is not None:
-                # One mutation log: the append is atomic, so concurrent
-                # publishes (fellow gate readers) see the whole change set or
-                # none of it when they sync to the log head.
-                with self._gate.read():
-                    with self._write_lock:
-                        with root.child("apply"):
-                            self.executor.backend.apply(changeset)
-                        with root.child("log.append"):
-                            lsn = self.mutation_log.append(changeset)
-                        refresh = self._finish_update(changeset, lsn)
-            else:
-                # Per-unit logs: a change set spanning units would otherwise
-                # be observable half-applied (a publish syncs each unit's
-                # pool independently), so cross-unit visibility is made
-                # atomic by taking the gate exclusively — publishes drain,
-                # every unit applies and appends, publishes resume.
-                with self._gate.write():
-                    with self._write_lock:
-                        routed = self.executor.backend.route_changeset(changeset)
-                        for shard, sub in sorted(routed.items()):
-                            unit = self._units[shard]
-                            with root.child("apply", shard=shard):
-                                unit.store.apply(sub)
-                            with root.child("log.append", shard=shard):
-                                unit.log.append(sub)
-                        self.executor.backend.units_written()
-                        lsn = self._write_lsn + 1
-                        refresh = self._finish_update(changeset, lsn)
+            with self._update_gate():
+                with self._write_lock:
+                    routed = template.route_changeset(changeset)
+                    for position, piece in sorted(routed.items()):
+                        unit = self._units[position]
+                        with root.child("apply", shard=position):
+                            unit.store.apply(piece)
+                        with root.child("log.append", shard=position):
+                            unit.log.append(piece)
+                    template.units_written()
+                    if self._rebalance_log is not None:
+                        # A rebalance is copying fragments right now: tee
+                        # the change so the new layout replays it.
+                        self._rebalance_log.append(changeset)
+                    self._write_lsn += 1
+                    lsn = self._write_lsn
+                    refresh = self._note_drift(changeset)
             root.annotate(lsn=lsn)
         self._emit(
             self._record(
@@ -1539,15 +1519,6 @@ class PublishingService:
             # and must not hold publishes (or a waiting rebalance) up.
             self._refresh_statistics(reason="drift")
         return lsn
-
-    def _finish_update(self, changeset: ChangeSet, lsn: int) -> bool:
-        """Shared bookkeeping under the write lock; returns the drift flag."""
-        if self._rebalance_log is not None:
-            # A rebalance is copying fragments right now: tee the change
-            # so the new layout replays it.
-            self._rebalance_log.append(changeset)
-        self._write_lsn = lsn
-        return self._note_drift(changeset)
 
     def _note_drift(self, changeset: ChangeSet) -> bool:
         """Account the written rows; True when drift crosses the threshold."""
@@ -1777,11 +1748,8 @@ class PublishingService:
             reformulations_computed=int(self._m_reformulations.value),
             cache=self.plan_cache.stats(),
             pool=pool,
-            # The per-shard breakdown pairs off with shard_pools, so it is
-            # empty when the template is its own unit.
-            shard_pools=tuple(
-                stats for stats, _pool in zip(per_unit, self.shard_pools)
-            ),
+            # The per-unit breakdown is empty when the template is its own unit.
+            shard_pools=() if self.pool is not None else per_unit,
             router=template.router_stats(),
             updates_applied=int(self._m_updates.value),
             last_write_lsn=self._write_lsn,

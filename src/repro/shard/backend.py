@@ -565,7 +565,7 @@ class ShardedBackend(StorageBackend):
     def route_plan(
         self, plan: ConjunctiveQuery, annotate: Optional[bool] = None
     ) -> RoutePlan:
-        """The routing decision for *plan*.
+        """The routing decision for *plan*, timed as the ``route`` span.
 
         *annotate* defaults to whether the ambient tree is profiled: a
         profiled execution pays for the describe-only cost annotations
@@ -573,18 +573,18 @@ class ShardedBackend(StorageBackend):
         estimates, not just the modes.
         """
         self._require_open()
-        if annotate is None:
-            annotate = current_span().profiled
-        return self.router.route_plan(plan, annotate=annotate)
+        with current_span().child("route") as span:
+            if annotate is None:
+                annotate = span.profiled
+            route = self.router.route_plan(plan, annotate=annotate)
+            span.annotate(
+                modes=[decision.mode for _q, decision in route.decisions],
+                shards=list(route.needed_shards),
+            )
+        return route
 
     def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:
-        with current_span().child("route") as span:
-            plan = self.route_plan(query)
-            span.annotate(
-                modes=[decision.mode for _q, decision in plan.decisions],
-                shards=sorted(plan.needed_shards),
-            )
-        return self.execute_routed(plan, query, distinct)
+        return self.execute_routed(self.route_plan(query), query, distinct)
 
     def execute_routed(
         self,
@@ -593,13 +593,8 @@ class ShardedBackend(StorageBackend):
         distinct: bool = True,
         children: Optional[Mapping[int, StorageBackend]] = None,
     ) -> List[Row]:
-        """Execute *query* under an already-computed :class:`RoutePlan`.
-
-        *children* substitutes the engines used per shard — the publishing
-        service passes pool-checked-out clones here, keyed by shard id and
-        covering at least ``plan.needed_shards``.  ``None`` uses this
-        backend's own children.
-        """
+        """Execute *query* under *plan* on *children* (checked-out shard
+        clones, keyed by shard id), or on this backend's own children."""
         self._require_open()
         engines: Mapping[int, StorageBackend] = (
             children if children is not None else dict(enumerate(self._children))

@@ -31,8 +31,12 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Typ
 from ...cost.model import CostModel
 from ...errors import EvaluationError, StorageError
 from ...logical.queries import ConjunctiveQuery
+from ..routing import MODE_SINGLE, RoutePlan, RoutingDecision
 
 Row = Tuple[object, ...]
+
+#: The route of every plan on a backend that is its own storage unit.
+_ONE_UNIT = RoutingDecision(MODE_SINGLE, (0,), (), "one storage unit")
 
 
 def default_backend_name() -> str:
@@ -209,14 +213,31 @@ class StorageBackend(abc.ABC):
 
         The publishing service gives every ``(label, store)`` unit its own
         connection pool and mutation log (durable under
-        ``<log_dir>/<label>``).  A plain engine is one unit — itself; the
-        sharded backend answers one per shard.  A backend answering
-        anything but itself must also route (``route_plan`` /
-        ``execute_routed`` / ``route_changeset``, keyed by unit position):
-        the service then checks out and writes unit by unit, and calls
-        :meth:`units_written` once the units hold a change set.
+        ``<log_dir>/<label>``) and reaches them through the routing below,
+        by position.  A plain engine is one unit — itself; the sharded
+        backend answers one per shard.
         """
         return (("service", self),)
+
+    def route_plan(self, plan: ConjunctiveQuery) -> RoutePlan:
+        """The units *plan* executes on: unit 0, ``single``, by default."""
+        return RoutePlan(((plan, _ONE_UNIT),))
+
+    def execute_routed(
+        self,
+        route: RoutePlan,
+        plan: ConjunctiveQuery,
+        distinct: bool = True,
+        children: Optional[Mapping[int, "StorageBackend"]] = None,
+    ) -> List[Row]:
+        """Execute *plan* under *route* on *children* (checked-out units,
+        keyed by position), or on this backend's own units when ``None``."""
+        engine = self if children is None else children[0]
+        return engine.execute(plan, distinct=distinct)
+
+    def route_changeset(self, changeset: "ChangeSet") -> Dict[int, "ChangeSet"]:
+        """*changeset* split into the pieces each unit applies, by position."""
+        return {0: changeset}
 
     def units_written(self) -> None:
         """Note that a caller wrote to this backend's units directly.

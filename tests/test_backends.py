@@ -22,6 +22,7 @@ from repro.engine.cb import CBConfig
 from repro.logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
+from repro.replica import ChangeSet
 from repro.serve import ConnectionPool, PublishingService
 from repro.storage.backends import sqlite as sqlite_module
 from repro.storage.backends import (
@@ -157,6 +158,41 @@ class TestBackendProtocol:
         x, y = Variable("x"), Variable("y")
         query = ConjunctiveQuery("q", (x,), (RelationalAtom("r", (x, y)),))
         assert "scan r" in explain(backend, query)
+
+
+class TestOneUnitRouting:
+    """A backend that is its own storage unit routes through the base
+    defaults: every plan to unit 0, every change set whole."""
+
+    def test_route_plan_names_unit_zero_single(self):
+        x = Variable("x")
+        plan = ConjunctiveQuery("q", (x,), (RelationalAtom("r", (x,)),))
+        with MemoryBackend() as backend:
+            route = backend.route_plan(plan)
+        ((routed, decision),) = route.decisions
+        assert routed is plan
+        assert decision.mode == "single"
+        assert route.needed_shards == (0,)
+
+    def test_execute_routed_reads_the_checked_out_unit(self):
+        x = Variable("x")
+        plan = ConjunctiveQuery("q", (x,), (RelationalAtom("r", (x,)),))
+        with MemoryBackend() as template:
+            template.create_table("r", 1)
+            template.insert_many("r", [(1,)])
+            clone = template.clone()
+            clone.insert_many("r", [(2,)])
+            route = template.route_plan(plan)
+            assert multiset(template.execute_routed(route, plan, True, {0: clone})) == (
+                multiset([(1,), (2,)])
+            )
+            assert template.execute_routed(route, plan) == [(1,)]
+            clone.close()
+
+    def test_route_changeset_keeps_the_change_set_whole(self):
+        changeset = ChangeSet.build(inserts={"r": [(1,)]})
+        with MemoryBackend() as backend:
+            assert backend.route_changeset(changeset) == {0: changeset}
 
 
 class TestBackendFactory:

@@ -7,6 +7,7 @@ rows serial execution produces (no cross-talk, no wrong-thread
 distinct query — everything else is served from the plan cache.
 """
 
+import ast
 import inspect
 import os
 import re
@@ -20,6 +21,7 @@ from repro.errors import ReformulationError, StorageError
 from repro.logical.atoms import RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
+from repro.obs import current_span
 from repro.serve import (
     ConnectionPool,
     PlanCache,
@@ -656,6 +658,61 @@ class TestShardedService:
             deltas = [b - a for a, b in zip(before, after)]
             assert sum(deltas) == 1 and deltas[target] == 1
 
+    @staticmethod
+    def pruned(patient):
+        x = Variable("x")
+        return ConjunctiveQuery(
+            f"pruned_{patient}",
+            (x,),
+            (RelationalAtom("patientDiag", (Constant(patient), x)),),
+        )
+
+    def test_a_batch_naming_the_same_units_checks_out_once(self):
+        with self.build_service(pool_size=2) as service:
+            query = medical.client_query()
+            service.publish(query)
+            before = [pool.stats().checkouts for pool in service.shard_pools]
+            service.publish(query)
+            single = [pool.stats().checkouts for pool in service.shard_pools]
+            assert len(service.publish_many([query, query, query])) == 3
+            after = [pool.stats().checkouts for pool in service.shard_pools]
+            assert [b - a for a, b in zip(before, single)] == [1, 1, 1]
+            assert [b - a for a, b in zip(single, after)] == [1, 1, 1]
+            assert all(pool.stats().in_use == 0 for pool in service.shard_pools)
+
+    def test_a_batch_never_holds_more_than_one_plan_needs(self, monkeypatch):
+        """Plans naming other units release the held connections before
+        checking out: a pruned batch holds one connection at a time."""
+        with self.build_service(pool_size=2) as service:
+            pools = service.shard_pools
+            plans = [self.pruned(p) for p in ("ana", "eve", "bob")]
+            targets = [
+                service.executor.backend.route_plan(plan).needed_shards
+                for plan in plans
+            ]
+            assert targets[0] == targets[2] != targets[1]
+            assert all(len(target) == 1 for target in targets)
+            holding = []
+            for pool in pools:
+                def counted(*args, _acquire=pool.acquire, **kwargs):
+                    connection = _acquire(*args, **kwargs)
+                    holding.append(sum(p.stats().in_use for p in pools))
+                    return connection
+                monkeypatch.setattr(pool, "acquire", counted)
+            before = [pool.stats().checkouts for pool in pools]
+            held = {}
+            try:
+                for plan, target in zip(plans, targets):
+                    rows, modes = service._run_plan(plan, True, held)
+                    assert modes == ("single",) and len(rows) == 1
+                    assert tuple(held) == target
+            finally:
+                service._release(held)
+            after = [pool.stats().checkouts for pool in pools]
+            assert holding == [1, 1, 1]
+            assert sum(b - a for a, b in zip(before, after)) == 3
+            assert all(pool.stats().in_use == 0 for pool in pools)
+
     def test_concurrent_sharded_publishing(self):
         # pool_size=4 per shard: with 8 worker threads the bounded wait
         # queue (2 * size waiters) admits everyone; smaller pools would
@@ -782,7 +839,10 @@ class ToyMirror(ToyLeaf):
 
     def route_plan(self, plan):
         self.reads += 1
-        return _ToyRoute(plan, self.reads % 2)
+        wing = self.reads % 2
+        # A backend that routes times its own decision, as the sharded one does.
+        with current_span().child("route", modes=["single"], shards=[wing]):
+            return _ToyRoute(plan, wing)
 
     def execute_routed(self, route, plan, distinct=True, children=None):
         (wing,) = route.needed_shards
@@ -1017,6 +1077,85 @@ class TestNoBackendTypeSwitches:
             'getattr(self.executor.backend, "explain", None)'
         )
         assert not self.CAPABILITY_PROBE.search('getattr(plan, "name", "")')
+
+
+def patient_visit(index):
+    return ChangeSet.build(inserts={"patientDiag": [(f"visitor{index}", "flu")]})
+
+
+class TestOneWritePathKeepsTheLsn:
+    """Every deployment writes on one path; the LSNs it hands out are the
+    ones the unit logs agree with."""
+
+    def test_one_unit_lsn_is_the_log_head_across_a_restart(self, tmp_path):
+        options = dict(pool_size=1, log_dir=str(tmp_path / "log"), log_fsync="off")
+        with PublishingService(medical.build_configuration(), **options) as service:
+            assert [service.update(patient_visit(i)) for i in range(5)] == [1, 2, 3, 4, 5]
+            assert service.stats().last_write_lsn == service.mutation_log.lsn == 5
+        with PublishingService(medical.build_configuration(), **options) as restarted:
+            assert restarted.stats().last_write_lsn == restarted.mutation_log.lsn == 5
+            assert restarted.update(patient_visit(5)) == 6 == restarted.mutation_log.lsn
+
+    @pytest.mark.parametrize("backend", ["sharded", "toy-mirror"])
+    def test_split_unit_logs_count_the_pieces_routed_to_them(self, backend):
+        configuration = medical.build_configuration()
+        configuration.shard_count = 3
+        stream = [patient_visit(i) for i in range(5)] + [NEW_DIAGNOSIS]
+        with PublishingService(configuration, backend=backend, pool_size=1) as service:
+            template = service.executor.backend
+            expected = [0] * len(service.shard_logs)
+            for changeset in stream:
+                for position in template.route_changeset(changeset):
+                    expected[position] += 1
+            assert [service.update(c) for c in stream] == list(range(1, 7))
+            assert service.stats().last_write_lsn == 6
+            assert [log.lsn for log in service.shard_logs] == expected
+            assert len(service.shard_logs) == (3 if backend == "sharded" else 2)
+            if backend == "toy-mirror":
+                assert expected == [6, 6]
+
+
+class TestOneServePath:
+    """The service serves every deployment on one request path and one
+    write path: reading the one-unit views (``pool``, ``mutation_log``) or
+    indexing the per-shard ones outside the two methods that assign and
+    report them means a path forks on the deployment's shape again."""
+
+    SERVICE = (
+        Path(__file__).resolve().parent.parent / "src" / "repro" / "serve" / "service.py"
+    )
+    FORK = re.compile(
+        r"self\.pool is|self\.shard_pools\[|self\.shard_logs\[|self\.mutation_log\."
+    )
+    #: The methods that assign the views and report them.
+    VIEW_METHODS = ("_adopt_units", "stats")
+
+    def offenders(self, source):
+        allowed = set()
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.FunctionDef) and node.name in self.VIEW_METHODS:
+                allowed.update(range(node.lineno, node.end_lineno + 1))
+        return [
+            f"service.py:{number}: {line.strip()}"
+            for number, line in enumerate(source.splitlines(), start=1)
+            if number not in allowed and self.FORK.search(line)
+        ]
+
+    def test_source_scan(self):
+        offenders = self.offenders(self.SERVICE.read_text())
+        assert not offenders, "\n".join(offenders)
+
+    def test_the_scan_catches_what_it_is_for(self):
+        forked = (
+            "class S:\n"
+            "    def _execute(self):\n"
+            "        if self.pool is not None:\n"
+            "            return self.mutation_log.lsn\n"
+            "        return self.shard_pools[0], self.shard_logs[0]\n"
+            "    def _adopt_units(self):\n"
+            "        self.pool = self.shard_pools[0]\n"
+        )
+        assert len(self.offenders(forked)) == 3
 
 
 class TestOnePlanPerRequest:

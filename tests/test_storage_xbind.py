@@ -21,7 +21,7 @@ from repro.storage import (
     materialize_view,
     render_sql,
 )
-from repro.storage.relational_db import IndexedTable
+from repro.storage.relational_db import IndexedTable, Table
 from repro.xbind import MixedStorage, PathAtom, XBindQuery, evaluate_xbind, make_xbind
 from repro.xmlmodel import XMLDocument, XMLNode
 
@@ -57,6 +57,15 @@ class TestInMemoryDatabase:
         index = table.index((1,))
         assert index == {(10,): [(1, 10), (3, 10)], (20,): [(2, 20)]}
         assert table.index((1,)) is not index
+
+    @pytest.mark.parametrize("positions", [(), (1,), (2, 0, 1)])
+    def test_an_index_keys_rows_by_their_values_at_the_positions(self, positions):
+        table = Table("T", 3)
+        table.insert_many([(1, "a", None), (2, "b", 7), (1, "a", None), (3, "a", 7)])
+        expected = {}
+        for row in table.rows:
+            expected.setdefault(tuple(row[p] for p in positions), []).append(row)
+        assert table.index(positions) == expected
 
     def test_indexes_are_kept_until_the_next_write(self, database):
         table = IndexedTable("R", 2, ("a", "b"))

@@ -5,13 +5,18 @@ compilation of XBind queries produces one, the chase rewrites one, the
 backchase enumerates subqueries of one, and the in-memory engine evaluates
 one against a database.
 
-Queries are immutable; every transformation returns a new object.
+Queries are immutable; every transformation returns a new object.  What an
+engine derives from a query before running it is kept beside it, outside
+its identity (:class:`DerivedPlan`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Callable, Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Sequence,
+    Tuple, TypeVar,
+)
 
 from ..errors import SchemaError
 from .atoms import (
@@ -233,6 +238,23 @@ class ConjunctiveQuery:
         return ConjunctiveQuery(self.name, collapsed.head, body).dedupe()
 
     # ------------------------------------------------------------------
+    # Derived artifacts
+    # ------------------------------------------------------------------
+    def derived(self) -> "DerivedPlan":
+        """This query's :class:`DerivedPlan`, built on first use and kept."""
+        record = self.__dict__.get("_derived")
+        if record is None:
+            record = DerivedPlan(self)
+            object.__setattr__(self, "_derived", record)
+        return record
+
+    def __getstate__(self) -> Dict[str, object]:
+        # The record holds compiled closures; a copy derives its own.
+        state = dict(self.__dict__)
+        state.pop("_derived", None)
+        return state
+
+    # ------------------------------------------------------------------
     # Display
     # ------------------------------------------------------------------
     def __str__(self) -> str:
@@ -242,6 +264,65 @@ class ConjunctiveQuery:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return str(self)
+
+
+_Artifact = TypeVar("_Artifact")
+
+
+class DerivedPlan:
+    """What engines derive from one plan before running it, kept with it.
+
+    A plan's fields are normative: they alone fix ``==``, ``hash``, its
+    canonical identity and the plan store's on-disk form.  What an engine
+    computes from them is derived: the equality-normalized body, the join
+    kernel's compiled steps, the rendered SQL and the columns it indexes,
+    a routing decision.  :meth:`ConjunctiveQuery.derived` keeps those
+    here, so a plan served again derives none of them.  The record is
+    built the first time a plan is served and lives exactly as long as
+    the plan object does: the plan cache that holds a plan bounds its
+    record, and a plan loaded from the store starts without one.
+
+    An artifact that depends on engine state (column names, statistics,
+    the shard layout) sits in a slot under the key of that state; asked
+    for under another key, it is rebuilt (:meth:`derive`).
+    """
+
+    __slots__ = ("normalized", "relations", "_slots")
+
+    def __init__(self, plan: ConjunctiveQuery):
+        normalized = plan.normalize_equalities()
+        if normalized is plan:
+            # An equal copy: the plan holds this record, and a record
+            # holding the plan would be a cycle that outlives eviction
+            # from the plan cache until the cyclic collector runs.
+            normalized = ConjunctiveQuery(plan.name, plan.head, plan.body)
+        #: The plan with its equalities collapsed (what every engine runs).
+        self.normalized = normalized
+        #: The relations the body reads, once each, in body order.
+        self.relations: Tuple[str, ...] = tuple(
+            dict.fromkeys(atom.relation for atom in normalized.relational_body)
+        )
+        self._slots: Dict[Hashable, Tuple[object, object]] = {}
+
+    def derive(
+        self,
+        slot: Hashable,
+        key: object,
+        build: Callable[..., _Artifact],
+        *args: object,
+    ) -> _Artifact:
+        """The artifact in *slot*, built as ``build(*args)`` unless the slot
+        already holds one derived under a key equal to *key*.
+
+        Concurrent first uses may each build; the artifacts are equal and
+        the last one stays.
+        """
+        entry = self._slots.get(slot)
+        if entry is not None and entry[0] == key:
+            return entry[1]
+        artifact = build(*args)
+        self._slots[slot] = (key, artifact)
+        return artifact
 
 
 def make_query(

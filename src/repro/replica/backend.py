@@ -277,6 +277,7 @@ class ReplicatedBackend(StorageBackend):
             if catalog is None:
                 catalog = measured
         self._statistics_catalog = catalog
+        self.statistics_epoch += 1
         return catalog
 
     # ------------------------------------------------------------------

@@ -571,12 +571,23 @@ class ShardedBackend(StorageBackend):
         profiled execution pays for the describe-only cost annotations
         too, so its decision nodes carry the chosen *and* rejected
         estimates, not just the modes.
+
+        The router keeps what it derives on the plan, keyed by the state
+        it was derived under: the statistics epoch (each
+        :meth:`refresh_statistics` hands the router a new cost model),
+        the layout version (each :meth:`adopt_layout` a new router and
+        shard count) and the partitioned-table count (a table declared
+        after the plan was first routed).
         """
         self._require_open()
         with current_span().child("route") as span:
             if annotate is None:
                 annotate = span.profiled
-            route = self.router.route_plan(plan, annotate=annotate)
+            route = self.router.route_plan(
+                plan,
+                annotate=annotate,
+                state=(self.statistics_epoch, self.layout_version, len(self._specs)),
+            )
             span.annotate(
                 modes=[decision.mode for _q, decision in route.decisions],
                 shards=list(route.needed_shards),
@@ -817,6 +828,7 @@ class ShardedBackend(StorageBackend):
         # route the way the template routes (fresh outcome counters).
         clone.router.set_cost_model(self.router.cost_model)
         clone._statistics_catalog = self._statistics_catalog
+        clone.statistics_epoch = self.statistics_epoch
         clone._stats_lock = threading.Lock()
         clone._executions = [0] * clone.shard_count
         clone._gather_fetches = [0] * clone.shard_count

@@ -44,14 +44,23 @@ rejected estimates on the :class:`RoutingDecision` (carried onto its
 node in a profiled run, which is what ``explain`` renders, and counted
 in :class:`RouterStats`).  Without a model the fixed rules apply
 unchanged.
+
+A decision is derived once per plan and kept: :meth:`ShardRouter.derive`
+computes a query's :class:`Routes` (the mode, its shards and the
+estimates that decide it), and :meth:`ShardRouter.route_plan` keeps them
+on the plan's :class:`~repro.logical.queries.DerivedPlan` under the
+router and the state its caller names (the sharded backend names its
+statistics epoch and layout version).  Only :meth:`ShardRouter.choose`
+runs per request: it picks the broadcast source shard, adds the
+describe-only estimates of a profiled request and counts the outcome.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from dataclasses import dataclass, replace
+from typing import Dict, Hashable, List, Mapping, Optional, Set, Tuple
 
 from ..logical.queries import ConjunctiveQuery
 from ..logical.terms import Constant, Term
@@ -77,13 +86,36 @@ class RouterStats:
     cost_overrides: int = 0
 
 
+@dataclass(frozen=True)
+class Routes:
+    """One query's routing as derived for a router: all but the rotation.
+
+    ``decisions`` holds one decision per broadcast source shard when the
+    route rotates (a broadcast-only ``single``, or a ``gather`` that
+    fetches a broadcast table), else the one decision.  ``describe``
+    names the estimate a profiled request adds to a rule-forced decision
+    (``"single"`` or ``"gather"``); cost-based decisions carry theirs.
+    """
+
+    normalized: ConjunctiveQuery
+    decisions: Tuple[RoutingDecision, ...]
+    describe: Optional[str] = None
+
+
 class ShardRouter:
     """Prunes the shard set of queries over a fixed partitioning layout.
 
     *specs* is the live ``table -> PartitionSpec`` mapping owned by the
-    sharded backend (tables registered after construction are seen).  The
-    router is thread-safe: decisions are pure functions of the query and
-    the layout, and the outcome counters take an internal lock.
+    sharded backend (tables registered after construction are seen).  A
+    decision depends on the query, on that layout and shard count, on the
+    attached cost model and, for broadcast sources, on a rotation counter.
+    :meth:`route_plan` keeps each plan's derived :class:`Routes` under the
+    key (this router, *state*): the sharded backend passes its statistics
+    epoch (moved by every ``refresh_statistics``, which is what attaches a
+    cost model), its ``layout_version`` (moved by every rebalance, which
+    builds a new router too) and its count of partitioned tables.  The
+    router is thread-safe: the rotation is an atomic counter and the
+    outcome counters take an internal lock.
     """
 
     def __init__(
@@ -110,7 +142,10 @@ class ShardRouter:
         The model prices the modes of one query
         (``scatter_estimate``/``gather_estimate``/``single_shard_estimate``
         of :class:`~repro.cost.model.CostModel`); decisions where only one
-        mode is sound are unaffected.
+        mode is sound are unaffected.  Routes kept on plans are keyed by
+        the *state* their caller passes to :meth:`route_plan`, so a caller
+        keeping routes moves that state with the model (the sharded
+        backend's ``refresh_statistics`` does both).
         """
         self.cost_model = cost_model
 
@@ -122,7 +157,8 @@ class ShardRouter:
     def route(
         self, query: ConjunctiveQuery, annotate: bool = False
     ) -> RoutingDecision:
-        """The execution mode and shard set for one conjunctive query.
+        """The execution mode and shard set for one conjunctive query,
+        derived afresh (see :meth:`route_plan` for the kept form).
 
         Cost estimates that *decide* (scatter vs gather on co-partitioned
         queries) are always computed; estimates that merely *describe* a
@@ -130,7 +166,38 @@ class ShardRouter:
         the serving hot path and filled in only when *annotate* is set
         (a profiled execution sets it).
         """
-        decision = self._decide(query, annotate)
+        return self.choose(self.derive(query.normalize_equalities()), annotate)
+
+    def route_plan(
+        self,
+        plan: ConjunctiveQuery,
+        annotate: bool = False,
+        state: Tuple[Hashable, ...] = (),
+    ) -> RoutePlan:
+        """The routing decision for *plan*, wrapped as a :class:`RoutePlan`.
+
+        The :class:`Routes` are derived once and kept on the plan's
+        :class:`~repro.logical.queries.DerivedPlan` under (this router,
+        *state*); a plan routed again under the same key only runs
+        :meth:`choose`.
+        """
+        record = plan.derived()
+        routes = record.derive(
+            "route", (self, *state), self.derive, record.normalized
+        )
+        return RoutePlan(decisions=((plan, self.choose(routes, annotate)),))
+
+    def choose(self, routes: Routes, annotate: bool = False) -> RoutingDecision:
+        """The per-request part of a decision: rotate, describe, count."""
+        decisions = routes.decisions
+        if len(decisions) == 1:
+            decision = decisions[0]
+        else:
+            decision = decisions[next(self._rotation) % len(decisions)]
+        if annotate and routes.describe is not None and self.cost_model is not None:
+            decision = replace(
+                decision, estimated_cost=self._describe(routes, decision)
+            )
         with self._lock:
             self._queries += 1
             if decision.mode == MODE_SINGLE:
@@ -145,12 +212,6 @@ class ShardRouter:
                     self._cost_overrides += 1
         return decision
 
-    def route_plan(
-        self, plan: ConjunctiveQuery, annotate: bool = False
-    ) -> RoutePlan:
-        """The routing decision for *plan*, wrapped as a :class:`RoutePlan`."""
-        return RoutePlan(decisions=((plan, self.route(plan, annotate)),))
-
     def stats(self) -> RouterStats:
         with self._lock:
             return RouterStats(
@@ -163,22 +224,26 @@ class ShardRouter:
             )
 
     # ------------------------------------------------------------------
-    def _decide(
-        self, query: ConjunctiveQuery, annotate: bool = False
-    ) -> RoutingDecision:
-        normalized = query.normalize_equalities()
+    def derive(self, normalized: ConjunctiveQuery) -> Routes:
+        """The :class:`Routes` of an equality-normalized query."""
         keyed: List[Tuple[PartitionSpec, Term]] = []
         for atom in normalized.relational_body:
             spec = self._specs.get(atom.relation)
             if spec is not None:
                 keyed.append((spec, atom.terms[spec.position]))
         if not keyed:
-            shard = next(self._rotation) % self.shard_count
-            return RoutingDecision(
-                mode=MODE_SINGLE,
-                shards=(shard,),
-                fetch_shards=(),
-                reason="only broadcast tables; any shard answers",
+            # Any shard answers: the request rotates over all of them.
+            return Routes(
+                normalized,
+                tuple(
+                    RoutingDecision(
+                        mode=MODE_SINGLE,
+                        shards=(shard,),
+                        fetch_shards=(),
+                        reason="only broadcast tables; any shard answers",
+                    )
+                    for shard in range(self.shard_count)
+                ),
             )
         if all(isinstance(term, Constant) for _spec, term in keyed):
             targets = {
@@ -191,7 +256,7 @@ class ShardRouter:
                 # plan, one engine, no fan-out), so it is never put up for
                 # a cost comparison — only annotated with its estimate,
                 # and only when the caller asked for annotations.
-                return RoutingDecision(
+                decision = RoutingDecision(
                     mode=MODE_SINGLE,
                     shards=(next(iter(targets)),),
                     fetch_shards=(),
@@ -199,12 +264,12 @@ class ShardRouter:
                         f"partition key bound: {spec.table}.{spec.column} "
                         f"= {term.value!r}"
                     ),
-                    estimated_cost=self._single_cost(normalized) if annotate else None,
                 )
+                return Routes(normalized, (decision,), describe=MODE_SINGLE)
             # Constants routing to different shards: each atom's rows live
             # wholly on its own shard, so no single shard sees them all.
-            return self._gather_decision(
-                normalized, "partition keys bound to different shards", annotate
+            return self._gather_routes(
+                normalized, "partition keys bound to different shards"
             )
         key_terms = {term for _spec, term in keyed}
         partitioners = [spec.partitioner for spec, _term in keyed]
@@ -220,79 +285,113 @@ class ShardRouter:
                 else "one partitioned table, key unbound"
             )
             if self.cost_model is None:
-                return RoutingDecision(
+                decision = RoutingDecision(
                     mode=MODE_SCATTER,
                     shards=tuple(range(self.shard_count)),
                     fetch_shards=(),
                     reason=reason,
                 )
+                return Routes(normalized, (decision,))
             return self._choose_scatter_or_gather(normalized, reason)
-        return self._gather_decision(
-            normalized, "partitioned atoms keyed on different terms", annotate
+        return self._gather_routes(
+            normalized, "partitioned atoms keyed on different terms"
         )
 
     # -- cost comparison ------------------------------------------------
-    def _single_cost(self, normalized: ConjunctiveQuery) -> Optional[float]:
-        if self.cost_model is None:
-            return None
-        estimate = self.cost_model.single_shard_estimate(
-            normalized, self.shard_count, self._partitioned_positions()
-        )
+    def _describe(self, routes: Routes, decision: RoutingDecision) -> float:
+        """The describe-only estimate of a rule-forced *decision*."""
+        if routes.describe == MODE_SINGLE:
+            estimate = self.cost_model.single_shard_estimate(
+                routes.normalized, self.shard_count, self._partitioned_positions()
+            )
+        else:
+            estimate = self.cost_model.gather_estimate(
+                routes.normalized,
+                decision.fetch_shards,
+                self.shard_count,
+                self._partitioned_positions(),
+            )
         return estimate.total
 
     def _choose_scatter_or_gather(
         self, normalized: ConjunctiveQuery, reason: str
-    ) -> RoutingDecision:
+    ) -> Routes:
         """Both modes are sound for a co-partitioned query: price them.
 
         Scatter pays every broadcast scan once per shard; gather pays a
         per-row transfer of the partitioned fragments plus one coordinator
         evaluation.  The cheaper estimate wins; the loser's figure is kept
-        on the decision so a profile can show why.
+        on the decision so a profile can show why.  The partitioned
+        tables come from every shard, so the gather's price does not
+        depend on which shard serves the broadcast tables.
         """
         partitioned = self._partitioned_positions()
         scatter = self.cost_model.scatter_estimate(
             normalized, self.shard_count, partitioned
-        )
-        # The gather estimate decides here, so it is always computed.
-        gather_plan = self._gather_decision(normalized, reason, annotate=True)
-        gather_total = gather_plan.estimated_cost
-        if gather_total is not None and gather_total < scatter.total:
-            return RoutingDecision(
-                mode=MODE_GATHER,
-                shards=(),
-                fetch_shards=gather_plan.fetch_shards,
-                reason=f"{reason}; gather modeled cheaper than scatter",
-                estimated_cost=gather_total,
-                alternative_mode=MODE_SCATTER,
-                alternative_cost=scatter.total,
-                cost_based=True,
+        ).total
+        fetches = self._fetch_variants(normalized)
+        gather = self.cost_model.gather_estimate(
+            normalized, fetches[0], self.shard_count, partitioned
+        ).total
+        if gather < scatter:
+            return Routes(
+                normalized,
+                tuple(
+                    RoutingDecision(
+                        mode=MODE_GATHER,
+                        shards=(),
+                        fetch_shards=fetch,
+                        reason=f"{reason}; gather modeled cheaper than scatter",
+                        estimated_cost=gather,
+                        alternative_mode=MODE_SCATTER,
+                        alternative_cost=scatter,
+                        cost_based=True,
+                    )
+                    for fetch in fetches
+                ),
             )
-        return RoutingDecision(
+        decision = RoutingDecision(
             mode=MODE_SCATTER,
             shards=tuple(range(self.shard_count)),
             fetch_shards=(),
             reason=f"{reason}; scatter modeled cheaper than gather",
-            estimated_cost=scatter.total,
+            estimated_cost=scatter,
             alternative_mode=MODE_GATHER,
-            alternative_cost=gather_total,
+            alternative_cost=gather,
             cost_based=True,
         )
+        return Routes(normalized, (decision,))
 
-    def _gather_decision(
-        self, normalized: ConjunctiveQuery, reason: str, annotate: bool = False
-    ) -> RoutingDecision:
+    def _gather_routes(self, normalized: ConjunctiveQuery, reason: str) -> Routes:
         """Coordinator execution, fetching only the shard fragments needed."""
-        # Broadcast tables are complete on every shard, so one copy is
-        # enough — rotate which shard serves it (the same load-spreading
-        # as broadcast-only single-shard routing; always fetching from
-        # shard 0 would make its connection pool a gather hotspot).
-        broadcast_shard = next(self._rotation) % self.shard_count
-        fetch: List[Tuple[str, Tuple[int, ...]]] = []
+        return Routes(
+            normalized,
+            tuple(
+                RoutingDecision(
+                    mode=MODE_GATHER, shards=(), fetch_shards=fetch, reason=reason
+                )
+                for fetch in self._fetch_variants(normalized)
+            ),
+            describe=MODE_GATHER,
+        )
+
+    def _fetch_variants(
+        self, normalized: ConjunctiveQuery
+    ) -> Tuple[Tuple[Tuple[str, Tuple[int, ...]], ...], ...]:
+        """A gather's ``(table, shards)`` fetch list, per broadcast source.
+
+        Broadcast tables are complete on every shard, so one copy is
+        enough — the request rotates which shard serves it (the same
+        load-spreading as broadcast-only single-shard routing; always
+        fetching from shard 0 would make its connection pool a gather
+        hotspot).  One variant per shard when the query reads a
+        broadcast table, else the one fetch list.
+        """
+        fetch: List[Tuple[str, Optional[Tuple[int, ...]]]] = []
         for table in sorted(normalized.relation_names()):
             spec = self._specs.get(table)
             if spec is None:
-                fetch.append((table, (broadcast_shard,)))
+                fetch.append((table, None))
                 continue
             shard_sets: List[Optional[Set[int]]] = []
             for atom in normalized.relational_body:
@@ -313,18 +412,12 @@ class ShardRouter:
                     union.update(shard_set or ())
                 shards = tuple(sorted(union))
             fetch.append((table, shards))
-        estimated_cost = None
-        if annotate and self.cost_model is not None:
-            estimated_cost = self.cost_model.gather_estimate(
-                normalized,
-                tuple(fetch),
-                self.shard_count,
-                self._partitioned_positions(),
-            ).total
-        return RoutingDecision(
-            mode=MODE_GATHER,
-            shards=(),
-            fetch_shards=tuple(fetch),
-            reason=reason,
-            estimated_cost=estimated_cost,
+        if all(shards is not None for _table, shards in fetch):
+            return (tuple(fetch),)
+        return tuple(
+            tuple(
+                (table, (source,) if shards is None else shards)
+                for table, shards in fetch
+            )
+            for source in range(self.shard_count)
         )

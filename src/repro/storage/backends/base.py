@@ -61,6 +61,9 @@ class StorageBackend(abc.ABC):
     #: Registry name of the backend class (``"memory"``, ``"sqlite"``, ...).
     backend_name: str = "abstract"
     _statistics_catalog: Optional["StatisticsCatalog"] = None
+    #: Moves on every :meth:`refresh_statistics`.  What is derived from
+    #: statistics and kept (a plan's cached route) is keyed on it.
+    statistics_epoch: int = 0
 
     # -- schema and data loading ---------------------------------------
     @abc.abstractmethod
@@ -181,6 +184,7 @@ class StorageBackend(abc.ABC):
         for relation, weight in (access_weights or {}).items():
             catalog.set_weight(relation, weight)
         self._statistics_catalog = catalog
+        self.statistics_epoch += 1
         return catalog
 
     @property
@@ -286,7 +290,7 @@ class StorageBackend(abc.ABC):
 
     def _check_relations(self, query: ConjunctiveQuery) -> None:
         """Raise :class:`EvaluationError` if *query* names a table not held."""
-        for relation in query.relation_names():
+        for relation in query.derived().relations:
             if not self.has_table(relation):
                 raise EvaluationError(
                     f"query {query.name} references unknown table {relation!r}"

@@ -72,7 +72,7 @@ class MemoryBackend(StorageBackend):
 
     # -- execution -----------------------------------------------------
     def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:
-        self._check_relations(query)
+        # The evaluator checks the tables exist (the one check on this path).
         return evaluate_query(
             query, self.database, distinct=distinct, estimator=self.estimate_pipeline
         )

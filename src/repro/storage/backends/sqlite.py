@@ -18,7 +18,7 @@ from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ...errors import EvaluationError, SchemaError, StorageError
-from ...logical.queries import ConjunctiveQuery
+from ...logical.queries import ConjunctiveQuery, DerivedPlan
 from ...logical.terms import Variable, is_variable
 from ...obs.trace import Span, current_span
 from ...profile import SCAN, STATEMENT
@@ -373,9 +373,26 @@ class SQLiteBackend(StorageBackend):
         return catalog
 
     # -- execution -----------------------------------------------------
+    def _columns_key(self, record: DerivedPlan) -> Tuple[object, ...]:
+        """The column names *record*'s SQL and index list are derived from.
+
+        Every shard and clone of one schema gives an equal key, so they
+        share one rendering; a store naming its columns differently
+        renders its own.
+        """
+        return tuple(self._attributes.get(relation) for relation in record.relations)
+
     def compile_query(self, query: ConjunctiveQuery, distinct: bool = True) -> SQLQuery:
-        """The parameterized SQL the backend will run for *query*."""
-        return render_sql_query(query, self._schema, distinct=distinct)
+        """The parameterized SQL the backend will run for *query*.
+
+        Rendered once per plan, distinctness and column names, and kept on
+        the plan's :class:`~repro.logical.queries.DerivedPlan`.
+        """
+        record = query.derived()
+        return record.derive(
+            ("sql", distinct), self._columns_key(record),
+            render_sql_query, record.normalized, self._schema, distinct,
+        )
 
     @_uses_connection
     def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:
@@ -432,7 +449,7 @@ class SQLiteBackend(StorageBackend):
         Returns the planner's result estimate for *query* — the last
         :meth:`estimate_pipeline` step — which the caller attaches to *node*.
         """
-        for atom in query.normalize_equalities().relational_body:
+        for atom in query.derived().normalized.relational_body:
             scan = node.operator(SCAN, atom.relation, relation=atom.relation)
             scan.finish(actual_rows=self.cardinality(atom.relation))
         steps = self.estimate_pipeline(query)
@@ -450,39 +467,35 @@ class SQLiteBackend(StorageBackend):
         gained an index is then ``ANALYZE``d in the same call, so SQLite
         orders its joins from real per-index statistics instead of its
         default guess; a call that creates nothing runs no ``ANALYZE``.
+
+        The columns are derived once per plan and column names (kept on
+        its :class:`~repro.logical.queries.DerivedPlan`); which of them
+        this store has indexed is its own, because the clones of a
+        ``:memory:`` database are separate databases.
         """
         self._require_open()
+        record = query.derived()
+        columns = record.derive(
+            "indexes", self._columns_key(record),
+            self._index_columns, record.normalized,
+        )
         created: List[str] = []
         analyze: List[str] = []
-        normalized = query.normalize_equalities()
-        occurrences: Dict[Variable, int] = {}
-        for atom in normalized.relational_body:
-            for term in atom.terms:
-                if is_variable(term):
-                    occurrences[term] = occurrences.get(term, 0) + 1
-        for atom in normalized.relational_body:
-            attributes = self._attributes.get(atom.relation)
-            if attributes is None:
+        for key in columns:
+            if key in self._indexed:
                 continue
-            for position, term in enumerate(atom.terms):
-                joinish = (not is_variable(term)) or occurrences[term] > 1
-                if not joinish:
-                    continue
-                column = attributes[position]
-                key = (atom.relation, column)
-                if key in self._indexed:
-                    continue
-                index_name = self._index_name(atom.relation, column)
-                self._index_statement(
-                    f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
-                    f"ON {quote_identifier(atom.relation)} "
-                    f"({quote_identifier(column)})",
-                    f"could not index {atom.relation}.{column}",
-                )
-                self._indexed.add(key)
-                created.append(index_name)
-                if atom.relation not in analyze:
-                    analyze.append(atom.relation)
+            relation, column = key
+            index_name = self._index_name(relation, column)
+            self._index_statement(
+                f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
+                f"ON {quote_identifier(relation)} "
+                f"({quote_identifier(column)})",
+                f"could not index {relation}.{column}",
+            )
+            self._indexed.add(key)
+            created.append(index_name)
+            if relation not in analyze:
+                analyze.append(relation)
         for relation in analyze:
             self._index_statement(
                 f"ANALYZE {quote_identifier(relation)}",
@@ -491,6 +504,29 @@ class SQLiteBackend(StorageBackend):
         if created:
             self._connection.commit()
         return created
+
+    def _index_columns(
+        self, normalized: ConjunctiveQuery
+    ) -> Tuple[Tuple[str, str], ...]:
+        """The ``(relation, column)`` pairs worth indexing for *normalized*.
+
+        A column is worth indexing when its term is a constant (selection)
+        or a variable shared between at least two atom positions (join key).
+        """
+        occurrences: Dict[Variable, int] = {}
+        for atom in normalized.relational_body:
+            for term in atom.terms:
+                if is_variable(term):
+                    occurrences[term] = occurrences.get(term, 0) + 1
+        columns: Dict[Tuple[str, str], None] = {}
+        for atom in normalized.relational_body:
+            attributes = self._attributes.get(atom.relation)
+            if attributes is None:
+                continue
+            for position, term in enumerate(atom.terms):
+                if (not is_variable(term)) or occurrences[term] > 1:
+                    columns[atom.relation, attributes[position]] = None
+        return tuple(columns)
 
     def _index_statement(self, sql: str, failure: str) -> None:
         """Run one ``ensure_indexes`` statement with its error mapping."""

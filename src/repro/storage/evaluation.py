@@ -10,8 +10,11 @@ equivalence in tests.
 
 A binding is the kernel's tuple of slot values (the compiled
 conjunction's ``variables`` name the slots), so the filters and the head
-projection are compiled once per query to read the slots they need; no
-binding is turned into a dictionary.
+projection are compiled to read the slots they need; no binding is turned
+into a dictionary.  The compiled steps, filter and projection are a
+:class:`Kernel`, derived once per plan and kept on the plan's
+:class:`~repro.logical.queries.DerivedPlan`: a plan evaluated again,
+on any database, compiles nothing.
 
 When the ambient execution tree (:func:`repro.obs.current_span`) is
 profiled, each hash-join step emits one ``scan``/``join-step`` operator
@@ -69,6 +72,24 @@ class _TableSource:
         )
 
 
+class Kernel:
+    """A normalized plan compiled to the join kernel.
+
+    ``steps`` are its hash-join probes in execution order; ``holds`` tests
+    its equality and inequality atoms on a finished binding (``None`` when
+    it has none) and ``project`` reads its head from one.
+    """
+
+    __slots__ = ("steps", "holds", "project")
+
+    def __init__(self, query: ConjunctiveQuery):
+        conjunction = CompiledConjunction(query.relational_body)
+        self.steps = conjunction.steps
+        slots = {variable: slot for slot, variable in enumerate(conjunction.variables)}
+        self.holds = _filter(query, slots)
+        self.project = _projection(query.head, slots)
+
+
 def evaluate_query(
     query: ConjunctiveQuery,
     database: InMemoryDatabase,
@@ -80,19 +101,20 @@ def evaluate_query(
     The join order and the probes are the chase's: most-bound atom first,
     each atom probed through a hash index on the positions that constants
     and earlier atoms bind, without materializing intermediate tables.
+    This is the memory path's one check for tables *database* lacks.
     """
-    query = query.normalize_equalities()
-    for atom in query.relational_body:
-        if not database.has_table(atom.relation):
+    record = query.derived()
+    for relation in record.relations:
+        if not database.has_table(relation):
             raise EvaluationError(
-                f"query {query.name} references unknown table {atom.relation!r}"
+                f"query {query.name} references unknown table {relation!r}"
             )
-    conjunction = CompiledConjunction(query.relational_body)
-    steps = conjunction.steps
+    kernel = record.derive("kernel", None, Kernel, record.normalized)
+    steps = kernel.steps
     span = current_span()
     profiled = span.profiled
     estimates = (
-        estimator(query.with_body([step.atom for step in steps]))
+        estimator(record.normalized.with_body([step.atom for step in steps]))
         if profiled and estimator
         else ()
     )
@@ -108,11 +130,10 @@ def evaluate_query(
                 _profile_unreached_steps(span, steps, number, estimates, database)
             return []
 
-    slots = {variable: slot for slot, variable in enumerate(conjunction.variables)}
-    holds = _filter(query, slots)
+    holds = kernel.holds
     if holds is not None:
         bindings = [binding for binding in bindings if holds(binding)]
-    rows = map(_projection(query.head, slots), bindings)
+    rows = map(kernel.project, bindings)
     return list(dict.fromkeys(rows) if distinct else rows)
 
 

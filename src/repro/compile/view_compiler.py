@@ -27,8 +27,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from ..errors import CompilationError
 from ..logical.atoms import Atom, EqualityAtom, RelationalAtom
-from ..logical.dependencies import DED, Disjunct, tgd
-from ..logical.queries import ConjunctiveQuery
+from ..logical.dependencies import DED, Disjunct, tgd, view_inclusion_dependencies
 from ..logical.terms import Term, Variable
 from ..xbind.evaluation import MixedStorage, evaluate_xbind
 from ..xbind.query import XBindQuery
@@ -55,25 +54,11 @@ class RelationalView:
     def arity(self) -> int:
         return len(self.definition.head)
 
-    def head_atom(self) -> RelationalAtom:
-        return RelationalAtom(self.name, self.definition.head)
-
     def compile(self, compiler: GrexCompiler) -> List[DED]:
         """The two inclusion DEDs ``cV`` and ``bV`` of paper section 2.3."""
-        body, _ = self.compile_body(compiler)
-        view_atom = self.head_atom()
-        forward = tgd(f"c_{self.name}", body, [view_atom])
-        backward = tgd(f"b_{self.name}", [view_atom], list(body))
-        return [forward, backward]
-
-    def compile_body(self, compiler: GrexCompiler) -> Tuple[List[Atom], Dict[Variable, str]]:
         used = [v.name for v in self.definition.variables()]
-        return compiler.compile_atoms(self.definition.body, used_names=used)
-
-    def compiled_query(self, compiler: GrexCompiler) -> ConjunctiveQuery:
-        """The defining query compiled over GReX (used to materialize the view)."""
-        body, _ = self.compile_body(compiler)
-        return ConjunctiveQuery(self.name, self.definition.head, body)
+        body, _ = compiler.compile_atoms(self.definition.body, used_names=used)
+        return list(view_inclusion_dependencies(self.name, self.definition.head, body))
 
 
 # ----------------------------------------------------------------------

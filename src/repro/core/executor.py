@@ -78,10 +78,6 @@ class MarsExecutor:
         # Only close backends this executor created; an injected instance
         # may be shared with other executors and stays the caller's to close.
         self._owns_backend = self.backend is not backend
-        # Backwards-compatible alias: the proprietary relational store.  For
-        # the memory backend this is the wrapped InMemoryDatabase; other
-        # backends implement the same store interface themselves.
-        self.database = getattr(self.backend, "database", self.backend)
         self.public_storage = MixedStorage()
         self.proprietary_storage = MixedStorage(database=self.backend)
         self._build()

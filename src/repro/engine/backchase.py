@@ -48,9 +48,7 @@ class BackchaseConfig:
 
     prune_by_cost: bool = True
     stop_at_first: bool = False
-    max_subquery_size: Optional[int] = None
     max_inspected: int = 50_000
-    verify_minimality: bool = False
 
 
 @dataclass
@@ -202,7 +200,6 @@ class BackchaseEngine:
             # (the "best cost seen so far" of the paper's backchase).
             result.best_cost = self.estimator.estimate(result.initial_reformulation)
 
-        max_size = self.config.max_subquery_size or len(candidates)
         found_sets: List[FrozenSet[int]] = []
         seen: Set[FrozenSet[int]] = set()
         # Failed equivalence checks so far.  Once the search has spent as
@@ -261,14 +258,11 @@ class BackchaseEngine:
                 if subquery.is_safe() and (not core or legality.is_legal(atoms)):
                     result.equivalence_checks += 1
                     if self.checker.is_equivalent_subquery(subquery, original, dependencies):
-                        if not self.config.verify_minimality or self._is_minimal_within(
-                            subquery, original, dependencies
-                        ):
-                            record_reformulation(subset, subquery, cost)
-                            if self.config.stop_at_first:
-                                result.elapsed_seconds = clock.elapsed
-                                return result
-                            continue  # supersets cannot be minimal
+                        record_reformulation(subset, subquery, cost)
+                        if self.config.stop_at_first:
+                            result.elapsed_seconds = clock.elapsed
+                            return result
+                        continue  # supersets cannot be minimal
                     else:
                         failed_checks += 1
                         if core is None and failed_checks >= len(candidates):
@@ -285,10 +279,8 @@ class BackchaseEngine:
                                 # it by legal extensions: drop what is pending
                                 # and start over there.
                                 seen = {core}
-                                next_level = [core] if len(core) <= max_size else []
+                                next_level = [core]
                                 break
-                if len(subset) >= max_size:
-                    continue
                 covered = legality.covered_terms(atoms)
                 for index, atom in enumerate(candidates):
                     if index in subset:
@@ -304,20 +296,3 @@ class BackchaseEngine:
 
         result.elapsed_seconds = clock.elapsed
         return result
-
-    # ------------------------------------------------------------------
-    def _is_minimal_within(
-        self,
-        query: ConjunctiveQuery,
-        original: ConjunctiveQuery,
-        dependencies: Sequence[DED],
-    ) -> bool:
-        """Double-check minimality by trying to drop each atom of *query*."""
-        atoms = query.relational_body
-        for index in range(len(atoms)):
-            reduced = query.subquery(atoms[:index] + atoms[index + 1 :])
-            if not reduced.is_safe():
-                continue
-            if self.checker.is_equivalent_subquery(reduced, original, dependencies):
-                return False
-        return True

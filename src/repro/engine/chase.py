@@ -9,10 +9,12 @@ The chase is the main operation of the C&B algorithm (paper sections 2.3 and
      conclusion into the body of ``Q``.
 
 Its effect is to add the image of a conclusion disjunct under ``h`` to the
-body (with fresh variables for existentials) or, for equality-generating
-conclusions, to merge two terms of ``Q``.  Disjunctive dependencies branch
-the chase into one copy per disjunct; the result of the chase is therefore a
-set of leaf queries.
+body (with fresh variables for existentials) and to merge the terms its
+equalities equate: tuple- and equality-generating steps are the two halves
+of one step.  The merge is :func:`~repro.logical.terms.merge_equal_terms`,
+the union-find that also collapses a query's own equalities.  Disjunctive
+dependencies branch the chase into one copy per disjunct; the result of the
+chase is therefore a set of leaf queries.
 
 Two homomorphism-search strategies are available, mirroring the paper:
 
@@ -33,8 +35,8 @@ from ..obs.timer import timer
 from ..logical.atoms import Atom, EqualityAtom, atom_variables
 from ..logical.dependencies import DED, Disjunct
 from ..logical.queries import ConjunctiveQuery
-from ..logical.terms import Constant, Term, Variable, VariableFactory
-from .homomorphism import Homomorphism, NaiveHomomorphismFinder
+from ..logical.terms import Term, Variable, VariableFactory, merge_equal_terms
+from .homomorphism import Homomorphism, NaiveHomomorphismFinder, _filters_hold
 from .join_tree import CompiledConjunction
 from .symbolic_instance import SymbolicInstance
 
@@ -175,11 +177,14 @@ class ChaseEngine:
     ) -> Optional[Tuple[List[ConjunctiveQuery], bool]]:
         """Chase one branch until saturation or until it forks.
 
-        Dependencies are processed in rounds.  For a tuple-generating
-        dependency all applicable homomorphisms found in a round are applied
-        in bulk (set-oriented processing); equality-generating and
-        disjunctive dependencies are applied one step at a time because their
-        application changes the terms the remaining homomorphisms refer to.
+        Dependencies are processed in rounds.  A non-disjunctive dependency
+        applies every applicable homomorphism found in a round at once
+        (set-oriented processing): the images of its conclusion's relational
+        atoms are added, then all the terms its equalities equate are merged
+        in one substitution.  A merge renames terms the next homomorphisms
+        may refer to, so a dependency with equalities is searched again
+        before the round moves on.  A disjunctive dependency applies one
+        homomorphism and forks the branch.
 
         Returns ``(queries, saturated)`` where *saturated* says whether the
         returned queries are chase leaves, or ``None`` when the branch is
@@ -218,7 +223,7 @@ class ChaseEngine:
                         branches = []
                         for disjunct in dependency.disjuncts:
                             branch = self._apply_disjunct(
-                                current, disjunct, applicable[0], factory
+                                current, disjunct, applicable[:1], factory
                             )
                             if branch is not None:
                                 branches.append(branch)
@@ -230,39 +235,15 @@ class ChaseEngine:
                             continue
                         return branches, False
                     conclusion = dependency.disjuncts[0]
-                    has_equalities = bool(conclusion.equalities())
-                    if has_equalities:
-                        if not conclusion.relational_atoms():
-                            # Pure equality-generating conclusion: apply every
-                            # merge found in this round at once via union-find
-                            # (set-oriented processing of EGDs).
-                            applied = self._apply_egd_bulk(
-                                current, conclusion, applicable, statistics, dependency
-                            )
-                            if applied is None:
-                                return None
-                            current = applied
-                            changed = True
-                            continue
+                    before = len(current.body)
+                    for _ in applicable:
                         statistics.record(dependency)
-                        applied = self._apply_disjunct(
-                            current, conclusion, applicable[0], factory
-                        )
-                        if applied is None:
-                            return None
-                        current = applied
+                    current = self._apply_disjunct(current, conclusion, applicable, factory)
+                    if current is None:
+                        return None
+                    if conclusion.equalities():
                         changed = True
                         continue
-                    # Pure TGD: apply every homomorphism found in this round.
-                    before = len(current.body)
-                    for homomorphism in applicable:
-                        statistics.record(dependency)
-                        applied = self._apply_disjunct(
-                            current, conclusion, homomorphism, factory
-                        )
-                        if applied is None:
-                            return None
-                        current = applied
                     if len(current.body) != before:
                         changed = True
                     break
@@ -276,7 +257,7 @@ class ChaseEngine:
     ) -> List[Homomorphism]:
         if self.config.strategy == "naive":
             return self._naive.find_all(plan.dependency.premise, query.body)
-        return plan.premise_plan.evaluate(instance, target_atoms=query.body)
+        return plan.premise_plan.evaluate(instance)
 
     def _extends_to_some_disjunct(
         self,
@@ -305,146 +286,55 @@ class ChaseEngine:
             if variable in homomorphism
         }
         relational = disjunct.relational_atoms()
-        if relational:
-            if self.config.strategy == "naive":
-                extensions = self._naive.find_all(relational, query.body, seed)
-            else:
-                extensions = plan.disjunct_plans[index].evaluate(
-                    instance, seeds=[seed], target_atoms=query.body
-                )
-            if not extensions:
-                return False
-            candidates = extensions
+        if not relational:
+            candidates = [seed]
+        elif self.config.strategy == "naive":
+            candidates = self._naive.find_all(relational, query.body, seed)
         else:
-            candidates = [dict(seed)]
+            candidates = plan.disjunct_plans[index].evaluate(instance, seeds=[seed])
         equalities = disjunct.equalities()
         if not equalities:
-            return True
-        for candidate in candidates:
-            full = dict(homomorphism)
-            full.update(candidate)
-            if all(
-                full.get(e.left, e.left) == full.get(e.right, e.right)
-                for e in equalities
-            ):
-                return True
-        return False
-
-    def _apply_egd_bulk(
-        self,
-        query: ConjunctiveQuery,
-        conclusion: Disjunct,
-        homomorphisms: Sequence[Homomorphism],
-        statistics: ChaseStatistics,
-        dependency: DED,
-    ) -> Optional[ConjunctiveQuery]:
-        """Apply every merge demanded by an equality-generating conclusion at once.
-
-        The merges form equivalence classes computed with union-find; a class
-        containing two distinct constants means chase failure (``None``).
-        Constants, then head variables, are preferred as representatives.
-        """
-        parent: Dict[Term, Term] = {}
-
-        def find(term: Term) -> Term:
-            root = term
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(term, term) != term:
-                parent[term], term = root, parent[term]
-            return root
-
-        head_vars = set(query.head_variables())
-
-        def union(left: Term, right: Term) -> bool:
-            root_left, root_right = find(left), find(right)
-            if root_left == root_right:
-                return True
-            left_const = isinstance(root_left, Constant)
-            right_const = isinstance(root_right, Constant)
-            if left_const and right_const:
-                return False
-            if right_const or (root_right in head_vars and not left_const):
-                root_left, root_right = root_right, root_left
-            parent[root_right] = root_left
-            return True
-
-        merged_any = False
-        for homomorphism in homomorphisms:
-            statistics.record(dependency)
-            for equality in conclusion.equalities():
-                left = homomorphism.get(equality.left, equality.left)
-                right = homomorphism.get(equality.right, equality.right)
-                if left != right:
-                    merged_any = True
-                if not union(left, right):
-                    return None
-        if not merged_any:
-            return query
-        substitution = {
-            term: find(term) for term in parent if find(term) != term
-        }
-        return query.substitute(substitution).dedupe()
+            return bool(candidates)
+        return any(
+            _filters_hold(equalities, {**homomorphism, **candidate})
+            for candidate in candidates
+        )
 
     def _apply_disjunct(
         self,
         query: ConjunctiveQuery,
         disjunct: Disjunct,
-        homomorphism: Homomorphism,
+        homomorphisms: Sequence[Homomorphism],
         factory: VariableFactory,
     ) -> Optional[ConjunctiveQuery]:
-        """Add the image of *disjunct* under *homomorphism* to the query body.
+        """Apply *disjunct* under every one of *homomorphisms* at once.
 
-        Returns ``None`` when an equality forces two distinct constants to be
-        merged (chase failure / inconsistent branch).
+        Each homomorphism adds the image of the disjunct's relational atoms
+        to the body, with fresh variables for its existentials.  Then the
+        terms all the images of its equalities equate are merged in one
+        substitution.  Returns ``None`` when the merge equates two distinct
+        constants (chase failure / inconsistent branch).
         """
-        mapping: Dict[Term, Term] = dict(homomorphism)
-        universal_image = set(homomorphism)
-        for variable in disjunct.variables():
-            if variable not in universal_image and variable not in mapping:
-                mapping[variable] = factory.fresh()
         new_atoms: List[Atom] = []
-        merges: List[Tuple[Term, Term]] = []
-        for atom in disjunct.atoms:
-            replaced = atom.substitute(mapping)
-            if isinstance(replaced, EqualityAtom):
-                if replaced.left != replaced.right:
-                    merges.append((replaced.left, replaced.right))
-            else:
-                new_atoms.append(replaced)
+        pairs: List[Tuple[Term, Term]] = []
+        for homomorphism in homomorphisms:
+            mapping: Dict[Term, Term] = dict(homomorphism)
+            for variable in disjunct.variables():
+                if variable not in mapping:
+                    mapping[variable] = factory.fresh()
+            for atom in disjunct.atoms:
+                replaced = atom.substitute(mapping)
+                if isinstance(replaced, EqualityAtom):
+                    pairs.append((replaced.left, replaced.right))
+                else:
+                    new_atoms.append(replaced)
         result = query.add_atoms(new_atoms) if new_atoms else query
-        for left, right in merges:
-            substitution = _merge_terms(result, left, right)
-            if substitution is None:
-                return None
-            if substitution:
-                result = result.substitute(substitution).dedupe()
-        return result
-
-
-def _merge_terms(
-    query: ConjunctiveQuery, left: Term, right: Term
-) -> Optional[Dict[Term, Term]]:
-    """Substitution implementing the EGD merge of *left* and *right*.
-
-    Prefers constants over variables and head variables over existential
-    ones; returns ``None`` when both terms are distinct constants (chase
-    failure) and an empty dict when the terms are already equal.
-    """
-    if left == right:
-        return {}
-    left_is_const = isinstance(left, Constant)
-    right_is_const = isinstance(right, Constant)
-    if left_is_const and right_is_const:
-        return None
-    if left_is_const:
-        return {right: left}
-    if right_is_const:
-        return {left: right}
-    head_vars = set(query.head_variables())
-    if left in head_vars and right not in head_vars:
-        return {right: left}
-    return {left: right}
+        substitution = merge_equal_terms(pairs, set(result.head_variables()))
+        if substitution is None:
+            return None
+        if not substitution:
+            return result
+        return result.substitute(substitution).dedupe()
 
 
 def chase_query(

@@ -26,7 +26,7 @@ from ..logical.atoms import (
     InequalityAtom,
     RelationalAtom,
 )
-from ..logical.terms import Constant, Term, Variable, is_variable
+from ..logical.terms import Term, Variable, is_variable
 
 Homomorphism = Dict[Variable, Term]
 
@@ -51,41 +51,21 @@ def _unify_atom(
     return extended
 
 
-def _filters_hold(
-    pattern_atoms: Sequence[Atom],
-    target_atoms: Sequence[Atom],
-    mapping: Homomorphism,
-) -> bool:
-    """Check equality/inequality atoms of the pattern under *mapping*.
+def _filters_hold(pattern_atoms: Sequence[Atom], mapping: Homomorphism) -> bool:
+    """Check the equality and inequality atoms of the pattern under *mapping*.
 
-    An equality holds when both sides map to the same term.  An inequality
-    holds when the sides map to distinct constants, to syntactically distinct
-    terms that the target explicitly declares unequal, or (conservatively)
-    to distinct terms -- the chase treats the canonical instance as having
-    distinct labelled nulls, which matches the standard chase semantics.
+    An equality holds when both sides map to the same term, an inequality
+    when they map to distinct terms: the chase reads the distinct terms of
+    the canonical instance as distinct labelled nulls, the standard chase
+    semantics.  Relational atoms are skipped.
     """
-    target_inequalities = {
-        frozenset((a.left, a.right))
-        for a in target_atoms
-        if isinstance(a, InequalityAtom)
-    }
     for atom in pattern_atoms:
         if isinstance(atom, EqualityAtom):
-            left = mapping.get(atom.left, atom.left)
-            right = mapping.get(atom.right, atom.right)
-            if left != right:
+            if mapping.get(atom.left, atom.left) != mapping.get(atom.right, atom.right):
                 return False
         elif isinstance(atom, InequalityAtom):
-            left = mapping.get(atom.left, atom.left)
-            right = mapping.get(atom.right, atom.right)
-            if left == right:
+            if mapping.get(atom.left, atom.left) == mapping.get(atom.right, atom.right):
                 return False
-            both_constants = isinstance(left, Constant) and isinstance(right, Constant)
-            if both_constants:
-                continue
-            if frozenset((left, right)) in target_inequalities:
-                continue
-            # Distinct terms of the canonical instance are treated as unequal.
     return True
 
 
@@ -127,7 +107,7 @@ class NaiveHomomorphismFinder:
 
         def backtrack(index: int, mapping: Homomorphism) -> Iterator[Homomorphism]:
             if index == len(relational_pattern):
-                if _filters_hold(pattern, target, mapping):
+                if _filters_hold(pattern, mapping):
                     yield dict(mapping)
                 return
             atom = relational_pattern[index]

@@ -189,17 +189,16 @@ class CompiledConjunction:
         self,
         instance: SymbolicInstance,
         seeds: Optional[Sequence[Mapping[Variable, Term]]] = None,
-        target_atoms: Sequence[Atom] = (),
         limit: Optional[int] = None,
     ) -> List[Homomorphism]:
         """All homomorphisms of the conjunction into *instance*.
 
         *seeds* optionally fixes the images of some variables (used for the
         extension/semijoin check); each binds the seed variables the
-        conjunction was compiled with.  *target_atoms* supplies the
-        inequality atoms of the target query so premise inequalities can be
-        validated.  ``limit`` stops the evaluation early once that many
-        results exist (used for existence checks).
+        conjunction was compiled with.  ``limit`` stops the evaluation early
+        once that many results exist (used for existence checks).  The
+        conjunction's equalities and inequalities filter the results
+        (:func:`~repro.engine.homomorphism._filters_hold`).
         """
         seeded = self.seed_variables
         current: List[Binding] = (
@@ -217,7 +216,7 @@ class CompiledConjunction:
         results = [
             homomorphism
             for homomorphism in (dict(zip(variables, binding)) for binding in current)
-            if _filters_hold(self.filters, target_atoms, homomorphism)
+            if _filters_hold(self.filters, homomorphism)
         ]
         return results[:limit]
 
@@ -255,19 +254,18 @@ class JoinTreeHomomorphismFinder:
         seed: Optional[Mapping[Variable, Term]] = None,
     ) -> List[Homomorphism]:
         instance = SymbolicInstance.from_atoms(target)
-        return self.find_all_in_instance(pattern, instance, target, seed)
+        return self.find_all_in_instance(pattern, instance, seed)
 
     def find_all_in_instance(
         self,
         pattern: Sequence[Atom],
         instance: SymbolicInstance,
-        target_atoms: Sequence[Atom] = (),
         seed: Optional[Mapping[Variable, Term]] = None,
         limit: Optional[int] = None,
     ) -> List[Homomorphism]:
         plan = self._compiled(tuple(pattern), tuple(seed) if seed else ())
         seeds = [seed] if seed else None
-        return plan.evaluate(instance, seeds=seeds, target_atoms=target_atoms, limit=limit)
+        return plan.evaluate(instance, seeds=seeds, limit=limit)
 
     def find_one(
         self,
@@ -276,7 +274,7 @@ class JoinTreeHomomorphismFinder:
         seed: Optional[Mapping[Variable, Term]] = None,
     ) -> Optional[Homomorphism]:
         instance = SymbolicInstance.from_atoms(target)
-        results = self.find_all_in_instance(pattern, instance, target, seed, limit=1)
+        results = self.find_all_in_instance(pattern, instance, seed, limit=1)
         return results[0] if results else None
 
     def exists(

@@ -27,7 +27,14 @@ from .atoms import (
     atom_variables,
     relational_atoms,
 )
-from .terms import Constant, Term, Variable, VariableFactory, is_variable
+from .terms import (
+    Constant,
+    Term,
+    Variable,
+    VariableFactory,
+    is_variable,
+    merge_equal_terms,
+)
 
 
 @dataclass(frozen=True)
@@ -183,56 +190,22 @@ class ConjunctiveQuery:
         return renamed, mapping
 
     def normalize_equalities(self) -> "ConjunctiveQuery":
-        """Eliminate equality atoms by collapsing variables.
+        """Eliminate equality atoms by collapsing the terms they equate.
 
-        Variables equated to constants become that constant; variables
-        equated to variables are merged into a single representative.  An
-        equality between two distinct constants makes the query
-        unsatisfiable; in that case a query with an always-false body marker
-        is *not* produced -- instead a :class:`SchemaError` is raised, since
-        the compilation never generates such queries.
+        Each class of equated terms becomes one term, chosen by
+        :func:`~repro.logical.terms.merge_equal_terms` (a constant, else a
+        head variable).  An equality between two distinct constants makes
+        the query unsatisfiable; the compilation never generates such
+        queries, so a :class:`SchemaError` is raised.
         """
-        parent: Dict[Term, Term] = {}
-
-        def find(item: Term) -> Term:
-            root = item
-            while parent.get(root, root) != root:
-                root = parent[root]
-            while parent.get(item, item) != item:
-                parent[item], item = root, parent[item]
-            return root
-
-        def union(left: Term, right: Term) -> None:
-            root_left, root_right = find(left), find(right)
-            if root_left == root_right:
-                return
-            # Prefer constants as representatives, then head variables.
-            if isinstance(root_left, Constant) and isinstance(root_right, Constant):
-                raise SchemaError(
-                    f"unsatisfiable equality {root_left} = {root_right} in {self.name}"
-                )
-            if isinstance(root_right, Constant):
-                parent[root_left] = root_right
-            elif isinstance(root_left, Constant):
-                parent[root_right] = root_left
-            elif root_left in head_vars and root_right not in head_vars:
-                parent[root_right] = root_left
-            else:
-                parent[root_left] = root_right
-
-        head_vars = set(self.head_variables())
-        has_equalities = False
-        for atom in self.body:
-            if isinstance(atom, EqualityAtom):
-                has_equalities = True
-                union(atom.left, atom.right)
-        if not has_equalities:
+        equalities = [
+            (atom.left, atom.right) for atom in self.body if isinstance(atom, EqualityAtom)
+        ]
+        if not equalities:
             return self
-        mapping = {}
-        for variable in self.variables():
-            representative = find(variable)
-            if representative != variable:
-                mapping[variable] = representative
+        mapping = merge_equal_terms(equalities, set(self.head_variables()))
+        if mapping is None:
+            raise SchemaError(f"{self.name} equates two distinct constants")
         collapsed = self.substitute(mapping)
         body = [a for a in collapsed.body if not isinstance(a, EqualityAtom)]
         return ConjunctiveQuery(self.name, collapsed.head, body).dedupe()

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Collection, Dict, Iterable, Optional, Tuple, Union
 
 
 @dataclass(frozen=True, order=True)
@@ -102,3 +102,40 @@ class VariableFactory:
             if name not in self._used:
                 self._used.add(name)
                 return Variable(name)
+
+
+def merge_equal_terms(
+    pairs: Iterable[Tuple[Term, Term]], keep: Collection[Term] = ()
+) -> Optional[Dict[Term, Term]]:
+    """The substitution collapsing the two terms of each pair into one.
+
+    The pairs join classes of equal terms (union-find).  When a pair joins
+    two classes, the joined class is represented by a constant if either
+    representative is one, else by the right one if it is in *keep* (the
+    head variables a query must not lose), else by the left one.  The
+    substitution maps every other member of a class to its representative;
+    it is ``None`` when a class holds two distinct constants.  Collapsing a
+    query's equalities and every equality a chase step adds use this one
+    merge.
+    """
+    parent: Dict[Term, Term] = {}
+
+    def find(item: Term) -> Term:
+        root = item
+        while root in parent:
+            root = parent[root]
+        while item != root:
+            parent[item], item = root, parent[item]
+        return root
+
+    for left, right in pairs:
+        left, right = find(left), find(right)
+        if left == right:
+            continue
+        if isinstance(left, Constant):
+            if isinstance(right, Constant):
+                return None
+        elif isinstance(right, Constant) or right in keep:
+            left, right = right, left
+        parent[right] = left
+    return {item: find(item) for item in parent}

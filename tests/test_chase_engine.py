@@ -14,6 +14,8 @@ from repro.engine import (
     descendant_closure,
     ClosureSpec,
 )
+from repro.compile.grex import GrexSchema
+from repro.compile.tix import tix_dependencies
 from repro.errors import ChaseError
 from repro.logical import (
     ConjunctiveQuery,
@@ -29,6 +31,7 @@ from repro.logical import (
     view_inclusion_dependencies,
 )
 from repro.logical.terms import Constant
+from repro.plan import canonical_query, stable_dumps
 from repro.storage import InMemoryDatabase, evaluate_query
 
 
@@ -254,6 +257,66 @@ class TestChase:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ChaseError):
             ChaseEngine(ChaseConfig(strategy="bogus"))
+
+
+@pytest.mark.parametrize("strategy", ["naive", "joinTree"])
+class TestMixedAndDisjunctiveSteps:
+    """Conclusions that add atoms *and* equate terms, and a disjunct that
+    only equates them: no workload dependency has either shape, so they
+    are pinned here, on both homomorphism strategies.  Plans are compared
+    by canonical form, which no choice of variable names moves."""
+
+    @staticmethod
+    def chase(strategy, query, dependencies):
+        return ChaseEngine(ChaseConfig(strategy=strategy)).chase(query, dependencies)
+
+    def test_atom_and_equality_in_one_conclusion(self, strategy):
+        mixed = DED("mixed", [R(x, y)], [Disjunct([S(x, z), EqualityAtom(z, y)])])
+        plan = self.chase(
+            strategy, ConjunctiveQuery("Q", [x], [R(x, y)]), [mixed]
+        ).universal_plan
+        expected = ConjunctiveQuery("Q", [x], [R(x, v), S(x, v)])
+        assert canonical_query(plan) == canonical_query(expected)
+        # A head variable is never renamed away; a constant wins over both.
+        kept = self.chase(strategy, ConjunctiveQuery("Q", [x, y], [R(x, y)]), [mixed])
+        assert set(kept.universal_plan.body) == {R(x, y), S(x, y)}
+        pinned = self.chase(strategy, ConjunctiveQuery("Q", [x], [R(x, const(1))]), [mixed])
+        assert set(pinned.universal_plan.body) == {R(x, const(1)), S(x, const(1))}
+        assert self.chase(strategy, plan, [mixed]).statistics.steps_applied == 0
+
+    def test_key_plus_atom(self, strategy):
+        key = DED("key_plus", [R(x, y), R(x, w)], [Disjunct([S(x), EqualityAtom(y, w)])])
+        query = ConjunctiveQuery("Q", [x], [R(x, y), R(x, z)])
+        plan = self.chase(strategy, query, [key]).universal_plan
+        expected = ConjunctiveQuery("Q", [x], [R(x, v), S(x)])
+        assert canonical_query(plan) == canonical_query(expected)
+        headed = ConjunctiveQuery("Q", [x, z], [R(x, y), R(x, z)])
+        assert set(self.chase(strategy, headed, [key]).universal_plan.body) == {
+            R(x, z),
+            S(x),
+        }
+        clash = ConjunctiveQuery("Q", [x], [R(x, const(1)), R(x, const(2))])
+        assert self.chase(strategy, clash, [key]).branches == []
+
+    def test_tix_line_branches_on_an_equality_disjunct(self, strategy):
+        schema = GrexSchema("doc")
+        query = ConjunctiveQuery("Q", [x, y], [schema.desc(x, u), schema.desc(y, u)])
+        dependencies = tix_dependencies(schema, include_disjunctive=True)
+        branches = self.chase(strategy, query, dependencies).branches
+        assert len(branches) == 3
+        merged = [b for b in branches if b.head[0] == b.head[1]]
+        assert [b.head for b in merged] == [(y, y)]
+        apart = {b for b in branches if b.head == (x, y)}
+        assert len(apart) == 2
+        assert {schema.desc(x, y) in b.body for b in apart} == {True, False}
+        assert {schema.desc(y, x) in b.body for b in apart} == {True, False}
+        other = "naive" if strategy == "joinTree" else "joinTree"
+        assert sorted(
+            stable_dumps(canonical_query(b)) for b in branches
+        ) == sorted(
+            stable_dumps(canonical_query(b))
+            for b in self.chase(other, query, dependencies).branches
+        )
 
 
 class TestDescendantClosure:

@@ -94,7 +94,7 @@ class TestKernelAgainstNaiveFinder:
         instance = SymbolicInstance.from_atoms(target)
         for limit in (1, 2):
             limited = JoinTreeHomomorphismFinder().find_all_in_instance(
-                pattern, instance, target, seed_map, limit=limit
+                pattern, instance, seed_map, limit=limit
             )
             assert len(limited) == min(limit, len(set(canonical(naive))))
             assert set(canonical(limited)) <= set(canonical(naive))
@@ -148,7 +148,7 @@ class TestKernelAgainstNaiveFinder:
             RelationalAtom("T", (Constant(1),)),
             RelationalAtom("R", (Constant(1), Constant(2))),
         ]
-        assert plan.evaluate(SymbolicInstance.from_atoms(target), target_atoms=target) == []
+        assert plan.evaluate(SymbolicInstance.from_atoms(target)) == []
         database = InMemoryDatabase()
         for relation, arity in ARITY.items():
             database.create_table(relation, arity)

@@ -13,7 +13,7 @@ A :class:`MarsConfiguration` gathers everything the administrator declares
 From these declarations the configuration derives the compiled artifacts
 the C&B engine needs: the per-document GReX schemas, the TIX axioms, the
 compiled views/XICs, the set of proprietary (target) relations a
-reformulation may use, and cardinality statistics for the cost estimator.
+reformulation may use, and cardinality statistics for the cost model.
 """
 
 from __future__ import annotations
@@ -356,6 +356,16 @@ class MarsConfiguration:
         target.update(self.relational_schema.relation_names)
         return target
 
+    def access_weights(self) -> Dict[str, float]:
+        """Per-relation scan weights: overrides first, then every stored
+        document's relations at ``xml_access_weight`` per node."""
+        weights = dict(self.statistics.access_weights)
+        schemas = self.grex_schemas()
+        for name in self.proprietary_documents:
+            for relation in schemas[name].relation_names():
+                weights.setdefault(relation, self.xml_access_weight)
+        return weights
+
     def build_statistics(self) -> StatisticsCatalog:
         """The declared statistics catalog :class:`MarsSystem` plans with.
 
@@ -368,16 +378,17 @@ class MarsConfiguration:
         overrides = self.statistics
         catalog = StatisticsCatalog(
             tables=overrides.tables,
-            access_weights=overrides.access_weights,
+            access_weights=self.access_weights(),
             default_row_count=overrides.default_row_count,
             default_weight=overrides.default_weight,
         )
         schemas = self.grex_schemas()
         for name, instance in self.proprietary_documents.items():
-            node_count = instance.node_count() if instance is not None else None
+            if instance is None:
+                continue
+            node_count = instance.node_count()
             for relation in schemas[name].relation_names():
-                catalog.access_weights.setdefault(relation, self.xml_access_weight)
-                if node_count is not None and relation not in catalog:
+                if relation not in catalog:
                     catalog.set_cardinality(relation, node_count)
         for name, rows in self.relational_data.items():
             if name not in catalog or catalog.row_count(name) == len(rows):

@@ -214,8 +214,9 @@ class MarsExecutor:
         loads this is the call that re-measures, and on a sharded backend
         it also re-feeds the router's cost model in the same pass.
         """
-        weights = self.configuration.build_statistics().access_weights
-        return self.backend.refresh_statistics(access_weights=weights)
+        return self.backend.refresh_statistics(
+            access_weights=self.configuration.access_weights()
+        )
 
     def close(self) -> None:
         """Release the backend's resources (e.g. the SQLite connection).

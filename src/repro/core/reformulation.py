@@ -14,17 +14,17 @@ from ..xbind.query import XBindQuery
 class MarsReformulation:
     """The outcome of reformulating one XBind query.
 
-    ``best`` is the cheapest minimal reformulation according to the plug-in
-    cost estimator; ``initial`` is the (generally redundant) reformulation
-    obtained without backchase minimization; ``minimal`` lists every minimal
-    reformulation found, which the paper's completeness theorem guarantees to
-    be all of them for the supported fragment.
+    ``best`` is the cheapest minimal reformulation according to the
+    system's :class:`~repro.cost.model.CostModel`; ``initial`` is the
+    (generally redundant) reformulation obtained without backchase
+    minimization; ``minimal`` lists every minimal reformulation found,
+    which the paper's completeness theorem guarantees to be all of them
+    for the supported fragment.
 
-    When the system ranks with a statistics-fed
-    :class:`~repro.cost.model.CostModel` (the default), ``cost_estimate``
-    carries the structured estimate of the chosen plan and
-    ``candidate_costs`` the ``(name, cost)`` of every ranked candidate,
-    cheapest first — both travel with the plan through the plan cache.
+    When a reformulation was found, ``cost_estimate`` carries the
+    structured estimate of the chosen plan, ``candidate_costs`` the
+    ``(name, cost)`` of every ranked candidate, cheapest first, and ``sql``
+    the rendered winner — all travel with the plan through the plan cache.
 
     ``complete`` is ``False`` when the backchase stopped at its
     ``max_inspected`` cap with subqueries left to inspect: ``minimal`` may
@@ -65,7 +65,6 @@ class MarsReformulation:
         query: XBindQuery,
         compiled_query: ConjunctiveQuery,
         result: CBResult,
-        sql: Optional[str],
     ) -> "MarsReformulation":
         return cls(
             query=query,
@@ -75,7 +74,7 @@ class MarsReformulation:
             minimal=list(result.minimal_reformulations),
             best=result.best,
             best_cost=result.best_cost,
-            sql=sql,
+            sql=None,
             time_to_universal_plan=result.time_to_universal_plan,
             time_to_initial=result.time_to_initial,
             time_to_best=result.time_to_best,

@@ -5,10 +5,11 @@ into the C&B engine (paper Figure 3): it compiles client XBind queries over
 the public schema into conjunctive queries over GReX, chases them with the
 compiled schema correspondence, XICs, TIX and relational constraints, and
 backchases to find the minimal reformulations over the proprietary schema.
-The finished candidates are ranked by the statistics-fed
-:class:`~repro.cost.model.CostModel` (declared statistics by default;
+Each system owns one statistics-fed :class:`~repro.cost.model.CostModel`:
+the backchase prunes with its monotone lower bound and the finished
+candidates are ranked by its estimate (declared statistics by default;
 :meth:`MarsSystem.attach_statistics` swaps in a catalog measured from a
-live backend), unless the caller injects its own estimator.
+live backend without touching the compiled configuration).
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from typing import Dict, List, Optional
 from ..cost.model import CostModel
 from ..cost.statistics import StatisticsCatalog
 from ..engine.cb import CBConfig, CBEngine
-from ..engine.cost import CostEstimator, SimpleCostEstimator
 from ..errors import ReformulationError, SchemaError
 from ..logical.dependencies import DED
 from ..logical.queries import ConjunctiveQuery
@@ -43,19 +43,18 @@ class MarsSystem:
     def __init__(
         self,
         configuration: MarsConfiguration,
-        estimator: Optional[CostEstimator] = None,
         cb_config: Optional[CBConfig] = None,
-        plan_cache: Optional[object] = None,
+        plan_cache: Optional["PlanCache"] = None,
         plan_store: Optional[PlanStore] = None,
     ):
         self.configuration = configuration
         self.cb_config = cb_config or CBConfig()
-        # An optional LRU cache of finished reformulations (any object with
-        # thread-safe get/put, normally a repro.serve.cache.PlanCache),
-        # keyed on the client query's structural fingerprint plus the
-        # configuration version.  With a cache attached, a repeated query
-        # skips compilation, chase and backchase entirely.  None (the
-        # default) preserves uncached behaviour.
+        # An optional LRU cache of finished reformulations (a
+        # repro.serve.cache.PlanCache), keyed on the client query's
+        # structural fingerprint plus the configuration version.  With a
+        # cache attached, a repeated query skips compilation, chase and
+        # backchase entirely.  None (the default) preserves uncached
+        # behaviour.
         self.plan_cache = plan_cache
         # An optional disk-backed repro.plan.PlanStore consulted between
         # the in-process cache and the C&B engine.  A store hit decodes
@@ -68,49 +67,38 @@ class MarsSystem:
         # store hits do not count: the restart-warm acceptance check — and
         # anyone measuring what the store actually saves — keys on this.
         self.engine_invocations = 0
-        # One cost model (repro.cost) answers two questions.  The *engine*
-        # estimator asks for its cheap, monotone lower bound: the backchase
-        # prices every candidate subquery and prunes supersets of expensive
-        # ones, which is only sound when adding atoms never lowers the
-        # figure.  The *cost model* proper is statistics-fed and
-        # join-order-aware: not monotone, so it never steers the pruning —
-        # it re-ranks the finished minimal reformulations (and prices
-        # routing decisions elsewhere).  An injected estimator replaces
-        # both: it survives recompilation and suppresses the cost-model
-        # re-ranking, so a caller's estimator fully owns plan choice.
-        self._estimator_injected = estimator is not None
+        # One cost model (repro.cost) answers two questions.  The backchase
+        # asks for its cheap, monotone lower bound: it prices every
+        # candidate subquery and prunes supersets of expensive ones, which
+        # is only sound when adding atoms never lowers the figure.  Its
+        # estimate proper is join-order-aware and not monotone, so it never
+        # steers the pruning: it ranks the finished minimal
+        # reformulations.  The engines and the ranking share this one
+        # object, so swapping its catalog reaches all of them.
+        self.cost_model = CostModel(configuration.build_statistics())
         self._statistics_attached = False
-        if self._estimator_injected:
-            self.catalog: Optional[StatisticsCatalog] = None
-            self.cost_model: Optional[CostModel] = None
-            self.estimator = estimator
-        else:
-            self._rebuild_from_catalog(configuration.build_statistics())
         # Compiled artifacts are derived once per configuration version and
         # reused across queries; _recompile() refreshes them (and flushes
         # stale cached plans) when the configuration is edited afterwards.
         self._compile_artifacts()
 
-    def _rebuild_from_catalog(self, catalog: StatisticsCatalog) -> None:
-        """Derive the ranking model and the engine estimator from *catalog*.
-
-        The single place both are built, so every path (construction,
-        recompilation, attach) ranks and prunes from the same statistics.
-        Never called on a system with an injected estimator.
-        """
-        self.catalog = catalog
-        self.cost_model = CostModel(catalog)
-        self.estimator = SimpleCostEstimator(catalog)
+    @property
+    def catalog(self) -> StatisticsCatalog:
+        """The statistics the cost model prices with."""
+        return self.cost_model.catalog
 
     def _compile_artifacts(self) -> None:
-        """Derive (or re-derive) every compiled artifact of the configuration."""
+        """Derive (or re-derive) every compiled artifact of the configuration.
+
+        None of them depends on statistics: attaching a catalog keeps them.
+        """
         configuration = self.configuration
         self._compiler = configuration.compiler()
         self._dependencies: List[DED] = configuration.dependencies()
         self._target_relations = configuration.target_relations()
         self._specs = configuration.closure_specs()
         self._engine = CBEngine(
-            config=self.cb_config, estimator=self.estimator, specs=self._specs
+            config=self.cb_config, cost_model=self.cost_model, specs=self._specs
         )
         # Engines for per-call `minimize` overrides, built lazily and cached:
         # rebuilding a CBEngine per reformulate() call is wasteful.
@@ -135,16 +123,15 @@ class MarsSystem:
         this additionally evicts the dead entries so they stop occupying
         LRU slots.
         """
-        if not self._estimator_injected and not self._statistics_attached:
+        if not self._statistics_attached:
             # Re-derive declared statistics; an attached (collected) catalog
             # describes live instance data that a schema edit did not change,
             # so it is kept until the owner re-attaches a fresh one.
-            self._rebuild_from_catalog(self.configuration.build_statistics())
+            self.cost_model.catalog = self.configuration.build_statistics()
         self._compile_artifacts()
-        current = self._compiled_version
-        evict = getattr(self.plan_cache, "evict_where", None)
-        if evict is not None:
-            evict(lambda key: key[0] != current)
+        if self.plan_cache is not None:
+            current = self._compiled_version
+            self.plan_cache.evict_where(lambda key: key[0] != current)
         if self.plan_store is not None:
             # On-disk artifacts of the old correspondence are already
             # unreachable (identities embed the configuration digest);
@@ -154,26 +141,18 @@ class MarsSystem:
     def attach_statistics(self, catalog: StatisticsCatalog) -> None:
         """Plan against *catalog* (normally collected from a live backend).
 
-        Replaces the declared statistics the system was constructed with:
-        the engine estimator and the ranking cost model are rebuilt from
-        the catalog, and every cached plan is flushed — a plan chosen
-        under the old statistics may no longer be the cheapest.  A
-        :class:`~repro.serve.PublishingService` calls this at startup with
-        the catalog measured from its freshly built backend.  No-op effect
-        on systems constructed with an injected estimator would be
-        surprising, so that combination raises instead.
+        Replaces the catalog of the system's one cost model, which the
+        backchase prunes with and the ranking reads, and flushes every
+        cached plan: a plan chosen under the old statistics may no longer
+        be the cheapest, and pruning decides which minimal plans are found
+        at all.  The compiled configuration depends on no statistics and is
+        kept.  A :class:`~repro.serve.PublishingService` calls this at
+        startup with the catalog measured from its freshly built backend.
         """
-        if self._estimator_injected:
-            raise ReformulationError(
-                "cannot attach statistics: this MarsSystem uses an injected "
-                "cost estimator that owns plan ranking"
-            )
-        self._rebuild_from_catalog(catalog)
+        self.cost_model.catalog = catalog
         self._statistics_attached = True
-        self._compile_artifacts()
-        evict = getattr(self.plan_cache, "evict_where", None)
-        if evict is not None:
-            evict(lambda key: True)
+        if self.plan_cache is not None:
+            self.plan_cache.evict_where(lambda key: True)
 
     # ------------------------------------------------------------------
     @property
@@ -208,44 +187,28 @@ class MarsSystem:
             return compiled
 
     # ------------------------------------------------------------------
-    def _rank_and_render(self, best, minimal, engine_best_cost):
-        """Price the candidate field and render SQL for the winner.
+    def _rank_and_render(self, reformulation: MarsReformulation) -> None:
+        """Rank the minimal reformulations and render SQL for the winner.
 
-        The one place plan selection happens, shared by fresh compiles
-        and store loads: with the statistics-fed cost model, every
-        minimal reformulation is ranked and the cheapest wins; with an
-        injected estimator the engine's (or, for a loaded plan, the
-        estimator's own) cost stands.  Returns ``(best, best_cost,
-        cost_estimate, candidate_costs, sql)``.
+        The one place plan selection happens, shared by fresh compiles and
+        store loads.  The backchase's monotone bound already guided the
+        pruning; this pass is where join selectivities and access weights
+        pick the winner among the survivors (stable on ties, so the
+        incoming order breaks them deterministically).  Sets ``best``,
+        ``best_cost``, ``cost_estimate``, ``candidate_costs`` and ``sql``
+        on *reformulation*; one that found nothing is left as it is.
         """
-        best_cost = engine_best_cost
-        cost_estimate = None
-        candidate_costs: tuple = ()
-        if best is not None:
-            if self.cost_model is not None:
-                # Final plan selection: rank every minimal reformulation
-                # with the statistics-fed cost model.  The engine's
-                # monotone estimator already guided the backchase
-                # pruning; this pass is where join selectivities and
-                # access weights pick the winner among the survivors
-                # (stable on ties, so the incoming order breaks them
-                # deterministically).
-                pool = list(minimal) or [best]
-                ranked = self.cost_model.rank(pool)
-                cost_estimate, best = ranked[0]
-                best_cost = cost_estimate.total
-                candidate_costs = tuple(
-                    (candidate.name, estimate.total)
-                    for estimate, candidate in ranked
-                )
-            elif engine_best_cost is None:
-                # Injected estimator pricing a loaded plan: the artifact
-                # carries no costs, so ask the estimator directly.
-                best_cost = self.estimator.estimate(best)
-        sql = None
-        if best is not None:
-            sql = render_sql(best, self.configuration.relational_schema)
-        return best, best_cost, cost_estimate, candidate_costs, sql
+        if reformulation.best is None:
+            return
+        ranked = self.cost_model.rank(list(reformulation.minimal) or [reformulation.best])
+        reformulation.cost_estimate, reformulation.best = ranked[0]
+        reformulation.best_cost = reformulation.cost_estimate.total
+        reformulation.candidate_costs = tuple(
+            (candidate.name, estimate.total) for estimate, candidate in ranked
+        )
+        reformulation.sql = render_sql(
+            reformulation.best, self.configuration.relational_schema
+        )
 
     def _load_from_store(
         self, identity: str, query: XBindQuery
@@ -266,14 +229,7 @@ class MarsSystem:
         except CanonicalFormError as error:
             self.plan_store.mark_corrupt(identity, reason=str(error))
             return None
-        best, best_cost, cost_estimate, candidate_costs, sql = (
-            self._rank_and_render(reformulation.best, reformulation.minimal, None)
-        )
-        reformulation.best = best
-        reformulation.best_cost = 0.0 if best_cost is None else best_cost
-        reformulation.cost_estimate = cost_estimate
-        reformulation.candidate_costs = candidate_costs
-        reformulation.sql = sql
+        self._rank_and_render(reformulation)
         return reformulation
 
     def _save_to_store(
@@ -298,8 +254,7 @@ class MarsSystem:
         produced (the paper's "switch off the backchase" mode); the default
         follows the engine configuration.
 
-        With the default (non-injected) estimator, the minimal
-        reformulations are ranked by the statistics-fed
+        The minimal reformulations are ranked by the system's
         :class:`~repro.cost.model.CostModel`: ``best``/``best_cost`` come
         from that ranking, ``cost_estimate`` carries the structured
         estimate of the winner and ``candidate_costs`` the full priced
@@ -362,23 +317,15 @@ class MarsSystem:
             if engine is None:
                 config = replace(self.cb_config, minimize=minimize)
                 engine = CBEngine(
-                    config=config, estimator=self.estimator, specs=self._specs
+                    config=config, cost_model=self.cost_model, specs=self._specs
                 )
                 self._override_engines[minimize] = engine
         self.engine_invocations += 1
         result = engine.reformulate(
             compiled, self._dependencies, target_relations=self._target_relations
         )
-        best, best_cost, cost_estimate, candidate_costs, sql = (
-            self._rank_and_render(
-                result.best, result.minimal_reformulations, result.best_cost
-            )
-        )
-        reformulation = MarsReformulation.from_cb_result(query, compiled, result, sql)
-        reformulation.best = best
-        reformulation.best_cost = best_cost
-        reformulation.cost_estimate = cost_estimate
-        reformulation.candidate_costs = candidate_costs
+        reformulation = MarsReformulation.from_cb_result(query, compiled, result)
+        self._rank_and_render(reformulation)
         if identity is not None and reformulation.complete:
             self._save_to_store(identity, reformulation, effective_minimize)
         if cache_key is not None:

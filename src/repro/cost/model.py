@@ -19,7 +19,7 @@ them: ``single`` (one shard's fragment plus a dispatch overhead),
 (fragments are shipped to the coordinator at a per-row transfer cost and
 joined once).
 
-One model answers the two questions MARS asks of its plug-in estimator
+One model answers both questions MARS asks of the cost model it plugs in
 (paper Figure 2).  :meth:`CostModel.estimate` is *not* monotone (adding a
 selective atom can reduce intermediate sizes by more than its scan cost):
 it ranks the finished minimal reformulations in

@@ -4,7 +4,6 @@ from .backchase import BackchaseConfig, BackchaseEngine, BackchaseResult
 from .cb import CBConfig, CBEngine, CBResult
 from .chase import ChaseConfig, ChaseEngine, ChaseResult, ChaseStatistics, chase_query
 from .containment import ContainmentChecker
-from .cost import CostEstimator, SimpleCostEstimator
 from .homomorphism import NaiveHomomorphismFinder, query_homomorphism
 from .join_tree import CompiledConjunction, JoinTreeHomomorphismFinder
 from .pruning import (
@@ -29,12 +28,10 @@ __all__ = [
     "ClosureSpec",
     "CompiledConjunction",
     "ContainmentChecker",
-    "CostEstimator",
     "GrexAtomClassifier",
     "JoinTreeHomomorphismFinder",
     "NaiveHomomorphismFinder",
     "ShortcutChaseEngine",
-    "SimpleCostEstimator",
     "SubqueryLegality",
     "SymbolicInstance",
     "chase_query",

@@ -7,7 +7,8 @@ first, checking each for equivalence with the original query under the
 dependencies (by chasing the subquery "back" and looking for a containment
 mapping).  Cost-based pruning discards a subquery -- and all its supersets --
 as soon as its cost exceeds the best reformulation found so far, which is
-sound because the cost model is monotone.
+sound because the bound it prices with,
+:meth:`~repro.cost.model.CostModel.lower_bound`, is monotone.
 
 Only atoms over the *target* (proprietary) schema may appear in a
 reformulation; the largest such subquery is the *initial reformulation*,
@@ -33,12 +34,12 @@ import math
 from dataclasses import dataclass, field
 from typing import FrozenSet, List, Optional, Sequence, Set, Tuple
 
+from ..cost.model import CostModel
 from ..logical.atoms import RelationalAtom
 from ..logical.dependencies import DED
 from ..logical.queries import ConjunctiveQuery
 from ..obs.timer import timer
 from .containment import ContainmentChecker
-from .cost import CostEstimator, SimpleCostEstimator
 from .pruning import SubqueryLegality
 
 
@@ -85,11 +86,11 @@ class BackchaseEngine:
     def __init__(
         self,
         checker: Optional[ContainmentChecker] = None,
-        estimator: Optional[CostEstimator] = None,
+        cost_model: Optional[CostModel] = None,
         config: Optional[BackchaseConfig] = None,
     ):
         self.checker = checker or ContainmentChecker()
-        self.estimator = estimator or SimpleCostEstimator()
+        self.cost_model = cost_model or CostModel()
         self.config = config or BackchaseConfig()
 
     # ------------------------------------------------------------------
@@ -198,7 +199,7 @@ class BackchaseEngine:
             # The initial reformulation is itself a reformulation, so its cost
             # is a sound upper bound that lets pruning start immediately
             # (the "best cost seen so far" of the paper's backchase).
-            result.best_cost = self.estimator.estimate(result.initial_reformulation)
+            result.best_cost = self.cost_model.lower_bound(result.initial_reformulation)
 
         found_sets: List[FrozenSet[int]] = []
         seen: Set[FrozenSet[int]] = set()
@@ -212,7 +213,7 @@ class BackchaseEngine:
         def materialize(subset: FrozenSet[int]):
             atoms = [candidates[i] for i in sorted(subset)]
             subquery = universal_plan.subquery(atoms)
-            return atoms, subquery, self.estimator.estimate(subquery)
+            return atoms, subquery, self.cost_model.lower_bound(subquery)
 
         def record_reformulation(subset: FrozenSet[int], query: ConjunctiveQuery, cost: float):
             named = query.with_name(f"{original.name}_reform{len(result.minimal_reformulations)}")

@@ -4,7 +4,10 @@ This module glues together the pieces of :mod:`repro.engine` into the
 algorithm of paper Figure 2: chase the (compiled) client query with all
 dependencies to the universal plan, apply the XML-specific plan pruning,
 then backchase to obtain the minimal reformulations and pick the cheapest
-one with the plug-in cost estimator.
+one.  The plug-in cost model is a :class:`~repro.cost.model.CostModel`
+(any catalog, any parameters): this module and the backchase price with
+its monotone ``lower_bound``, and :class:`~repro.core.system.MarsSystem`
+re-ranks the minimal set with the same model's ``rank``.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Set, Tuple
 
+from ..cost.model import CostModel
 from ..errors import ReformulationError
 from ..logical.atoms import RelationalAtom
 from ..logical.dependencies import DED
@@ -21,7 +25,6 @@ from ..obs.timer import timer
 from .backchase import BackchaseConfig, BackchaseEngine
 from .chase import ChaseConfig, ChaseResult
 from .containment import ContainmentChecker
-from .cost import CostEstimator, SimpleCostEstimator
 from .pruning import SubqueryLegality, prune_parallel_descendant_atoms
 from .shortcut import ClosureSpec
 
@@ -70,17 +73,17 @@ class CBEngine:
     def __init__(
         self,
         config: Optional[CBConfig] = None,
-        estimator: Optional[CostEstimator] = None,
+        cost_model: Optional[CostModel] = None,
         specs: Sequence[ClosureSpec] = (),
     ):
         self.config = config or CBConfig()
-        self.estimator = estimator or SimpleCostEstimator()
+        self.cost_model = cost_model or CostModel()
         self.specs = tuple(specs)
         checker_specs = self.specs if self.config.use_shortcut else ()
         self.checker = ContainmentChecker(self.config.chase, specs=checker_specs)
         self.backchase_engine = BackchaseEngine(
             checker=self.checker,
-            estimator=self.estimator,
+            cost_model=self.cost_model,
             config=self.config.backchase,
         )
 
@@ -146,7 +149,7 @@ class CBEngine:
         time_initial = clock.elapsed
 
         if not self.config.minimize:
-            best_cost = self.estimator.estimate(initial) if initial else math.inf
+            best_cost = self.cost_model.lower_bound(initial) if initial else math.inf
             return CBResult(
                 original=query,
                 universal_plan=universal_plan,
@@ -175,7 +178,7 @@ class CBEngine:
         best_cost = backchase_result.best_cost
         if best is None and initial is not None:
             best = initial
-            best_cost = self.estimator.estimate(initial)
+            best_cost = self.cost_model.lower_bound(initial)
         return CBResult(
             original=query,
             universal_plan=universal_plan,

@@ -84,13 +84,6 @@ class DED:
     def is_disjunctive(self) -> bool:
         return len(self.disjuncts) > 1
 
-    @property
-    def is_egd(self) -> bool:
-        """True when every disjunct consists only of equality atoms."""
-        return all(
-            all(isinstance(a, EqualityAtom) for a in d.atoms) for d in self.disjuncts
-        )
-
     def universal_variables(self) -> Tuple[Variable, ...]:
         return atom_variables(self.premise)
 

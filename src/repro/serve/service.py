@@ -485,9 +485,9 @@ class PublishingService:
             # measured when its build completed (the one a sharded router
             # prices modes with) — unless log recovery just replayed rows
             # that sweep never saw, in which case it must run again.
-            # Skipped when the caller owns plan ranking
-            # (refresh_statistics=False, or an injected estimator).
-            if refresh_statistics and system.cost_model is not None:
+            # Skipped with refresh_statistics=False: the system keeps the
+            # declared statistics.
+            if refresh_statistics:
                 catalog = None
                 if not self._log_recovered_entries:
                     catalog = self.executor.backend.statistics_catalog
@@ -1085,21 +1085,12 @@ class PublishingService:
         if self._template_owned and not template.closed:
             template.close()
 
-    def _reset_drift_baseline(
-        self, catalog: Optional[object] = None
-    ) -> None:
+    def _reset_drift_baseline(self) -> None:
         """Remember the row counts the current statistics describe."""
-        if catalog is None:
-            catalog = getattr(self.system, "catalog", None)
-        rows: Dict[str, float] = {}
-        tables = getattr(catalog, "tables", None)
-        if tables:
-            for name, statistics in tables.items():
-                rows[name] = float(statistics.row_count)
-        else:
-            for name, count in self.executor.backend.cardinalities().items():
-                rows[name] = float(count)
-        self._stats_rows = rows
+        self._stats_rows = {
+            name: float(statistics.row_count)
+            for name, statistics in self.system.catalog.tables.items()
+        }
         self._drift_rows = {}
 
     # ------------------------------------------------------------------
@@ -1341,11 +1332,6 @@ class PublishingService:
         for flight in flights:
             query, plan_name = flight.query, flight.plan.name
             estimate = flight.reformulation.cost_estimate
-            if estimate is not None:
-                estimate = (
-                    getattr(estimate, "cardinality", 0.0),
-                    getattr(estimate, "total", 0.0),
-                )
             query_profile = None
             if flight.trace.root.profiled:
                 query_profile = QueryProfile(
@@ -1369,7 +1355,7 @@ class PublishingService:
                 plan=plan_name,
                 route=flight.route,
                 rows=len(flight.rows),
-                estimate=estimate,
+                estimate=(estimate.cardinality, estimate.total),
             )
             served.append((flight.rows, self._emit(record)))
         return served
@@ -1522,7 +1508,7 @@ class PublishingService:
 
     def _note_drift(self, changeset: ChangeSet) -> bool:
         """Account the written rows; True when drift crosses the threshold."""
-        if self.drift_threshold is None or self.system.cost_model is None:
+        if self.drift_threshold is None:
             return False
         triggered = False
         for change in changeset.changes:
@@ -1538,7 +1524,7 @@ class PublishingService:
         catalog = self.executor.collect_statistics()
         with self._reformulate_lock:
             self.system.attach_statistics(catalog)
-        self._reset_drift_baseline(catalog)
+        self._reset_drift_baseline()
         self._m_statistics_refreshes.inc()
         self.events.record(
             STATISTICS_REFRESH, reason=reason, tables=len(catalog.tables)

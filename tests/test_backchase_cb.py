@@ -1,4 +1,4 @@
-"""Unit tests for the backchase, cost estimators and the full C&B pipeline."""
+"""Unit tests for the backchase, its cost bound and the full C&B pipeline."""
 
 import itertools
 
@@ -12,7 +12,6 @@ from repro.engine import (
     CBEngine,
     ClosureSpec,
     ContainmentChecker,
-    SimpleCostEstimator,
     SubqueryLegality,
     chase_query,
     prune_parallel_descendant_atoms,
@@ -25,7 +24,7 @@ from repro.logical import (
     var,
     view_inclusion_dependencies,
 )
-from repro.cost import StatisticsCatalog
+from repro.cost import CostModel, StatisticsCatalog
 from repro.logical.terms import Variable
 from repro.workloads import medical, star, xmark
 from repro.xbind.atoms import PathAtom
@@ -49,18 +48,20 @@ def S(*terms):
     return RelationalAtom("S", terms)
 
 
-class TestCostEstimators:
-    def test_simple_estimator_monotone(self):
-        estimator = SimpleCostEstimator(catalog({"R": 10, "S": 20}))
+class TestLowerBound:
+    """The backchase prunes with ``CostModel.lower_bound``."""
+
+    def test_monotone(self):
+        model = CostModel(catalog({"R": 10, "S": 20}))
         small = ConjunctiveQuery("Q", [x], [R(x, y)])
         large = ConjunctiveQuery("Q", [x], [R(x, y), S(y, z)])
-        assert estimator.estimate(small) < estimator.estimate(large)
+        assert model.lower_bound(small) < model.lower_bound(large)
 
-    def test_simple_estimator_uses_weights(self):
-        weighted = SimpleCostEstimator(catalog({"R": 10}, access_weights={"R": 5.0}))
-        unweighted = SimpleCostEstimator(catalog({"R": 10}))
+    def test_uses_weights(self):
+        weighted = CostModel(catalog({"R": 10}, access_weights={"R": 5.0}))
+        unweighted = CostModel(catalog({"R": 10}))
         query = ConjunctiveQuery("Q", [x], [R(x, y)])
-        assert weighted.estimate(query) > unweighted.estimate(query)
+        assert weighted.lower_bound(query) > unweighted.lower_bound(query)
 
 
 class TestBackchase:
@@ -95,7 +96,7 @@ class TestBackchase:
     def test_backchase_without_target_restriction_minimizes(self):
         query, plan, dependencies = self._setup()
         engine = BackchaseEngine(
-            estimator=SimpleCostEstimator(catalog({"V": 1, "R": 100, "S": 100}))
+            cost_model=CostModel(catalog({"V": 1, "R": 100, "S": 100}))
         )
         result = engine.backchase(query, plan, dependencies, target_relations=None)
         assert result.best is not None
@@ -251,7 +252,7 @@ class BackchaseOracle:
             config=CBConfig(
                 backchase=BackchaseConfig(prune_by_cost=prune_by_cost, **backchase)
             ),
-            estimator=self.system.estimator,
+            cost_model=self.system.cost_model,
             specs=self.specs,
         )
         self.result = self.engine.reformulate(
@@ -306,7 +307,7 @@ class BackchaseOracle:
 
     def cheapest(self, minimal):
         return min(
-            self.system.estimator.estimate(self.plan.subquery(m)) for m in minimal
+            self.system.cost_model.lower_bound(self.plan.subquery(m)) for m in minimal
         )
 
 

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core import MarsExecutor, MarsSystem
 from repro.cost import CostModel, CostParameters, StatisticsCatalog, profile_rows
-from repro.engine.cost import SimpleCostEstimator
+from repro.engine import CBEngine
 from repro.logical.atoms import RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
@@ -174,8 +174,8 @@ class TestCostModel:
         weak = ConjunctiveQuery(
             "weak", (y,), (RelationalAtom("W1", (x, y)), RelationalAtom("W2", (x, z)))
         )
-        scan_sum = SimpleCostEstimator(catalog)
-        assert scan_sum.estimate(weak) < scan_sum.estimate(keyed)
+        scan_sum = CostModel(catalog).lower_bound
+        assert scan_sum(weak) < scan_sum(keyed)
         ranked = CostModel(catalog).rank([keyed, weak])
         assert ranked[0][1] is keyed  # 1250 intermediate rows vs 60
 
@@ -319,15 +319,21 @@ class TestCostBasedPlanSelection:
         parameters, configuration = self.star_configuration()
         query = star.client_query(parameters)
 
-        # Rule-based: a statistics-blind estimator reduces to the syntactic
-        # heuristic "fewer atoms is cheaper" and grabs the single-view plan.
-        rule_system = MarsSystem(configuration, estimator=SimpleCostEstimator())
-        rule_best = rule_system.reformulate(query).best
+        cost_system = MarsSystem(configuration)
+
+        # Rule-based: over an empty catalog the backchase's bound reduces
+        # to the syntactic heuristic "fewer atoms is cheaper" and the
+        # engine grabs the single-view plan.
+        blind = CBEngine(specs=configuration.closure_specs(), cost_model=CostModel())
+        rule_best = blind.reformulate(
+            cost_system.compile_query(query),
+            cost_system.dependencies,
+            target_relations=cost_system.target_relations,
+        ).best
         assert "V1" in rule_best.relation_names()
 
         # Cost-based (the default): the declared statistics price the view
         # plan at ~500k and the base-table join at a few hundred.
-        cost_system = MarsSystem(configuration)
         reformulation = cost_system.reformulate(query)
         assert "V1" not in reformulation.best.relation_names()
         assert {"R_store", "S1_store", "S2_store"} <= set(
@@ -366,14 +372,6 @@ class TestCostBasedPlanSelection:
             catalog.add(profile_rows(name, [(i, i % 7) for i in range(3000)]))
         system.attach_statistics(catalog)
         assert "V1" in system.reformulate(query).best.relation_names()
-
-    def test_injected_estimator_rejects_attach(self):
-        from repro.errors import ReformulationError
-
-        _parameters, configuration = self.star_configuration()
-        system = MarsSystem(configuration, estimator=SimpleCostEstimator())
-        with pytest.raises(ReformulationError):
-            system.attach_statistics(StatisticsCatalog())
 
 
 # ----------------------------------------------------------------------

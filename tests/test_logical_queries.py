@@ -146,7 +146,9 @@ class TestRelationalSchema:
         schema.add_key("R", ["k"])
         dependencies = schema.key_dependencies()
         assert len(dependencies) == 1
-        assert dependencies[0].is_egd
+        (conclusion,) = dependencies[0].disjuncts
+        assert conclusion.atoms
+        assert conclusion.equalities() == conclusion.atoms
 
     def test_foreign_key_dependency_generation(self):
         schema = RelationalSchema()
@@ -155,7 +157,8 @@ class TestRelationalSchema:
         schema.add_foreign_key("R", ["f"], "S", ["k"])
         dependencies = schema.foreign_key_dependencies()
         assert len(dependencies) == 1
-        assert not dependencies[0].is_egd
+        (conclusion,) = dependencies[0].disjuncts
+        assert conclusion.relational_atoms()
 
     def test_unknown_relation_raises(self):
         schema = RelationalSchema()

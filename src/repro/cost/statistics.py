@@ -23,7 +23,9 @@ Catalogs come from two places:
   the sharded backend merges its children's catalogs (summing
   partitioned fragments, keeping one copy of broadcast tables).
   ``sqlite_stat1`` feeds SQLite's join order; the catalog is exact counts
-  on every backend.
+  on every backend.  A store keeps what it measured per relation
+  (:class:`KeptStatistics`) until that relation is written, so a refresh
+  re-measures only the relations written since the last one.
 
 Turning a catalog into a cardinality or a cost is the other half,
 :class:`~repro.cost.model.CostModel`; nothing else reads these records
@@ -32,6 +34,7 @@ for arithmetic.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, replace
 from typing import Dict, Mapping, Optional, Tuple
 
@@ -166,6 +169,49 @@ class StatisticsCatalog:
 
     def __repr__(self) -> str:
         return f"StatisticsCatalog({len(self.tables)} tables)"
+
+
+class KeptStatistics:
+    """The :class:`TableStatistics` a store last measured, per relation.
+
+    The store calls :meth:`written` once a write to a relation has ended,
+    which drops that relation's entry, and :meth:`clear` when writes it
+    cannot attribute happened (another connection to a shared file).
+    ``collect_statistics`` re-measures only the relations with no entry.
+    Every drop moves :attr:`writes`; :meth:`keep` stores a measurement
+    only when it did not move since the measurement began, so a write that
+    overlapped one cannot leave its stale counts behind.
+    """
+
+    def __init__(self, entries: Optional[Mapping[str, TableStatistics]] = None):
+        self._entries: Dict[str, TableStatistics] = dict(entries or {})
+        self._lock = threading.Lock()
+        #: Drops so far; read it before measuring and hand it to :meth:`keep`.
+        self.writes = 0
+
+    def get(self, relation: str) -> Optional[TableStatistics]:
+        return self._entries.get(relation)
+
+    def keep(self, statistics: TableStatistics, writes: int) -> None:
+        """Keep *statistics* unless a drop came after *writes* was read."""
+        with self._lock:
+            if writes == self.writes:
+                self._entries[statistics.name] = statistics
+
+    def written(self, relation: str) -> None:
+        with self._lock:
+            self.writes += 1
+            self._entries.pop(relation, None)
+
+    def clear(self) -> None:
+        with self._lock:
+            self.writes += 1
+            self._entries.clear()
+
+    def copy(self) -> "KeptStatistics":
+        """The same entries, for a copy of the store holding the same data."""
+        with self._lock:
+            return KeptStatistics(self._entries)
 
 
 def profile_rows(name: str, rows: object) -> TableStatistics:

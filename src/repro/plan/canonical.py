@@ -37,6 +37,7 @@ Everything here encodes to plain JSON-able values and serializes through
 from __future__ import annotations
 
 import hashlib
+import math
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import StorageError
@@ -425,7 +426,9 @@ def reformulation_from_canonical(
                 if document["best"] is None
                 else query_from_canonical(document["best"])
             ),
-            best_cost=0.0,
+            # Ranking sets it when a best plan exists; without one it
+            # stays what a fresh compile that finds nothing reports.
+            best_cost=math.inf,
             sql=None,
             time_to_universal_plan=0.0,
             time_to_initial=0.0,

@@ -473,27 +473,19 @@ class PublishingService:
             log_segment_bytes, configuration.log_segment_bytes
         )
         self._durable = self._log_dir is not None
-        self._log_recovered_entries = 0
         self._pool_size = _setting(pool_size, configuration.pool_size)
         self._max_waiters = max_waiters
         logs: Optional[List[MutationLog]] = None
         try:
             if self._durable:
                 logs = self._open_durable_logs()
-            # Plan against measured statistics, not declarations: the
-            # system ranks reformulations with the catalog the executor
-            # measured when its build completed (the one a sharded router
-            # prices modes with) — unless log recovery just replayed rows
-            # that sweep never saw, in which case it must run again.
+            # Plan against measured statistics, not declarations.  The
+            # executor measured every table when its build completed; this
+            # refresh re-measures only what log recovery wrote since.
             # Skipped with refresh_statistics=False: the system keeps the
             # declared statistics.
             if refresh_statistics:
-                catalog = None
-                if not self._log_recovered_entries:
-                    catalog = self.executor.backend.statistics_catalog
-                if catalog is None:
-                    catalog = self.executor.collect_statistics()
-                system.attach_statistics(catalog)
+                system.attach_statistics(self.executor.collect_statistics())
             self._adopt_units(self._build_units(logs))
         except Exception:
             # Don't leak the template connection (or the durable log
@@ -636,7 +628,6 @@ class PublishingService:
         entries = log.entries_since(start)
         for entry in entries:
             backend.apply(entry.changeset)
-        self._log_recovered_entries += len(entries)
         if snapshot is not None or entries or log.truncated_records:
             self.events.record(
                 LOG_RECOVERED,
@@ -1501,8 +1492,8 @@ class PublishingService:
             )
         )
         if refresh:
-            # Outside the gate: collecting statistics sweeps every table
-            # and must not hold publishes (or a waiting rebalance) up.
+            # Outside the gate: re-measuring the written tables must not
+            # hold publishes (or a waiting rebalance) up.
             self._refresh_statistics(reason="drift")
         return lsn
 

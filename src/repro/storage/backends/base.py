@@ -29,6 +29,12 @@ import os
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
 
 from ...cost.model import CostModel
+from ...cost.statistics import (
+    KeptStatistics,
+    StatisticsCatalog,
+    TableStatistics,
+    profile_rows,
+)
 from ...errors import EvaluationError, StorageError
 from ...logical.queries import ConjunctiveQuery
 from ..routing import MODE_SINGLE, RoutePlan, RoutingDecision
@@ -157,19 +163,37 @@ class StorageBackend(abc.ABC):
     def collect_statistics(self) -> "StatisticsCatalog":
         """Measure a :class:`~repro.cost.statistics.StatisticsCatalog`.
 
-        The default profiles every table through :meth:`rows` — exact row
-        counts and per-column distinct counts.  Engines override this to
-        count where the data lives (the SQLite backend with ``COUNT``
-        queries, the sharded backend by merging its children's catalogs);
-        the numbers stay exact on every backend.  ``sqlite_stat1`` feeds
-        SQLite's join order, not the catalog.
+        Exact row counts and per-column distinct counts on every backend.
+        The store keeps what it measured per table until a write to that
+        table drops it (:meth:`_kept_statistics`), so the first call
+        measures every table and a later one only the tables written
+        since: the catalog always equals a sweep of every table.  Engines
+        supply how one table is measured (:meth:`_measure_statistics`);
+        composites override this to combine their parts' catalogs.
         """
-        from ...cost.statistics import StatisticsCatalog, profile_rows
-
+        kept = self._kept_statistics()
         catalog = StatisticsCatalog()
         for name in self.table_names:
-            catalog.add(profile_rows(name, self.rows(name)))
+            statistics = kept.get(name)
+            if statistics is None:
+                writes = kept.writes
+                statistics = self._measure_statistics(name)
+                kept.keep(statistics, writes)
+            catalog.add(statistics)
         return catalog
+
+    def _kept_statistics(self) -> KeptStatistics:
+        """The measurements of this store that no write has dropped.
+
+        A store keeps them only where it drops an entry on every write to
+        its table; by default nothing is kept and every call measures
+        every table.
+        """
+        return KeptStatistics()
+
+    def _measure_statistics(self, name: str) -> TableStatistics:
+        """Measure table *name* now; the default profiles :meth:`rows`."""
+        return profile_rows(name, self.rows(name))
 
     def refresh_statistics(
         self, access_weights: Optional[Mapping[str, float]] = None
@@ -191,9 +215,9 @@ class StorageBackend(abc.ABC):
     def statistics_catalog(self) -> Optional["StatisticsCatalog"]:
         """The catalog of the last :meth:`refresh_statistics` (or ``None``).
 
-        The executor refreshes once when its build completes; the
-        publishing service plans against that catalog instead of sweeping
-        every table a second time.
+        The executor refreshes once when its build completes; profiled
+        executions price their operators from it, and clones start with
+        their source's.
         """
         return self._statistics_catalog
 

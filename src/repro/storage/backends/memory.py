@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ...cost.statistics import KeptStatistics
 from ...errors import StorageError
 from ...logical.queries import ConjunctiveQuery
 from ..evaluation import evaluate_query
@@ -22,7 +23,9 @@ class MemoryBackend(StorageBackend):
 
     Statistics (``collect_statistics``, inherited) profile the same lists
     the hash-join evaluator scans, so cost estimates derived from a memory
-    backend describe exactly the data it will join.
+    backend describe exactly the data it will join.  The measurements are
+    kept on the database, which drops a table's entry when it is written:
+    backends sharing one database see each other's writes.
 
     When the request is profiled (``explain()`` or the service's 1-in-N
     sampler), the evaluator emits one ``scan``/``join-step`` operator
@@ -69,6 +72,9 @@ class MemoryBackend(StorageBackend):
 
     def cardinality(self, name: str) -> int:
         return self.database.cardinality(name)
+
+    def _kept_statistics(self) -> KeptStatistics:
+        return self.database.kept_statistics
 
     # -- execution -----------------------------------------------------
     def execute(self, query: ConjunctiveQuery, distinct: bool = True) -> List[Row]:

@@ -17,6 +17,7 @@ import threading
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from ...cost.statistics import KeptStatistics, TableStatistics
 from ...errors import EvaluationError, SchemaError, StorageError
 from ...logical.queries import ConjunctiveQuery, DerivedPlan
 from ...logical.terms import Variable, is_variable
@@ -113,6 +114,8 @@ class SQLiteBackend(StorageBackend):
         self._attributes: Dict[str, Tuple[str, ...]] = {}
         self._schema = _BackendSchema(self._attributes)
         self._indexed: Set[Tuple[str, str]] = set()
+        self._kept = KeptStatistics()
+        self._data_version = self._read_data_version()
         self.auto_index = auto_index
         self._closed = False
         # Concurrency-safe teardown: operations touching the connection
@@ -188,6 +191,7 @@ class SQLiteBackend(StorageBackend):
         )
         self._arities[name] = arity
         self._attributes[name] = columns
+        self._kept.written(name)
 
     def has_table(self, name: str) -> bool:
         return name in self._arities
@@ -195,7 +199,22 @@ class SQLiteBackend(StorageBackend):
     @_uses_connection
     def clear_table(self, name: str) -> None:
         self._require_table(name)
-        self._connection.execute(f"DELETE FROM {quote_identifier(name)}")
+        with self._writing((name,)):
+            self._connection.execute(f"DELETE FROM {quote_identifier(name)}")
+            self._connection.commit()
+
+    @contextmanager
+    def _writing(self, names: Iterable[str]) -> Iterator[None]:
+        """Drop the kept statistics of *names* once the write has ended.
+
+        Dropped after the write, committed or not, so a measurement taken
+        while the write ran is never kept (see :class:`KeptStatistics`).
+        """
+        try:
+            yield
+        finally:
+            for name in names:
+                self._kept.written(name)
 
     def _prepare_rows(
         self, name: str, rows: Iterable[Sequence[object]]
@@ -237,8 +256,9 @@ class SQLiteBackend(StorageBackend):
         prepared = self._prepare_rows(name, rows)
         if not prepared:
             return
-        self._insert_prepared(name, prepared)
-        self._connection.commit()
+        with self._writing((name,)):
+            self._insert_prepared(name, prepared)
+            self._connection.commit()
 
     def _delete_prepared(self, name: str, prepared: List[Tuple[object, ...]]) -> int:
         """Bag-semantics delete by rowid, without committing.
@@ -274,29 +294,32 @@ class SQLiteBackend(StorageBackend):
         prepared = self._prepare_rows(name, rows)
         if not prepared:
             return 0
-        removed = self._delete_prepared(name, prepared)
-        self._connection.commit()
+        with self._writing((name,)):
+            removed = self._delete_prepared(name, prepared)
+            self._connection.commit()
         return removed
 
     @_uses_connection
     def apply(self, changeset: "ChangeSet") -> None:
         """Apply a whole change set in one transaction (all or nothing)."""
         self._require_open()
-        try:
-            for change in changeset.changes:
-                deletes = self._prepare_rows(change.relation, change.deletes)
-                inserts = self._prepare_rows(change.relation, change.inserts)
-                if deletes:
-                    self._delete_prepared(change.relation, deletes)
-                if inserts:
-                    self._insert_prepared(change.relation, inserts)
-            self._connection.commit()
-        except Exception:
+        relations = [change.relation for change in changeset.changes]
+        with self._writing(relations):
             try:
-                self._connection.rollback()
-            except sqlite3.Error:
-                pass
-            raise
+                for change in changeset.changes:
+                    deletes = self._prepare_rows(change.relation, change.deletes)
+                    inserts = self._prepare_rows(change.relation, change.inserts)
+                    if deletes:
+                        self._delete_prepared(change.relation, deletes)
+                    if inserts:
+                        self._insert_prepared(change.relation, inserts)
+                self._connection.commit()
+            except Exception:
+                try:
+                    self._connection.rollback()
+                except sqlite3.Error:
+                    pass
+                raise
 
     def _require_table(self, name: str) -> int:
         self._require_open()
@@ -341,36 +364,48 @@ class SQLiteBackend(StorageBackend):
         )
         return int(cursor.fetchone()[0])
 
+    def _read_data_version(self) -> int:
+        """``PRAGMA data_version``: moves when another connection commits."""
+        return self._connection.execute("PRAGMA data_version").fetchone()[0]
+
     @_uses_connection
-    def collect_statistics(self) -> "StatisticsCatalog":
-        """Exact row and distinct counts, as the memory backend reports them.
+    def _kept_statistics(self) -> KeptStatistics:
+        """The kept measurements, all dropped once another connection wrote.
 
-        ``sqlite_stat1`` feeds SQLite's join order; the catalog is exact
-        counts on every backend.  ``ANALYZE`` runs here so the engine's
-        own statistics follow updates; the catalog reads ``COUNT(*)`` and
-        one ``COUNT(DISTINCT …)`` per column, whichever indexes exist.
+        A file database is shared with its clones, whose writes this
+        connection does not see happen; ``PRAGMA data_version`` tells that
+        one happened.
         """
-        from ...cost.statistics import StatisticsCatalog, TableStatistics
+        version = self._read_data_version()
+        if version != self._data_version:
+            self._kept.clear()
+            self._data_version = version
+        return self._kept
 
-        self._require_open()
-        self._connection.execute("ANALYZE")
-        catalog = StatisticsCatalog()
-        for name, columns in self._attributes.items():
-            distinct = []
-            for column in columns:
-                cursor = self._connection.execute(
-                    f"SELECT COUNT(DISTINCT {quote_identifier(column)}) "
-                    f"FROM {quote_identifier(name)}"
-                )
-                distinct.append(float(cursor.fetchone()[0]))
-            catalog.add(
-                TableStatistics(
-                    name=name,
-                    row_count=float(self.cardinality(name)),
-                    distinct_counts=tuple(distinct),
-                )
+    @_uses_connection
+    def _measure_statistics(self, name: str) -> TableStatistics:
+        """Exact row and distinct counts of *name*, as memory reports them.
+
+        ``COUNT(*)`` and one ``COUNT(DISTINCT …)`` per column, whichever
+        indexes exist.  ``ANALYZE`` of the table runs here too, so
+        ``sqlite_stat1``, which feeds SQLite's own join order and not the
+        catalog, follows the writes.
+        """
+        table = quote_identifier(name)
+        self._connection.execute(f"ANALYZE {table}")
+        distinct = tuple(
+            float(
+                self._connection.execute(
+                    f"SELECT COUNT(DISTINCT {quote_identifier(column)}) FROM {table}"
+                ).fetchone()[0]
             )
-        return catalog
+            for column in self._attributes[name]
+        )
+        return TableStatistics(
+            name=name,
+            row_count=float(self.cardinality(name)),
+            distinct_counts=distinct,
+        )
 
     # -- execution -----------------------------------------------------
     def _columns_key(self, record: DerivedPlan) -> Tuple[object, ...]:
@@ -594,6 +629,13 @@ class SQLiteBackend(StorageBackend):
         clone.path = self.path
         clone.check_same_thread = False
         clone._connection = sqlite3.connect(self.path, check_same_thread=False)
+        if self.path in (":memory:", ""):
+            self._connection.backup(clone._connection)
+        # The clone's version is read before the template's kept entries
+        # are checked, so a write from elsewhere between the two reaches
+        # the clone's next check as well.
+        clone._data_version = clone._read_data_version()
+        clone._kept = self._kept_statistics().copy()
         clone._arities = dict(self._arities)
         clone._attributes = dict(self._attributes)
         clone._schema = _BackendSchema(clone._attributes)
@@ -604,6 +646,4 @@ class SQLiteBackend(StorageBackend):
         clone._inflight = 0
         clone._connection_released = False
         clone._statistics_catalog = self._statistics_catalog
-        if self.path in (":memory:", ""):
-            self._connection.backup(clone._connection)
         return clone

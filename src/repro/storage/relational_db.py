@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
+from ..cost.statistics import KeptStatistics
 from ..errors import EvaluationError, SchemaError
 from ..logical.schema import RelationalSchema
 
@@ -132,11 +133,19 @@ class IndexedTable(Table):
 
 
 class InMemoryDatabase:
-    """A collection of named tables, optionally validated against a schema."""
+    """A collection of named tables, optionally validated against a schema.
+
+    The database keeps the statistics last measured of each table
+    (:attr:`kept_statistics`) and drops a table's entry on every write
+    made through it, so every backend over this database re-measures
+    exactly the tables written since.  Write through the database, not a
+    :class:`Table` it holds, for its statistics to follow.
+    """
 
     def __init__(self, schema: Optional[RelationalSchema] = None):
         self.schema = schema
         self._tables: Dict[str, Table] = {}
+        self.kept_statistics = KeptStatistics()
         if schema is not None:
             for relation in schema.relations:
                 self.create_table(relation.name, relation.arity, relation.attributes)
@@ -152,6 +161,7 @@ class InMemoryDatabase:
         if table.name in self._tables:
             raise SchemaError(f"table {table.name} already exists")
         self._tables[table.name] = table
+        self.kept_statistics.written(table.name)
         return table
 
     def table(self, name: str) -> Table:
@@ -164,25 +174,33 @@ class InMemoryDatabase:
         return name in self._tables
 
     def insert(self, name: str, row: Sequence[object]) -> None:
-        self.table(name).insert(row)
+        self.insert_many(name, (row,))
 
     def insert_many(self, name: str, rows: Iterable[Sequence[object]]) -> None:
         self.table(name).insert_many(rows)
+        self.kept_statistics.written(name)
 
     def clear_table(self, name: str) -> None:
         """Delete every row of *name* (the table itself remains declared)."""
         self.table(name).clear()
+        self.kept_statistics.written(name)
 
     def delete_many(self, name: str, rows: Iterable[Sequence[object]]) -> int:
         """Bag-semantics delete: each row removes at most one occurrence."""
-        return self.table(name).delete_many(rows)
+        removed = self.table(name).delete_many(rows)
+        self.kept_statistics.written(name)
+        return removed
 
     def copy(self) -> "InMemoryDatabase":
-        """An independent database holding snapshots of every table."""
+        """An independent database holding snapshots of every table.
+
+        The snapshot holds the same rows, so it keeps the same statistics.
+        """
         duplicate = InMemoryDatabase()
         duplicate.schema = self.schema
         for name, table in self._tables.items():
             duplicate._tables[name] = table.copy()
+        duplicate.kept_statistics = self.kept_statistics.copy()
         return duplicate
 
     def rows(self, name: str) -> Tuple[Row, ...]:

@@ -15,6 +15,11 @@ Three pieces live here because several test modules need them:
   dependency: a seeded :class:`random.Random` makes every failure
   reproducible from the test id alone.
 
+* ``full_sweep`` — ``full_sweep(backend)`` is the catalog *backend*
+  measures with no kept statistics: every table of every part measured
+  now, the oracle a refresh that re-measures only written tables must
+  equal.
+
 * ``explain`` — ``explain(backend, query)`` is the text ``explain`` shows
   for one profiled run of *query* on a bare backend (backends do not
   explain themselves; ``MarsExecutor.explain_reformulation`` renders the
@@ -31,7 +36,13 @@ from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
 from repro.obs import operator_root
 from repro.profile import EXECUTE, QueryProfile
-from repro.storage.backends import StorageBackend, default_backend_name
+from repro.cost.statistics import KeptStatistics
+from repro.storage.backends import (
+    MemoryBackend,
+    SQLiteBackend,
+    StorageBackend,
+    default_backend_name,
+)
 
 
 @pytest.fixture
@@ -157,6 +168,19 @@ def query_generator():
         return RandomQueryGenerator(backend, seed, **kwargs)
 
     return build
+
+
+@pytest.fixture
+def full_sweep(monkeypatch):
+    """``full_sweep(backend)`` -> the catalog with nothing kept."""
+
+    def sweep(backend):
+        with monkeypatch.context() as patch:
+            for engine in (MemoryBackend, SQLiteBackend):
+                patch.setattr(engine, "_kept_statistics", lambda self: KeptStatistics())
+            return backend.collect_statistics()
+
+    return sweep
 
 
 @pytest.fixture

@@ -375,6 +375,40 @@ class TestServiceRestart:
         finally:
             restarted.close()
 
+    @pytest.mark.parametrize("tail", [3, 0])
+    def test_restart_plans_with_the_catalog_of_the_recovered_rows(
+        self, tmp_path, tail, full_sweep
+    ):
+        """Recovery writes through the store, so the refresh after it
+        re-measures what the snapshot restore and the replayed tail wrote:
+        the attached catalog is a full sweep's of the recovered rows, with
+        or without a tail after the checkpoint."""
+        service = self._service(tmp_path / "log")
+        try:
+            for i in range(6):
+                # Two rows in, one out, names repeating: both counts move.
+                service.update(ChangeSet.build(
+                    inserts={"itemName": [(f"ck-{i}", "n"), (f"ck-{i}b", "n")]},
+                    deletes={"itemName": service.executor.backend.rows("itemName")[:1]},
+                ))
+            service.checkpoint()
+            for i in range(tail):
+                service.update(
+                    ChangeSet.build(inserts={"itemName": [(f"tail-{i}", "nt")]})
+                )
+        finally:
+            service.close()
+
+        restarted = self._service(tmp_path / "log")
+        try:
+            backend = restarted.executor.backend
+            attached = restarted.system.cost_model.catalog
+            assert attached.tables == full_sweep(backend).tables
+            assert backend.statistics_catalog.tables == attached.tables
+            assert attached.row_count("itemName") == len(backend.rows("itemName"))
+        finally:
+            restarted.close()
+
     def test_sharded_deployment_restarts_per_shard(self, tmp_path):
         query = xmark.query_item_names()
         configuration = small_xmark()

@@ -36,7 +36,7 @@ from repro.plan import (
 )
 from repro.obs import COMPILE_TRUNCATED
 from repro.serve import PublishingService
-from repro.workloads import medical
+from repro.workloads import medical, star
 
 
 @pytest.fixture
@@ -291,6 +291,28 @@ class TestStoreHygiene:
         assert system_b.engine_invocations == 0  # served from A's artifact
         assert store_b.stats().hits == 1
         assert (tmp_path / "plans" / f"{identity}.json").read_text() == text_before
+
+
+class TestNotFoundArtifact:
+    def test_a_loaded_not_found_plan_keeps_the_compiled_best_cost(self, tmp_path):
+        """A compile that finds no reformulation reports ``best_cost`` inf;
+        the same plan loaded from the store reported 0.0."""
+        parameters = star.StarParameters(corners=3, include_base_storage=False)
+
+        def system():
+            configuration = star.build_configuration(parameters)
+            configuration.xics = [
+                xic for xic in configuration.xics if xic.name != "key_R_K"
+            ]
+            return MarsSystem(configuration, plan_store=PlanStore(tmp_path / "plans"))
+
+        query = star.client_query(parameters)
+        compiled = system().reformulate(query)
+        reloaded = system()
+        loaded = reloaded.reformulate(query)
+        assert reloaded.engine_invocations == 0  # served from the artifact
+        assert compiled.best is None and loaded.best is None
+        assert loaded.best_cost == compiled.best_cost
 
 
 class TestTruncatedCompile:

@@ -1087,8 +1087,11 @@ class TestOneWritePathKeepsTheLsn:
     """Every deployment writes on one path; the LSNs it hands out are the
     ones the unit logs agree with."""
 
-    def test_one_unit_lsn_is_the_log_head_across_a_restart(self, tmp_path):
-        options = dict(pool_size=1, log_dir=str(tmp_path / "log"), log_fsync="off")
+    @pytest.mark.parametrize("backend", ["memory", "sqlite", "replicated"])
+    def test_one_unit_lsn_is_the_log_head_across_a_restart(self, tmp_path, backend):
+        options = dict(
+            backend=backend, pool_size=1, log_dir=str(tmp_path / "log"), log_fsync="off"
+        )
         with PublishingService(medical.build_configuration(), **options) as service:
             assert [service.update(patient_visit(i)) for i in range(5)] == [1, 2, 3, 4, 5]
             assert service.stats().last_write_lsn == service.mutation_log.lsn == 5

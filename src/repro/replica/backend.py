@@ -30,8 +30,8 @@ import threading
 from dataclasses import dataclass
 from typing import (
     Callable,
+    Counter,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -303,13 +303,15 @@ class ReplicatedBackend(StorageBackend):
                 self._record_fence(replica, error)
                 continue
             except Exception as error:
-                # A non-engine error (bad changeset, unstorable value) on
-                # the *first* replica, before anything was applied, is a
-                # clean failure: no copy diverged, propagate untouched.
-                # After any replica applied the write, a failing replica
-                # has missed it — engines disagree on what they accept —
-                # and an unfenced divergent copy is worse than a smaller
-                # replica set: fence it too.
+                # A non-engine error (bad change set, unstorable value) on
+                # the *first* replica is a clean failure: an engine's
+                # ``apply`` checks the whole change set before writing
+                # (SQLite also rolls back), so that replica wrote nothing
+                # and no copy diverged; propagate untouched.  After any
+                # replica applied the write, a failing replica has missed
+                # it — engines disagree on what they accept — and an
+                # unfenced divergent copy is worse than a smaller replica
+                # set: fence it too.
                 if first and not errors:
                     raise
                 errors.append(error)
@@ -377,16 +379,8 @@ class ReplicatedBackend(StorageBackend):
     def clear_table(self, name: str) -> None:
         self._write(lambda replica: replica.clear_table(name))
 
-    def insert_many(self, name: str, rows: Iterable[Sequence[object]]) -> None:
-        prepared = [tuple(row) for row in rows]
-        self._write(lambda replica: replica.insert_many(name, prepared))
-
-    def delete_many(self, name: str, rows: Iterable[Sequence[object]]) -> int:
-        prepared = [tuple(row) for row in rows]
-        return self._write(lambda replica: replica.delete_many(name, prepared))
-
-    def apply(self, changeset: ChangeSet) -> None:
-        self._write(lambda replica: replica.apply(changeset))
+    def apply(self, changeset: ChangeSet) -> "Counter[str]":
+        return self._write(lambda replica: replica.apply(changeset))
 
     # ------------------------------------------------------------------
     # Inspection

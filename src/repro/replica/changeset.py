@@ -29,9 +29,12 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple
+from itertools import chain
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, NamedTuple, Optional, Sequence, Tuple,
+)
 
-from ..errors import StorageError
+from ..errors import EvaluationError, StorageError
 
 Row = Tuple[object, ...]
 
@@ -45,12 +48,8 @@ class TableChange:
     deletes: Tuple[Row, ...] = ()
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "inserts", tuple(tuple(row) for row in self.inserts)
-        )
-        object.__setattr__(
-            self, "deletes", tuple(tuple(row) for row in self.deletes)
-        )
+        object.__setattr__(self, "inserts", tuple(map(tuple, self.inserts)))
+        object.__setattr__(self, "deletes", tuple(map(tuple, self.deletes)))
 
     @property
     def touched(self) -> int:
@@ -118,6 +117,24 @@ class ChangeSet:
 
     def is_empty(self) -> bool:
         return all(change.is_empty() for change in self.changes)
+
+    def check(self, arity_of: Callable[[str], int]) -> None:
+        """Raise :class:`~repro.errors.EvaluationError` unless every row of
+        every change has its table's arity.
+
+        *arity_of* answers a table's arity and raises for a table the store
+        does not hold.  Every engine's ``apply`` (and the sharded
+        ``route_changeset``) calls this before it writes or routes
+        anything, so a rejected change set leaves every store as it was.
+        """
+        for change in self.changes:
+            arity = arity_of(change.relation)
+            wrong = set(map(len, chain(change.inserts, change.deletes))) - {arity}
+            if wrong:
+                raise EvaluationError(
+                    f"table {change.relation}: expected {arity} values, "
+                    f"got {min(wrong)}"
+                )
 
     def restricted_to(self, relations: Iterable[str]) -> "ChangeSet":
         """The sub-change-set touching only *relations* (may be empty)."""

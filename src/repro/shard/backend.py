@@ -35,9 +35,10 @@ from __future__ import annotations
 import functools
 import os
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from typing import (
-    Dict, Hashable, Iterable, List, Mapping, NamedTuple, Optional, Sequence,
+    Dict, Hashable, List, Mapping, NamedTuple, Optional, Sequence,
     Tuple, Union,
 )
 
@@ -59,58 +60,6 @@ from .router import (
 DEFAULT_SHARD_COUNT = 2
 
 ChildSpec = Union[str, type, StorageBackend]
-
-
-def route_changeset(
-    changeset: "ChangeSet",
-    specs: Mapping[str, PartitionSpec],
-    shard_count: int,
-    require_table,
-) -> Dict[int, "ChangeSet"]:
-    """Split a change set across a shard layout (see ``ShardedBackend``).
-
-    Exposed as a function so the online rebalancer can route the mutation
-    log tail into a *new* layout before that layout is adopted by the live
-    backend.  *require_table* is called with each relation name and must
-    raise for unknown tables.
-    """
-    # Imported here: repro.replica imports this module for the rebalancer,
-    # so a top-level import would cycle during package initialization.
-    from ..replica.changeset import ChangeSet, TableChange
-
-    per_shard: Dict[int, Dict[str, Dict[str, List[Tuple[object, ...]]]]] = {}
-
-    def bucket(shard: int, relation: str) -> Dict[str, List[Tuple[object, ...]]]:
-        tables = per_shard.setdefault(shard, {})
-        return tables.setdefault(relation, {"ins": [], "del": []})
-
-    for change in changeset.changes:
-        require_table(change.relation)
-        spec = specs.get(change.relation)
-        if spec is None:
-            for shard in range(shard_count):
-                slot = bucket(shard, change.relation)
-                slot["ins"].extend(change.inserts)
-                slot["del"].extend(change.deletes)
-            continue
-        for row in change.inserts:
-            shard = spec.partitioner.shard_of(row[spec.position], shard_count)
-            bucket(shard, change.relation)["ins"].append(row)
-        for row in change.deletes:
-            shard = spec.partitioner.shard_of(row[spec.position], shard_count)
-            bucket(shard, change.relation)["del"].append(row)
-    routed: Dict[int, ChangeSet] = {}
-    for shard, tables in per_shard.items():
-        changes = tuple(
-            TableChange(
-                relation=relation,
-                inserts=tuple(slot["ins"]),
-                deletes=tuple(slot["del"]),
-            )
-            for relation, slot in tables.items()
-        )
-        routed[shard] = ChangeSet(changes=changes)
-    return routed
 
 
 def merge_rows(
@@ -344,76 +293,63 @@ class ShardedBackend(StorageBackend):
         for child in self._children:
             child.clear_table(name)
 
-    @_write
-    def insert_many(self, name: str, rows: Iterable[Sequence[object]]) -> None:
-        arity = self._require_table(name)
-        prepared: List[Tuple[object, ...]] = []
-        for row in rows:
-            row = tuple(row)
-            if len(row) != arity:
-                raise EvaluationError(
-                    f"table {name}: expected {arity} values, got {len(row)}"
-                )
-            prepared.append(row)
-        if not prepared:
-            return
-        spec = self._specs.get(name)
-        if spec is None:
-            for child in self._children:
-                child.insert_many(name, prepared)
-            return
-        buckets: Dict[int, List[Tuple[object, ...]]] = {}
-        for row in prepared:
-            shard = spec.partitioner.shard_of(row[spec.position], self.shard_count)
-            buckets.setdefault(shard, []).append(row)
-        for shard, bucket in buckets.items():
-            self._children[shard].insert_many(name, bucket)
-
-    @_write
-    def delete_many(self, name: str, rows: Iterable[Sequence[object]]) -> int:
-        """Route deletes like inserts: by partition key, broadcast otherwise."""
-        self._require_table(name)
-        prepared = [tuple(row) for row in rows]
-        if not prepared:
-            return 0
-        spec = self._specs.get(name)
-        if spec is None:
-            # Broadcast tables hold the same rows everywhere: every child
-            # removes its own occurrence and they stay in lockstep.
-            return max(
-                child.delete_many(name, prepared) for child in self._children
-            )
-        buckets: Dict[int, List[Tuple[object, ...]]] = {}
-        for row in prepared:
-            shard = spec.partitioner.shard_of(row[spec.position], self.shard_count)
-            buckets.setdefault(shard, []).append(row)
-        return sum(
-            self._children[shard].delete_many(name, bucket)
-            for shard, bucket in buckets.items()
-        )
-
     # ------------------------------------------------------------------
     # Write path (change sets)
     # ------------------------------------------------------------------
     def route_changeset(self, changeset: "ChangeSet") -> Dict[int, "ChangeSet"]:
         """Split *changeset* into the per-shard change sets to apply.
 
-        Rows of partitioned tables go to the shard their partitioner
-        names; changes to broadcast tables appear in **every** shard's
-        change set (batched per shard, so a broadcast write is one
-        ``apply`` per shard, not one per row).  Shards untouched by the
-        change set are absent from the result.  A caller that applies the
-        pieces to the children itself calls :meth:`units_written` after.
+        A malformed change set raises here, before any piece exists
+        (:meth:`ChangeSet.check`).  Rows of partitioned tables go to the
+        shard their partitioner names; a change to a broadcast table
+        appears whole in **every** shard's change set (so a broadcast
+        write is one ``apply`` per shard, not one per row).  Shards
+        untouched by the change set are absent from the result.  A caller
+        that applies the pieces to the children itself calls
+        :meth:`units_written` after.
         """
-        return route_changeset(
-            changeset, self._specs, self.shard_count, self._require_table
-        )
+        # Imported here: repro.replica imports this module (the rebalancer).
+        from ..replica.changeset import ChangeSet, TableChange
+
+        changeset.check(self._require_table)
+        per_shard: Dict[int, List[TableChange]] = {}
+        for change in changeset.changes:
+            spec = self._specs.get(change.relation)
+            if spec is None:
+                for shard in range(self.shard_count):
+                    per_shard.setdefault(shard, []).append(change)
+                continue
+            buckets: Dict[int, Tuple[List[Row], List[Row]]] = {}
+            for side, rows in enumerate((change.inserts, change.deletes)):
+                for row in rows:
+                    shard = spec.partitioner.shard_of(
+                        row[spec.position], self.shard_count
+                    )
+                    buckets.setdefault(shard, ([], []))[side].append(row)
+            for shard, (inserts, deletes) in buckets.items():
+                per_shard.setdefault(shard, []).append(
+                    TableChange(change.relation, tuple(inserts), tuple(deletes))
+                )
+        return {
+            shard: ChangeSet(tuple(changes)) for shard, changes in per_shard.items()
+        }
 
     @_write
-    def apply(self, changeset: "ChangeSet") -> None:
-        """Apply a change set by routing it to the owning shards."""
-        for shard, sub in sorted(self.route_changeset(changeset).items()):
-            self._children[shard].apply(sub)
+    def apply(self, changeset: "ChangeSet") -> "Counter[str]":
+        """Apply a change set by routing it to the owning shards.
+
+        The rows removed are summed over the shards of a partitioned
+        table; a broadcast table's copies delete in lockstep, so its count
+        is one copy's.
+        """
+        removed: Counter[str] = Counter()
+        for shard, piece in sorted(self.route_changeset(changeset).items()):
+            for relation, count in self._children[shard].apply(piece).items():
+                if relation in self._specs:
+                    removed[relation] += count
+                else:
+                    removed[relation] = max(removed[relation], count)
+        return removed
 
     @_write
     def units_written(self) -> None:

@@ -23,10 +23,11 @@ can flip engines with a single string (``backend="sqlite"``).
 from __future__ import annotations
 
 import abc
-import collections
 import inspect
 import os
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union
+from typing import (
+    Counter, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Type, Union,
+)
 
 from ...cost.model import CostModel
 from ...cost.statistics import (
@@ -43,6 +44,18 @@ Row = Tuple[object, ...]
 
 #: The route of every plan on a backend that is its own storage unit.
 _ONE_UNIT = RoutingDecision(MODE_SINGLE, (0,), (), "one storage unit")
+
+
+def _one_change(
+    relation: str,
+    inserts: Iterable[Sequence[object]] = (),
+    deletes: Iterable[Sequence[object]] = (),
+) -> "ChangeSet":
+    """The change set writing *inserts* and *deletes* to *relation* only."""
+    # Imported here: repro.replica imports this module.
+    from ...replica.changeset import ChangeSet, TableChange
+
+    return ChangeSet((TableChange(relation, inserts, deletes),))
 
 
 def default_backend_name() -> str:
@@ -87,58 +100,30 @@ class StorageBackend(abc.ABC):
         """Delete every row of *name*, keeping the table declared."""
 
     @abc.abstractmethod
-    def insert_many(self, name: str, rows: Iterable[Sequence[object]]) -> None:
-        """Bulk-load *rows* into table *name*."""
+    def apply(self, changeset: "ChangeSet") -> "Counter[str]":
+        """Apply one :class:`~repro.replica.changeset.ChangeSet`: the one
+        write an engine implements; returns the rows removed per table.
+
+        Nothing is written unless every table exists and every row has its
+        table's arity (:meth:`ChangeSet.check`, called before any write).
+        Per table change the deletes run before the inserts (an update is
+        a delete plus an insert of the same row); each requested delete
+        removes **at most one** stored occurrence (a table is an ordered
+        multiset) and rows not present are ignored, so every engine agrees
+        on multiplicities.
+        """
 
     def insert(self, name: str, row: Sequence[object]) -> None:
         self.insert_many(name, [row])
 
+    def insert_many(self, name: str, rows: Iterable[Sequence[object]]) -> None:
+        """Bulk-load *rows* into table *name*: one :meth:`apply`."""
+        self.apply(_one_change(name, inserts=rows))
+
     def delete_many(self, name: str, rows: Iterable[Sequence[object]]) -> int:
-        """Remove stored rows under bag semantics; returns how many went.
-
-        Each requested row removes **at most one** stored occurrence (a
-        table is an ordered multiset), and rows not present are ignored,
-        so every engine agrees on multiplicities after a delete.  The
-        default rewrites the table through :meth:`rows` /
-        :meth:`clear_table` / :meth:`insert_many`; engines with targeted
-        deletes override it (SQLite deletes by rowid).
-        """
-        pending = collections.Counter(tuple(row) for row in rows)
-        if not pending:
-            return 0
-        kept: List[Row] = []
-        removed = 0
-        for row in self.rows(name):
-            row = tuple(row)
-            if pending.get(row, 0) > 0:
-                pending[row] -= 1
-                removed += 1
-            else:
-                kept.append(row)
-        if removed:
-            self.clear_table(name)
-            if kept:
-                self.insert_many(name, kept)
-        return removed
-
-    def apply(self, changeset: "ChangeSet") -> None:
-        """Apply one :class:`~repro.replica.changeset.ChangeSet`.
-
-        Per table change the deletes run before the inserts (an update is
-        a delete plus an insert of the same row).  The default applies
-        change-by-change with no atomicity guarantee beyond the individual
-        operations; transactional engines override it (the SQLite backend
-        wraps the whole change set in one transaction).
-        """
-        for change in changeset.changes:
-            if not self.has_table(change.relation):
-                raise EvaluationError(
-                    f"change set references unknown table {change.relation!r}"
-                )
-            if change.deletes:
-                self.delete_many(change.relation, change.deletes)
-            if change.inserts:
-                self.insert_many(change.relation, change.inserts)
+        """Bag-delete *rows* from table *name*: one :meth:`apply`; returns
+        how many went."""
+        return self.apply(_one_change(name, deletes=rows))[name]
 
     # -- inspection ----------------------------------------------------
     @property

@@ -8,7 +8,8 @@ what it was before the backend abstraction existed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from collections import Counter
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ...cost.statistics import KeptStatistics
 from ...errors import StorageError
@@ -53,11 +54,18 @@ class MemoryBackend(StorageBackend):
     def clear_table(self, name: str) -> None:
         self.database.clear_table(name)
 
-    def insert_many(self, name: str, rows: Iterable[Sequence[object]]) -> None:
-        self.database.insert_many(name, rows)
-
-    def delete_many(self, name: str, rows: Iterable[Sequence[object]]) -> int:
-        return self.database.delete_many(name, rows)
+    def apply(self, changeset: "ChangeSet") -> "Counter[str]":
+        database = self.database
+        changeset.check(lambda name: database.table(name).arity)
+        removed: Counter[str] = Counter()
+        for change in changeset.changes:
+            if change.deletes:
+                removed[change.relation] += database.delete_many(
+                    change.relation, change.deletes
+                )
+            if change.inserts:
+                database.insert_many(change.relation, change.inserts)
+        return removed
 
     # -- inspection ----------------------------------------------------
     @property

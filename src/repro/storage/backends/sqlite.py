@@ -14,6 +14,7 @@ from __future__ import annotations
 import re
 import sqlite3
 import threading
+from collections import Counter
 from contextlib import contextmanager
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -216,27 +217,13 @@ class SQLiteBackend(StorageBackend):
             for name in names:
                 self._kept.written(name)
 
-    def _prepare_rows(
-        self, name: str, rows: Iterable[Sequence[object]]
-    ) -> List[Tuple[object, ...]]:
-        arity = self._require_table(name)
-        prepared: List[Tuple[object, ...]] = []
-        for row in rows:
-            row = tuple(row)
-            if len(row) != arity:
-                raise EvaluationError(
-                    f"table {name}: expected {arity} values, got {len(row)}"
-                )
-            prepared.append(row)
-        return prepared
-
-    def _insert_prepared(self, name: str, prepared: List[Tuple[object, ...]]) -> None:
-        """Run the INSERT statements without committing (callers own that)."""
+    def _insert_rows(self, name: str, rows: Sequence[Row]) -> None:
+        """Run the INSERT statements without committing (``apply`` does)."""
         placeholders = ", ".join("?" for _ in self._attributes[name])
         try:
             self._connection.executemany(
                 f"INSERT INTO {quote_identifier(name)} VALUES ({placeholders})",
-                prepared,
+                rows,
             )
         except sqlite3.Error as error:
             # Unbindable values raise InterfaceError on older Pythons and
@@ -251,16 +238,7 @@ class SQLiteBackend(StorageBackend):
                 f"table {name}: value not storable in SQLite ({error})"
             ) from error
 
-    @_uses_connection
-    def insert_many(self, name: str, rows: Iterable[Sequence[object]]) -> None:
-        prepared = self._prepare_rows(name, rows)
-        if not prepared:
-            return
-        with self._writing((name,)):
-            self._insert_prepared(name, prepared)
-            self._connection.commit()
-
-    def _delete_prepared(self, name: str, prepared: List[Tuple[object, ...]]) -> int:
+    def _delete_rows(self, name: str, rows: Sequence[Row]) -> int:
         """Bag-semantics delete by rowid, without committing.
 
         Each requested row removes at most one stored occurrence: the
@@ -276,7 +254,7 @@ class SQLiteBackend(StorageBackend):
         )
         removed = 0
         try:
-            for row in prepared:
+            for row in rows:
                 cursor = self._connection.execute(statement, row)
                 removed += cursor.rowcount if cursor.rowcount > 0 else 0
         except sqlite3.Error as error:
@@ -290,29 +268,19 @@ class SQLiteBackend(StorageBackend):
         return removed
 
     @_uses_connection
-    def delete_many(self, name: str, rows: Iterable[Sequence[object]]) -> int:
-        prepared = self._prepare_rows(name, rows)
-        if not prepared:
-            return 0
-        with self._writing((name,)):
-            removed = self._delete_prepared(name, prepared)
-            self._connection.commit()
-        return removed
-
-    @_uses_connection
-    def apply(self, changeset: "ChangeSet") -> None:
+    def apply(self, changeset: "ChangeSet") -> "Counter[str]":
         """Apply a whole change set in one transaction (all or nothing)."""
-        self._require_open()
-        relations = [change.relation for change in changeset.changes]
-        with self._writing(relations):
+        changeset.check(self._require_table)
+        removed: Counter[str] = Counter()
+        with self._writing(changeset.relations()):
             try:
                 for change in changeset.changes:
-                    deletes = self._prepare_rows(change.relation, change.deletes)
-                    inserts = self._prepare_rows(change.relation, change.inserts)
-                    if deletes:
-                        self._delete_prepared(change.relation, deletes)
-                    if inserts:
-                        self._insert_prepared(change.relation, inserts)
+                    if change.deletes:
+                        removed[change.relation] += self._delete_rows(
+                            change.relation, change.deletes
+                        )
+                    if change.inserts:
+                        self._insert_rows(change.relation, change.inserts)
                 self._connection.commit()
             except Exception:
                 try:
@@ -320,6 +288,7 @@ class SQLiteBackend(StorageBackend):
                 except sqlite3.Error:
                     pass
                 raise
+        return removed
 
     def _require_table(self, name: str) -> int:
         self._require_open()
@@ -499,14 +468,18 @@ class SQLiteBackend(StorageBackend):
         or a variable shared between at least two atom positions (join key).
         Index creation is idempotent; the names created by this call are
         returned (useful for tests and the benchmarks).  Each table that
-        gained an index is then ``ANALYZE``d in the same call, so SQLite
-        orders its joins from real per-index statistics instead of its
-        default guess; a call that creates nothing runs no ``ANALYZE``.
+        gained an index in the database is then ``ANALYZE``d in the same
+        call, so SQLite orders its joins from real per-index statistics
+        instead of its default guess; a call that creates nothing runs no
+        ``ANALYZE``.
 
         The columns are derived once per plan and column names (kept on
         its :class:`~repro.logical.queries.DerivedPlan`); which of them
-        this store has indexed is its own, because the clones of a
-        ``:memory:`` database are separate databases.
+        this connection has seen indexed is its own, because the clones of
+        a ``:memory:`` database are separate databases.  An index another
+        connection to the same file already built (and analyzed) is only
+        noted: re-analyzing it would commit, and every connection's next
+        statistics refresh would re-measure every table.
         """
         self._require_open()
         record = query.derived()
@@ -514,23 +487,32 @@ class SQLiteBackend(StorageBackend):
             "indexes", self._columns_key(record),
             self._index_columns, record.normalized,
         )
+        missing = [key for key in columns if key not in self._indexed]
+        if not missing:
+            return []
+        existing = {
+            name
+            for (name,) in _fetch(
+                self._connection,
+                "SELECT name FROM sqlite_master WHERE type = 'index'",
+            )
+        }
         created: List[str] = []
         analyze: List[str] = []
-        for key in columns:
-            if key in self._indexed:
-                continue
+        for key in missing:
             relation, column = key
             index_name = self._index_name(relation, column)
-            self._index_statement(
-                f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
-                f"ON {quote_identifier(relation)} "
-                f"({quote_identifier(column)})",
-                f"could not index {relation}.{column}",
-            )
+            if index_name not in existing:
+                self._index_statement(
+                    f"CREATE INDEX IF NOT EXISTS {quote_identifier(index_name)} "
+                    f"ON {quote_identifier(relation)} "
+                    f"({quote_identifier(column)})",
+                    f"could not index {relation}.{column}",
+                )
+                created.append(index_name)
+                if relation not in analyze:
+                    analyze.append(relation)
             self._indexed.add(key)
-            created.append(index_name)
-            if relation not in analyze:
-                analyze.append(relation)
         for relation in analyze:
             self._index_statement(
                 f"ANALYZE {quote_identifier(relation)}",

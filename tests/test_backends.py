@@ -22,7 +22,7 @@ from repro.engine.cb import CBConfig
 from repro.logical.atoms import EqualityAtom, InequalityAtom, RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
-from repro.replica import ChangeSet
+from repro.replica import ChangeSet, TableChange
 from repro.serve import ConnectionPool, PublishingService
 from repro.storage.backends import sqlite as sqlite_module
 from repro.storage.backends import (
@@ -84,6 +84,51 @@ class TestBackendProtocol:
         backend.create_table("r", 2)
         with pytest.raises(EvaluationError):
             backend.insert_many("r", [(1, 2, 3)])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [{"b": [(3,)]}, {"b": [(3, "z")], "missing": [(4,)]}],
+        ids=["short-row-in-the-second-table", "unknown-third-table"],
+    )
+    def test_a_rejected_change_set_writes_nothing(self, backend, bad):
+        """The table and arity check covers the whole change set before
+        anything is written: no table changes, and every replica stays
+        equal and live."""
+        backend.create_table("a", 2)
+        backend.create_table("b", 2)
+        backend.insert_many("a", [(1, "x")])
+        changeset = ChangeSet.build(
+            inserts={"a": [(2, "y")], **bad}, deletes={"a": [(1, "x")]}
+        )
+        with pytest.raises(EvaluationError):
+            backend.apply(changeset)
+        assert tuple(backend.rows("a")) == ((1, "x"),)
+        assert tuple(backend.rows("b")) == ()
+        for replica in getattr(backend, "replicas", ()):
+            assert not replica.closed
+            assert tuple(replica.rows("a")) == ((1, "x"),)
+            assert tuple(replica.rows("b")) == ()
+
+    def test_changes_to_one_table_apply_in_the_order_listed(self, backend):
+        backend.create_table("r", 1)
+        backend.apply(
+            ChangeSet((TableChange("r", inserts=[(1,)]), TableChange("r", deletes=[(1,)])))
+        )
+        assert tuple(backend.rows("r")) == ()
+
+    def test_apply_returns_the_rows_each_table_lost(self, backend):
+        backend.create_table("a", 2)
+        backend.create_table("b", 1)
+        backend.insert_many("a", [(1, "x"), (1, "x"), (2, "y")])
+        removed = backend.apply(
+            ChangeSet.build(
+                inserts={"b": [(7,)]},
+                deletes={"a": [(1, "x"), (1, "x"), (1, "x"), (9, "z")]},
+            )
+        )
+        assert removed["a"] == 2 and removed["b"] == 0
+        assert tuple(backend.rows("a")) == ((2, "y"),)
+        assert backend.delete_many("b", [(7,), (7,)]) == 1
 
     def test_unknown_table_raises(self, backend):
         with pytest.raises(EvaluationError):
@@ -283,6 +328,34 @@ class TestSQLiteBackend:
         del statements[:]
         assert backend.ensure_indexes(query) == []
         assert not [sql for sql in statements if sql.startswith("ANALYZE")]
+
+    def test_an_index_another_connection_built_is_not_analyzed_again(self, tmp_path):
+        """A second clone of a file store executing the join the first one
+        indexed creates and analyzes nothing, so the template's next
+        refresh has no commit to re-measure for."""
+        template = SQLiteBackend(path=str(tmp_path / "two.db"), check_same_thread=False)
+        template.create_table("r", 2, ("a", "b"))
+        template.create_table("s", 2, ("b", "c"))
+        template.insert_many("r", [(i, i % 5) for i in range(20)])
+        template.insert_many("s", [(i, f"v{i}") for i in range(5)])
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        join = ConjunctiveQuery(
+            "q", (x, z), (RelationalAtom("r", (x, y)), RelationalAtom("s", (y, z)))
+        )
+        first, second = template.clone(), template.clone()
+        expected = multiset(first.execute(join))
+        assert first.ensure_indexes(join) == []
+        template.refresh_statistics()
+        statements = []
+        for backend in (template, second):
+            backend._connection.set_trace_callback(statements.append)
+        assert multiset(second.execute(join)) == expected
+        template.refresh_statistics()
+        assert [
+            sql for sql in statements if sql.startswith("ANALYZE") or "COUNT" in sql
+        ] == []
+        for backend in (first, second, template):
+            backend.close()
 
     def test_explain_query_plan(self, explain):
         backend = SQLiteBackend()
@@ -858,3 +931,74 @@ class TestOneJoinKernel:
         )
         assert self.hash_probes(source) == [3, 5]
         assert self.hash_probes("for row in rows:\n    pass\n") == []
+
+
+# ----------------------------------------------------------------------
+# One write primitive (CI source scan)
+# ----------------------------------------------------------------------
+class TestOneWritePrimitive:
+    """An engine changes rows only through ``apply(changeset)``:
+    ``insert``, ``insert_many`` and ``delete_many`` are conveniences on
+    ``StorageBackend`` that build a change set, so a class under
+    ``src/repro/`` defining one of them is a second write path.  The memory
+    engine's containers, ``Table`` and ``InMemoryDatabase``, are not
+    backends and keep their own."""
+
+    SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+    CONVENIENCES = ("insert", "insert_many", "delete_many")
+    EXEMPT = {
+        ("storage/backends/base.py", "StorageBackend"),
+        ("storage/relational_db.py", "Table"),
+        ("storage/relational_db.py", "InMemoryDatabase"),
+    }
+
+    @classmethod
+    def write_methods(cls, source, method_names):
+        """``(class, method)`` for each class defining one of *method_names*."""
+        return [
+            (node.name, item.name)
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and item.name in method_names
+        ]
+
+    def test_source_scan(self):
+        paths = sorted(self.SRC.rglob("*.py"))
+        assert paths, f"nothing to scan under {self.SRC}"
+        found = []
+        for path in paths:
+            where = path.relative_to(self.SRC).as_posix()
+            for owner, method in self.write_methods(
+                path.read_text(), self.CONVENIENCES
+            ):
+                if (where, owner) not in self.EXEMPT:
+                    found.append(f"{where}: {owner}.{method}")
+        assert found == []
+
+    def test_each_engine_implements_apply_once(self):
+        engines = {
+            "storage/backends/memory.py": "MemoryBackend",
+            "storage/backends/sqlite.py": "SQLiteBackend",
+            "shard/backend.py": "ShardedBackend",
+            "replica/backend.py": "ReplicatedBackend",
+        }
+        for where, engine in engines.items():
+            source = (self.SRC / where).read_text()
+            assert self.write_methods(source, ("apply",)) == [(engine, "apply")]
+        assert "apply" in StorageBackend.__abstractmethods__
+        assert "insert_many" not in StorageBackend.__abstractmethods__
+
+    def test_the_scan_catches_what_it_is_for(self):
+        source = (
+            "class Engine(StorageBackend):\n"
+            "    def apply(self, changeset):\n"
+            "        pass\n"
+            "    def delete_many(self, name, rows):\n"
+            "        return 0\n"
+        )
+        assert self.write_methods(source, self.CONVENIENCES) == [
+            ("Engine", "delete_many")
+        ]
+        assert self.write_methods("def insert_many(rows):\n    pass\n", self.CONVENIENCES) == []

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.core import MarsConfiguration, MarsExecutor, MarsSystem
-from repro.errors import ReformulationError, StorageError
+from repro.errors import EvaluationError, ReformulationError, StorageError
 from repro.logical.atoms import RelationalAtom
 from repro.logical.queries import ConjunctiveQuery
 from repro.logical.terms import Constant, Variable
@@ -760,8 +760,8 @@ class ToyLeaf(StorageBackend):
     def clear_table(self, name):
         self.inner.clear_table(name)
 
-    def insert_many(self, name, rows):
-        self.inner.insert_many(name, rows)
+    def apply(self, changeset):
+        return self.inner.apply(changeset)
 
     @property
     def table_names(self):
@@ -832,10 +832,8 @@ class ToyMirror(ToyLeaf):
         for wing in self.wings:
             wing.clear_table(name)
 
-    def insert_many(self, name, rows):
-        rows = [tuple(row) for row in rows]
-        for wing in self.wings:
-            wing.insert_many(name, rows)
+    def apply(self, changeset):
+        return [wing.apply(changeset) for wing in self.wings][0]
 
     def route_plan(self, plan):
         self.reads += 1
@@ -1116,6 +1114,59 @@ class TestOneWritePathKeepsTheLsn:
             assert len(service.shard_logs) == (3 if backend == "sharded" else 2)
             if backend == "toy-mirror":
                 assert expected == [6, 6]
+
+
+#: Valid patientDiag rows for several shards, then a short patientDrug row.
+REJECTED = ChangeSet.build(
+    inserts={
+        "patientDiag": [(f"rejected{i}", "flu") for i in range(8)],
+        "patientDrug": [("rejected0", "tamiflu")],
+    }
+)
+
+
+def table_rows(backend):
+    return {name: multiset(backend.rows(name)) for name in backend.table_names}
+
+
+class TestARejectedUpdateWritesNothing:
+    """``update()`` checks the whole change set before any unit is written
+    or logged: a rejected one stores nothing and moves no log."""
+
+    def test_a_durable_sharded_service_before_and_after_a_restart(self, tmp_path):
+        def sharded():
+            configuration = medical.build_configuration()
+            configuration.backend = "sharded"
+            configuration.shard_count = 4
+            return configuration
+
+        options = dict(pool_size=1, log_dir=str(tmp_path / "log"), log_fsync="off")
+        with PublishingService(sharded(), **options) as service:
+            before = table_rows(service.executor.backend)
+            with pytest.raises(EvaluationError):
+                service.update(REJECTED)
+            assert [log.lsn for log in service.shard_logs] == [0, 0, 0, 0]
+            assert service.stats().last_write_lsn == 0
+            assert table_rows(service.executor.backend) == before
+        with PublishingService(sharded(), **options) as restarted:
+            assert [log.lsn for log in restarted.shard_logs] == [0, 0, 0, 0]
+            assert restarted.stats().last_write_lsn == 0
+            assert table_rows(restarted.executor.backend) == before
+
+    def test_a_one_unit_memory_service_keeps_template_and_clones_equal(self):
+        configuration = medical.build_configuration()
+        with PublishingService(configuration, backend="memory", pool_size=1) as service:
+            template = service.executor.backend
+            before = table_rows(template)
+            with pytest.raises(EvaluationError):
+                service.update(REJECTED)
+            assert service.mutation_log.lsn == 0
+            assert table_rows(template) == before
+            with service.pool.connection() as pooled:
+                assert table_rows(pooled) == before
+            fresh = template.clone()
+            assert table_rows(fresh) == before
+            fresh.close()
 
 
 class TestOneServePath:

@@ -227,6 +227,26 @@ class TestDataDistribution:
         assert backend.has_table("orders")
         backend.close()
 
+    def test_a_change_set_with_a_short_row_stores_nothing(self):
+        """As ``insert_many`` always did: the partitioned ``apply`` (and its
+        ``route_changeset``) rejects the whole change set up front."""
+        backend, *_ = build_backend()
+        before = {name: multiset(backend.rows(name)) for name in backend.table_names}
+        changeset = ChangeSet.build(
+            inserts={
+                "customers": [("c90", "city0"), ("c91", "city1")],
+                "orders": [("c90", "item0", 1), ("c91", "item1")],
+                "cities": [("city9", "xy")],
+            }
+        )
+        with pytest.raises(EvaluationError):
+            backend.route_changeset(changeset)
+        with pytest.raises(EvaluationError):
+            backend.apply(changeset)
+        after = {name: multiset(backend.rows(name)) for name in backend.table_names}
+        assert after == before
+        backend.close()
+
 
 # ----------------------------------------------------------------------
 # Routing decisions
